@@ -3,9 +3,9 @@
 
 GO ?= go
 
-.PHONY: ci vet lint build test race bench bench-short run-bench clean
+.PHONY: ci vet lint build test race bench-module bench bench-short run-bench clean
 
-ci: vet lint build race bench-short
+ci: vet lint build race bench-module bench-short
 
 vet:
 	$(GO) vet ./...
@@ -24,6 +24,11 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# The benchmark harness (bench/) is its own module, so the root ./...
+# patterns skip it; vet and test it against the current tree.
+bench-module:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 # One iteration of every benchmark — smoke-checks the experiment
 # harness plus the E11 >= 2x throughput, E12 <= 1.5x inflation,

@@ -42,6 +42,7 @@ import (
 	"legato/internal/power"
 	"legato/internal/sim"
 	"legato/internal/taskrt"
+	"legato/internal/trace"
 )
 
 // Typed submission errors, matchable with errors.Is.
@@ -70,7 +71,7 @@ type Config struct {
 	Fleet []*hw.Device
 	// Registry receives per-job and per-device counters (optional).
 	Registry *monitor.Registry
-	// Bus receives typed runtime events from every job's lifecycle hooks
+	// Bus receives typed runtime events from every job's lifecycle sink
 	// and the fault injector (optional). A nil bus costs nothing; a bus
 	// with no listener costs one atomic load per would-be event.
 	Bus *obs.Bus
@@ -146,9 +147,9 @@ type Job struct {
 	ID   int
 	Name string
 
-	clock   *sim.Engine
 	rt      *taskrt.Runtime
 	devices []*hw.Device
+	tracer  *trace.Tracer
 	eng     *Engine
 
 	mu       sync.Mutex
@@ -162,12 +163,13 @@ type Job struct {
 	done     chan struct{}
 }
 
-// Runtime exposes the job's private scheduler for task submission and
-// hook registration. It must not be touched after Submit.
+// Runtime exposes the job's private scheduler for task submission. It must
+// not be touched after Submit.
 func (j *Job) Runtime() *taskrt.Runtime { return j.rt }
 
-// Clock exposes the job's private virtual clock.
-func (j *Job) Clock() *sim.Engine { return j.clock }
+// Tracer exposes the job's trace: the spans its lifecycle events fold
+// into, on the job's virtual clock.
+func (j *Job) Tracer() *trace.Tracer { return j.tracer }
 
 // Devices lists the job's platform mirror.
 func (j *Job) Devices() []*hw.Device { return j.devices }
@@ -418,180 +420,132 @@ func (e *Engine) NewJob(name string) (*Job, error) {
 	e.nextID++
 	j := &Job{
 		ID: e.nextID, Name: name,
-		clock: clock, rt: rt, devices: devs, eng: e,
+		rt: rt, devices: devs, tracer: trace.New(clock), eng: e,
 		done: make(chan struct{}),
 	}
 	e.jobs = append(e.jobs, j)
 	e.mu.Unlock()
 
-	if reg := e.cfg.Registry; reg != nil {
-		scope := "job/" + name
-		rt.AddHooks(taskrt.Hooks{
-			Queued: func(string) { reg.Add(scope, "tasks-queued", 1) },
-			Started: func(taskrt.Record) {
-				reg.Add(scope, "tasks-running", 1)
-			},
-			Finished: func(rec taskrt.Record) {
-				if rec.Shed {
-					// A shed task never started: no running decrement, no
-					// device attribution.
-					reg.Add(scope, "tasks-shed", 1)
-					reg.Add("tail", "tasks-shed", 1)
-					return
-				}
-				reg.Add(scope, "tasks-running", -1)
-				reg.Add(scope, "tasks-completed", 1)
-				reg.Add(scope, "energy-J", float64(rec.EnergyJ))
-				dev := "device/" + rec.Device
-				reg.Add(dev, "tasks-completed", 1)
-				reg.Add(dev, "energy-J", float64(rec.EnergyJ))
-				reg.Add(dev, "busy-s", sim.ToSeconds(rec.End-rec.Start))
-			},
-			Retried: func(_ string, _ int, reason string, _ sim.Time) {
-				reg.Add(scope, "task-retries", 1)
-				reg.Add("faults", "task-retries", 1)
-				reg.Add("faults", "retry-"+reason, 1)
-			},
-			DeviceLost: func(deviceID string, revoked, restored int, _ sim.Time) {
-				reg.Add(scope, "device-lost", 1)
-				reg.Add(scope, "tasks-revoked", float64(revoked))
-				reg.Add(scope, "tasks-restored", float64(restored))
-				reg.Add("device/"+deviceID, "lost", 1)
-				reg.Add("faults", "tasks-revoked", float64(revoked))
-				reg.Add("faults", "tasks-restored", float64(restored))
-			},
-			Checkpointed: func(_ int, bytes int64, _, _ sim.Time) {
-				reg.Add(scope, "checkpoints", 1)
-				reg.Add(scope, "checkpoint-bytes", float64(bytes))
-				reg.Add("faults", "checkpoints", 1)
-			},
-			Straggler: func(_, deviceID string, _, _ sim.Time) {
-				reg.Add(scope, "stragglers-detected", 1)
-				reg.Add("tail", "stragglers-detected", 1)
-				reg.Add("device/"+deviceID, "stragglers", 1)
-			},
-			Hedged: func(_, _, to string, _ sim.Time) {
-				reg.Add(scope, "hedges-launched", 1)
-				reg.Add("tail", "hedges-launched", 1)
-				reg.Add("device/"+to, "hedges-hosted", 1)
-			},
-			HedgeResolved: func(_, _ string, hedgeWon bool, wastedJ energy.Joules, _, _ sim.Time) {
-				if hedgeWon {
-					reg.Add(scope, "hedges-won", 1)
-					reg.Add("tail", "hedges-won", 1)
-				}
-				reg.Add(scope, "hedge-wasted-J", float64(wastedJ))
-				reg.Add("tail", "hedge-wasted-J", float64(wastedJ))
-			},
-			DeadlineMissed: func(_ string, _, _ sim.Time, _ bool) {
-				reg.Add(scope, "deadline-misses", 1)
-				reg.Add("tail", "deadline-misses", 1)
-			},
-		})
-	}
-	e.wireBus(j)
+	rt.SetSink(e.sink(j))
 	e.wireFaults(j)
 	return j, nil
 }
 
-// wireBus registers the hooks that publish the job's lifecycle to the
-// session event bus, every event stamped with the job's virtual time and
-// name. Hooks fire on the goroutine driving the job; the bus serializes
-// publication, and with no listener each hook is one struct literal plus
-// an atomic load.
-func (e *Engine) wireBus(j *Job) {
-	bus := e.cfg.Bus
-	if bus == nil {
-		return
+// sink returns the job's lifecycle sink: every event the runtime emits is
+// stamped with the job's name, folded into the registry counters and the
+// job trace, and published on the session bus. It runs on the goroutine
+// driving the job; the bus serializes publication, and with no listener
+// publishing is one atomic load.
+func (e *Engine) sink(j *Job) func(obs.Event) {
+	var counters *RegistryFold
+	if e.cfg.Registry != nil {
+		counters = NewRegistryFold(e.cfg.Registry, j.Name)
 	}
-	job := j.Name
-	clock := j.clock
-	j.rt.AddHooks(taskrt.Hooks{
-		Queued: func(name string) {
-			bus.Publish(obs.Event{At: clock.Now(), Kind: obs.TaskQueued, Job: job, Task: name})
-		},
-		Placed: func(name, device string, cores int, at sim.Time) {
-			bus.Publish(obs.Event{At: at, Kind: obs.TaskPlaced, Job: job, Task: name, Device: device, Value: float64(cores)})
-		},
-		Started: func(rec taskrt.Record) {
-			bus.Publish(obs.Event{At: rec.Start, Kind: obs.TaskStarted, Job: job, Task: rec.Name, Device: rec.Device, Value: float64(rec.DrawW)})
-		},
-		Finished: func(rec taskrt.Record) {
-			if rec.Shed {
-				bus.Publish(obs.Event{At: rec.End, Kind: obs.TaskShed, Job: job, Task: rec.Name, Detail: "deadline"})
-				return
-			}
-			detail := ""
-			switch {
-			case rec.Hedged && rec.Corrupted:
-				detail = "hedged,corrupted"
-			case rec.Hedged:
-				detail = "hedged"
-			case rec.Corrupted:
-				detail = "corrupted"
-			}
-			bus.Publish(obs.Event{At: rec.End, Kind: obs.TaskCompleted, Job: job, Task: rec.Name, Device: rec.Device, Value: float64(rec.EnergyJ), Detail: detail})
-		},
-		Retried: func(name string, attempt int, reason string, at sim.Time) {
-			bus.Publish(obs.Event{At: at, Kind: obs.TaskRetried, Job: job, Task: name, Value: float64(attempt), Detail: reason})
-		},
-		Failed: func(name, reason string, at sim.Time) {
-			bus.Publish(obs.Event{At: at, Kind: obs.TaskFailed, Job: job, Task: name, Detail: reason})
-		},
-		DeviceLost: func(deviceID string, revoked, restored int, at sim.Time) {
-			if !bus.Active() {
-				return // skip the Sprintf nobody would read
-			}
-			bus.Publish(obs.Event{At: at, Kind: obs.DeviceLost, Job: job, Device: deviceID, Value: float64(revoked),
-				Detail: fmt.Sprintf("revoked=%d restored=%d", revoked, restored)})
-		},
-		Checkpointed: func(tasks int, bytes int64, start, end sim.Time) {
-			// Both sides of the interval surface at commit time: begin is
-			// stamped with the capture instant, commit with the landing.
-			bus.Publish(obs.Event{At: start, Kind: obs.CheckpointBegin, Job: job, Value: float64(bytes)})
-			bus.Publish(obs.Event{At: end, Kind: obs.CheckpointCommit, Job: job, Value: float64(tasks)})
-		},
-		Straggler: func(name, device string, expected, elapsed sim.Time) {
-			stretch := 0.0
-			if expected > 0 {
-				stretch = float64(elapsed) / float64(expected)
-			}
-			bus.Publish(obs.Event{At: clock.Now(), Kind: obs.HedgeArmed, Job: job, Task: name, Device: device, Value: stretch})
-		},
-		Hedged: func(name, from, to string, at sim.Time) {
-			bus.Publish(obs.Event{At: at, Kind: obs.HedgeLaunched, Job: job, Task: name, Device: to, Detail: "from " + from})
-		},
-		HedgeResolved: func(name, winner string, hedgeWon bool, wastedJ energy.Joules, start, end sim.Time) {
-			k := obs.HedgeCancelled
-			if hedgeWon {
-				k = obs.HedgeWon
-			}
-			bus.Publish(obs.Event{At: end, Kind: k, Job: job, Task: name, Device: winner, Value: float64(wastedJ)})
-		},
-		HedgePromoted: func(name, device string, at sim.Time) {
-			bus.Publish(obs.Event{At: at, Kind: obs.HedgePromoted, Job: job, Task: name, Device: device})
-		},
-		DeadlineMissed: func(name string, deadline, at sim.Time, shed bool) {
-			detail := "late"
-			if shed {
-				detail = "shed"
-			}
-			bus.Publish(obs.Event{At: at, Kind: obs.DeadlineMissed, Job: job, Task: name, Value: sim.ToSeconds(deadline), Detail: detail})
-		},
-		PowerAdmitted: func(name, device string, watts energy.Watts, at sim.Time) {
-			bus.Publish(obs.Event{At: at, Kind: obs.PowerAdmitted, Job: job, Task: name, Device: device, Value: float64(watts)})
-		},
-		PowerRefused: func(name, device string, watts energy.Watts, at sim.Time) {
-			bus.Publish(obs.Event{At: at, Kind: obs.PowerRefused, Job: job, Task: name, Device: device, Value: float64(watts)})
-		},
-		Rescaled: func(device string, from, to int, at sim.Time) {
-			k := obs.GovernorThrottled
-			if to < from {
-				k = obs.GovernorRestored
-			}
-			bus.Publish(obs.Event{At: at, Kind: k, Job: job, Device: device, Value: float64(to)})
-		},
-	})
+	spans := obs.NewSpanFold(j.tracer, e.fleetDrawW)
+	bus := e.cfg.Bus
+	return func(ev obs.Event) {
+		ev.Job = j.Name
+		if counters != nil {
+			counters.Apply(ev)
+		}
+		spans.Apply(ev)
+		bus.Publish(ev)
+	}
+}
+
+// fleetDrawW samples the shared watt ledger for the job traces' power
+// series.
+func (e *Engine) fleetDrawW() float64 { return float64(e.power.Draw()) }
+
+// RegistryFold folds one job's lifecycle events into registry counters:
+// the "job/<name>" scope; the per-device task, energy, busy-time,
+// straggler, hedge-hosting and loss counters of "device/<id>"; and the
+// session-wide "tail" and "faults" counters. The fold keeps only what the
+// events imply: a completed task's start is its last TaskStarted, and a
+// device loss's restores are the "restore" TaskRetried events just before
+// it. Replaying a job's logged events through a fresh fold rebuilds what
+// the live fold wrote.
+type RegistryFold struct {
+	reg      *monitor.Registry
+	scope    string
+	started  map[string]sim.Time // launch instant of each running task
+	restored int                 // restores re-queued since the last DeviceLost
+}
+
+// NewRegistryFold starts a fold for the named job.
+func NewRegistryFold(reg *monitor.Registry, job string) *RegistryFold {
+	return &RegistryFold{reg: reg, scope: "job/" + job, started: make(map[string]sim.Time)}
+}
+
+// Apply folds one event.
+func (f *RegistryFold) Apply(e obs.Event) {
+	reg, scope := f.reg, f.scope
+	switch e.Kind {
+	case obs.TaskQueued:
+		reg.Add(scope, "tasks-queued", 1)
+	case obs.TaskStarted:
+		f.started[e.Task] = e.At
+		reg.Add(scope, "tasks-running", 1)
+	case obs.TaskCompleted:
+		start := f.started[e.Task]
+		delete(f.started, e.Task)
+		reg.Add(scope, "tasks-running", -1)
+		reg.Add(scope, "tasks-completed", 1)
+		reg.Add(scope, "energy-J", e.Value)
+		dev := "device/" + e.Device
+		reg.Add(dev, "tasks-completed", 1)
+		reg.Add(dev, "energy-J", e.Value)
+		reg.Add(dev, "busy-s", sim.ToSeconds(e.At-start))
+	case obs.TaskShed:
+		// A shed task never started: no running decrement, no device
+		// attribution.
+		reg.Add(scope, "tasks-shed", 1)
+		reg.Add("tail", "tasks-shed", 1)
+	case obs.TaskRetried:
+		reg.Add(scope, "task-retries", 1)
+		reg.Add("faults", "task-retries", 1)
+		reg.Add("faults", "retry-"+e.Detail, 1)
+		if e.Detail == "restore" {
+			f.restored++
+		}
+	case obs.TaskFailed:
+		reg.Add(scope, "tasks-failed", 1)
+		reg.Add("faults", "tasks-failed", 1)
+	case obs.DeviceLost:
+		restored := float64(f.restored)
+		f.restored = 0
+		reg.Add(scope, "device-lost", 1)
+		reg.Add(scope, "tasks-revoked", e.Value)
+		reg.Add(scope, "tasks-restored", restored)
+		reg.Add("device/"+e.Device, "lost", 1)
+		reg.Add("faults", "tasks-revoked", e.Value)
+		reg.Add("faults", "tasks-restored", restored)
+	case obs.CheckpointBegin:
+		reg.Add(scope, "checkpoint-bytes", e.Value)
+	case obs.CheckpointCommit:
+		reg.Add(scope, "checkpoints", 1)
+		reg.Add("faults", "checkpoints", 1)
+	case obs.HedgeArmed:
+		reg.Add(scope, "stragglers-detected", 1)
+		reg.Add("tail", "stragglers-detected", 1)
+		reg.Add("device/"+e.Device, "stragglers", 1)
+	case obs.HedgeLaunched:
+		reg.Add(scope, "hedges-launched", 1)
+		reg.Add("tail", "hedges-launched", 1)
+		reg.Add("device/"+e.Device, "hedges-hosted", 1)
+	case obs.HedgeWon, obs.HedgeCancelled:
+		if e.Kind == obs.HedgeWon {
+			reg.Add(scope, "hedges-won", 1)
+			reg.Add("tail", "hedges-won", 1)
+		}
+		reg.Add(scope, "hedge-wasted-J", e.Value)
+		reg.Add("tail", "hedge-wasted-J", e.Value)
+	case obs.HedgePromoted:
+		reg.Add("tail", "hedges-promoted", 1)
+	case obs.DeadlineMissed:
+		reg.Add(scope, "deadline-misses", 1)
+		reg.Add("tail", "deadline-misses", 1)
+	}
 }
 
 // wireFaults replays the injector's sampled timeline on the job's private

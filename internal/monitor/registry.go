@@ -9,8 +9,9 @@ import (
 
 // Registry is a thread-safe counter store for the concurrent job engine:
 // per-scope metric accumulators in the spirit of the HEATS telemetry
-// module, but fed by runtime hooks instead of polling. Scopes follow a
-// "kind/name" convention — "job/<name>" for per-job counters
+// module, but fed by the engine's fold over each job's lifecycle events
+// instead of polling. Scopes follow a "kind/name" convention —
+// "job/<name>" for per-job counters
 // (tasks-queued, tasks-running, tasks-completed, energy-J, makespan-s) and
 // "device/<id>" for per-device counters (tasks-completed, energy-J,
 // busy-s) — though the registry itself is agnostic.

@@ -174,6 +174,106 @@ func ChromeTrace(spans []trace.Span, counters map[string]float64) ([]byte, error
 }
 
 // ---------------------------------------------------------------------------
+// Span fold: lifecycle events → trace spans
+// ---------------------------------------------------------------------------
+
+// SpanFold folds one job's lifecycle events into trace spans: "queue"
+// markers, committed "task" executions, "failure", "checkpoint", "hedge"
+// and "deadline" spans, and "power" samples of the fleet draw at every
+// task and hedge boundary. Timelines parses these names back, so the span
+// vocabulary lives in this package alone. Interval starts come from
+// earlier events: a task's last TaskStarted, a replica's HedgeLaunched, a
+// checkpoint's CheckpointBegin.
+type SpanFold struct {
+	tr        *trace.Tracer
+	draw      func() float64      // fleet draw sampler (nil: no power samples)
+	started   map[string]sim.Time // launch instant of each running task
+	hedged    map[string]sim.Time // launch instant of each task's racing replica
+	ckptAt    sim.Time            // capture instant of the committing checkpoint
+	ckptBytes float64
+}
+
+// NewSpanFold starts a fold recording into tr; draw, when non-nil, is
+// sampled for the power series.
+func NewSpanFold(tr *trace.Tracer, draw func() float64) *SpanFold {
+	return &SpanFold{tr: tr, draw: draw,
+		started: make(map[string]sim.Time), hedged: make(map[string]sim.Time)}
+}
+
+// Apply folds one event.
+func (f *SpanFold) Apply(e Event) {
+	switch e.Kind {
+	case TaskQueued:
+		f.mark(e.Task, "queue", e.Task, e.At)
+	case TaskStarted:
+		f.started[e.Task] = e.At
+		f.sample(e.At)
+	case TaskCompleted:
+		f.tr.Add(trace.Span{Name: e.Task, Category: "task", Resource: e.Device,
+			Start: f.started[e.Task], End: e.At})
+		delete(f.started, e.Task)
+		f.sample(e.At)
+	case TaskShed:
+		f.mark(e.Task+"#shed", "deadline", e.Task, e.At)
+	case TaskRetried:
+		f.mark(fmt.Sprintf("%s#retry%d(%s)", e.Task, int(e.Value), e.Detail), "failure", e.Task, e.At)
+	case TaskFailed:
+		f.mark(fmt.Sprintf("%s#failed(%s)", e.Task, e.Detail), "failure", e.Task, e.At)
+	case DeviceLost:
+		f.mark(fmt.Sprintf("crash(%s) %s", e.Device, e.Detail), "failure", e.Device, e.At)
+	case CheckpointBegin:
+		f.ckptAt, f.ckptBytes = e.At, e.Value
+	case CheckpointCommit:
+		f.tr.Add(trace.Span{
+			Name:     fmt.Sprintf("ckpt tasks=%d bytes=%d", int(e.Value), int64(f.ckptBytes)),
+			Category: "checkpoint", Resource: e.Job, Start: f.ckptAt, End: e.At,
+		})
+	case HedgeArmed:
+		elapsed := e.At - f.started[e.Task]
+		f.mark(fmt.Sprintf("%s straggling on %s (%v elapsed, %.2fx expected)", e.Task, e.Device, elapsed, e.Value),
+			"hedge", e.Device, e.At)
+	case HedgeLaunched:
+		f.hedged[e.Task] = e.At
+		from := strings.TrimPrefix(e.Detail, "from ")
+		f.mark(fmt.Sprintf("%s hedge %s->%s", e.Task, from, e.Device), "hedge", e.Device, e.At)
+		f.sample(e.At)
+	case HedgeWon, HedgeCancelled:
+		outcome := "lost"
+		if e.Kind == HedgeWon {
+			outcome = "won"
+		}
+		f.tr.Add(trace.Span{
+			Name:     fmt.Sprintf("%s hedge %s on %s", e.Task, outcome, e.Device),
+			Category: "hedge", Resource: e.Device,
+			Start: f.hedged[e.Task], End: e.At, Value: e.Value,
+		})
+		delete(f.hedged, e.Task)
+		f.sample(e.At)
+	case HedgePromoted:
+		delete(f.hedged, e.Task)
+		f.mark(fmt.Sprintf("%s hedge promoted on %s", e.Task, e.Device), "hedge", e.Device, e.At)
+	case DeadlineMissed:
+		f.mark(fmt.Sprintf("%s %s (deadline %gs)", e.Task, e.Detail, e.Value), "deadline", e.Task, e.At)
+	}
+}
+
+// mark records a zero-width span.
+func (f *SpanFold) mark(name, category, resource string, at sim.Time) {
+	f.tr.Add(trace.Span{Name: name, Category: category, Resource: resource, Start: at, End: at})
+}
+
+// sample records the fleet draw as an instant "power" span. Draw only
+// changes at task boundaries, so sampling there captures every level of
+// the draw-vs-time curve (internal/plot renders it from
+// Tracer.Series("power")).
+func (f *SpanFold) sample(at sim.Time) {
+	if f.draw != nil {
+		f.tr.Add(trace.Span{Name: "fleet-draw", Category: "power", Resource: "fleet",
+			Start: at, End: at, Value: f.draw()})
+	}
+}
+
+// ---------------------------------------------------------------------------
 // Per-task timeline breakdown
 // ---------------------------------------------------------------------------
 

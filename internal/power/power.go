@@ -161,6 +161,7 @@ type Ledger struct {
 	capW energy.Watts
 	gov  Kind
 
+	ids     []string // device IDs in fleet order: the governor's tie-break
 	ladders map[string]Ladder
 	point   map[string]int // governor-prescribed state index per device
 	idleW   map[string]energy.Watts
@@ -194,6 +195,7 @@ func NewLedger(capW energy.Watts, devices []*hw.Device, gov Kind) *Ledger {
 		l.capW = math.Inf(1)
 	}
 	for _, d := range devices {
+		l.ids = append(l.ids, d.ID)
 		l.ladders[d.ID] = LadderFor(d.ID, d.Spec)
 		l.point[d.ID] = 0
 		l.idleW[d.ID] = d.Spec.IdleWatts
@@ -399,8 +401,9 @@ func (l *Ledger) throttleLocked(deviceID string) {
 		return
 	}
 	best, bestDraw := "", energy.Watts(-1)
-	for id, w := range l.drawW {
-		if id == deviceID || l.lost[id] {
+	for _, id := range l.ids {
+		w, drawn := l.drawW[id]
+		if !drawn || id == deviceID || l.lost[id] {
 			continue
 		}
 		if l.point[id] < len(l.ladders[id].Points)-1 && w > bestDraw {
@@ -434,8 +437,8 @@ func (l *Ledger) unthrottleLocked() {
 		return
 	}
 	best, depth := "", 0
-	for id, p := range l.point {
-		if !l.lost[id] && p > depth {
+	for _, id := range l.ids {
+		if p := l.point[id]; !l.lost[id] && p > depth {
 			best, depth = id, p
 		}
 	}

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"legato/internal/hw"
+	"legato/internal/obs"
 	"legato/internal/sim"
 )
 
@@ -228,20 +229,29 @@ func TestFaultAfterCompletionCancelled(t *testing.T) {
 	}
 }
 
-// Retried hook fires with the reason, DeviceLost with the counts, and
-// Checkpointed when a snapshot commits.
-func TestResilienceHooks(t *testing.T) {
+// The sink sees a crash re-queue with its reason, one DeviceLost carrying
+// the counts, and each committed checkpoint as a Begin/Commit pair.
+func TestResilienceSink(t *testing.T) {
 	eng := sim.NewEngine()
 	devs := twoCPUs(eng)
 	rt := New(eng, devs, MinTime)
 	rt.SetRetryPolicy(3, time.Millisecond)
 	rt.SetCheckpoint(1, func(int64) sim.Time { return 0 }, nil)
-	var retried, lost, ckpts int
-	var reason string
-	rt.AddHooks(Hooks{
-		Retried:      func(_ string, _ int, r string, _ sim.Time) { retried++; reason = r },
-		DeviceLost:   func(id string, _, _ int, _ sim.Time) { lost++ },
-		Checkpointed: func(int, int64, sim.Time, sim.Time) { ckpts++ },
+	var retried, lost, begins, commits int
+	var reason, lostDetail string
+	rt.SetSink(func(e obs.Event) {
+		switch e.Kind {
+		case obs.TaskRetried:
+			retried++
+			reason = e.Detail
+		case obs.DeviceLost:
+			lost++
+			lostDetail = e.Detail
+		case obs.CheckpointBegin:
+			begins++
+		case obs.CheckpointCommit:
+			commits++
+		}
 	})
 	if err := chain(rt, 3, 50); err != nil {
 		t.Fatal(err)
@@ -251,12 +261,12 @@ func TestResilienceHooks(t *testing.T) {
 		t.Fatal(err)
 	}
 	if retried == 0 || reason != "crash" {
-		t.Fatalf("retried hook: count=%d reason=%q", retried, reason)
+		t.Fatalf("retried events: count=%d reason=%q", retried, reason)
 	}
-	if lost != 1 {
-		t.Fatalf("device-lost hook fired %d times", lost)
+	if lost != 1 || lostDetail != "revoked=1 restored=0" {
+		t.Fatalf("device-lost events: count=%d detail=%q", lost, lostDetail)
 	}
-	if ckpts == 0 {
-		t.Fatal("checkpoint hook never fired")
+	if commits == 0 || begins != commits {
+		t.Fatalf("checkpoint events: %d begins, %d commits", begins, commits)
 	}
 }

@@ -25,6 +25,7 @@ import (
 
 	"legato/internal/energy"
 	"legato/internal/hw"
+	"legato/internal/obs"
 	"legato/internal/power"
 	"legato/internal/sim"
 )
@@ -124,61 +125,6 @@ type PowerAdmission interface {
 	ReleaseDraw(deviceID string, watts energy.Watts)
 	Changed() <-chan struct{}
 	OperatingPoint(deviceID string) int
-}
-
-// Hooks observe the task lifecycle. Hooks registered with AddHooks are
-// invoked on the goroutine driving the runtime: Queued at submission,
-// Started when a task begins executing on a device, Finished when it
-// completes (with the full Record). The resilience hooks fire on recovery
-// events: Retried when a failed/corrupted execution is re-queued,
-// DeviceLost when a device is failed mid-run, Checkpointed when an
-// asynchronous checkpoint lands. Any field may be nil.
-type Hooks struct {
-	Queued   func(name string)
-	Started  func(Record)
-	Finished func(Record)
-	// Retried fires when a task execution is abandoned and re-queued;
-	// reason is "crash", "sdc" or "restore".
-	Retried func(name string, attempt int, reason string, at sim.Time)
-	// DeviceLost fires once per FailDevice call with the revocation and
-	// invalidation counts.
-	DeviceLost func(deviceID string, revoked, restored int, at sim.Time)
-	// Checkpointed fires when an async checkpoint commits.
-	Checkpointed func(tasks int, bytes int64, start, end sim.Time)
-	// Straggler fires when the watchdog flags a running execution whose
-	// elapsed time exceeded the hedge policy's multiple of the cost
-	// model's expected span.
-	Straggler func(name, device string, expected, elapsed sim.Time)
-	// Hedged fires when a speculative replica launches; from is the
-	// straggling device, to the hedge device.
-	Hedged func(name, from, to string, at sim.Time)
-	// HedgeResolved fires when a hedged task completes: winner is the
-	// committing device, hedgeWon reports whether the replica beat the
-	// straggler, wastedJ is the loser's burned energy, and start/end span
-	// the replica's lifetime.
-	HedgeResolved func(name, winner string, hedgeWon bool, wastedJ energy.Joules, start, end sim.Time)
-	// DeadlineMissed fires when a task passes its deadline; shed reports
-	// whether the task was skipped under DeadlineShed.
-	DeadlineMissed func(name string, deadline, at sim.Time, shed bool)
-	// Placed fires when a primary placement has won the device, the core
-	// admission and the watt admission, immediately before launch.
-	Placed func(name, device string, cores int, at sim.Time)
-	// Failed fires when the job records a terminal task failure (retry
-	// budget exhausted, or a strict-mode deadline miss); reason matches
-	// the typed error family ("crash", "sdc", "deadline", ...).
-	Failed func(name, reason string, at sim.Time)
-	// HedgePromoted fires when the primary's device loss promotes the
-	// racing replica to sole execution (no retry charged).
-	HedgePromoted func(name, device string, at sim.Time)
-	// PowerAdmitted/PowerRefused fire on watt-ledger admission outcomes
-	// for primary placements and hedge replicas alike; a refusal parks
-	// the placement (or denies the hedge) until the ledger changes.
-	PowerAdmitted func(name, device string, watts energy.Watts, at sim.Time)
-	PowerRefused  func(name, device string, watts energy.Watts, at sim.Time)
-	// Rescaled fires when the runtime observes a governor DVFS change on
-	// its platform mirror; from/to are ladder state indices (higher =
-	// more throttled).
-	Rescaled func(device string, from, to int, at sim.Time)
 }
 
 // Data is a named data region tasks depend on.
@@ -344,9 +290,9 @@ type Runtime struct {
 	nextID int
 	inDAG  int // submitted, not finished
 
-	adm     Admission      // nil: sole owner of its devices
-	pow     PowerAdmission // nil: no fleet watt budget
-	hooks   []Hooks
+	adm     Admission               // nil: sole owner of its devices
+	pow     PowerAdmission          // nil: no fleet watt budget
+	sink    func(obs.Event)         // lifecycle observer (nil: none)
 	held    map[string]int          // admission grants currently held, by device ID
 	heldW   map[string]energy.Watts // watt grants currently held, by device ID
 	blocked bool                    // a ready task lost admission this dispatch round
@@ -527,9 +473,21 @@ func (r *Runtime) ScheduleFault(at sim.Time, fn func()) {
 // Checkpoints reports how many checkpoints have committed.
 func (r *Runtime) Checkpoints() int { return r.ckpts }
 
-// AddHooks registers lifecycle observers; multiple sets compose and fire
-// in registration order.
-func (r *Runtime) AddHooks(h Hooks) { r.hooks = append(r.hooks, h) }
+// SetSink installs the lifecycle observer. Must be called before the first
+// Submit. Every lifecycle transition — queue, placement, start, completion,
+// shed, retry, failure, device loss, checkpoint, hedge, deadline miss,
+// watt admission, DVFS change — reaches it as one obs.Event on the
+// goroutine driving the runtime, stamped with virtual time, task and
+// device; the owner stamps Job. DESIGN.md §5 lists each kind's Value and
+// Detail.
+func (r *Runtime) SetSink(fn func(obs.Event)) { r.sink = fn }
+
+// emit reports one lifecycle event to the sink.
+func (r *Runtime) emit(e obs.Event) {
+	if r.sink != nil {
+		r.sink(e)
+	}
+}
 
 // Data declares a data region.
 func (r *Runtime) Data(name string, size int64) *Data {
@@ -608,11 +566,7 @@ func (r *Runtime) Submit(t Task) error {
 		}
 		n.deadline = r.eng.ScheduleAt(at, func() { r.deadlineFire(n) })
 	}
-	for _, h := range r.hooks {
-		if h.Queued != nil {
-			h.Queued(t.Name)
-		}
-	}
+	r.emit(obs.Event{At: r.eng.Now(), Kind: obs.TaskQueued, Task: t.Name})
 	if n.deps == 0 {
 		r.enqueue(n)
 	}
@@ -631,14 +585,15 @@ func (r *Runtime) deadlineFire(n *node) {
 	}
 	now := r.eng.Now()
 	r.deadlineMisses++
+	shed := r.dlMode == DeadlineShed && !n.started && n.task.Priority <= 0
+	detail := "late"
+	if shed {
+		detail = "shed"
+	}
+	r.emit(obs.Event{At: now, Kind: obs.DeadlineMissed, Task: n.task.Name,
+		Value: sim.ToSeconds(n.task.Deadline), Detail: detail})
 	if r.dlMode == DeadlineShed {
-		shed := !n.started && n.task.Priority <= 0
 		n.record.MissedDeadline = true
-		for _, h := range r.hooks {
-			if h.DeadlineMissed != nil {
-				h.DeadlineMissed(n.task.Name, n.task.Deadline, now, shed)
-			}
-		}
 		if !shed {
 			return
 		}
@@ -650,19 +605,10 @@ func (r *Runtime) deadlineFire(n *node) {
 		r.dispatch()
 		return
 	}
-	for _, h := range r.hooks {
-		if h.DeadlineMissed != nil {
-			h.DeadlineMissed(n.task.Name, n.task.Deadline, now, false)
-		}
-	}
 	if r.failErr == nil {
 		r.failErr = fmt.Errorf("taskrt: task %q missed its %v deadline at %v: %w",
 			n.task.Name, n.task.Deadline, now, ErrDeadlineExceeded)
-		for _, h := range r.hooks {
-			if h.Failed != nil {
-				h.Failed(n.task.Name, "deadline", now)
-			}
-		}
+		r.emit(obs.Event{At: now, Kind: obs.TaskFailed, Task: n.task.Name, Detail: "deadline"})
 	}
 }
 
@@ -765,11 +711,11 @@ func (r *Runtime) applyOperatingPoints() {
 				// construction bug; stay at the current point.
 				continue
 			}
-			for _, h := range r.hooks {
-				if h.Rescaled != nil {
-					h.Rescaled(dev.ID, from, p, r.eng.Now())
-				}
+			k := obs.GovernorThrottled
+			if p < from {
+				k = obs.GovernorRestored
 			}
+			r.emit(obs.Event{At: r.eng.Now(), Kind: k, Device: dev.ID, Value: float64(p)})
 		}
 	}
 }
@@ -822,20 +768,12 @@ func (r *Runtime) dispatch() {
 					if r.adm != nil {
 						r.adm.Release(dev.ID, n.task.Cores)
 					}
-					for _, h := range r.hooks {
-						if h.PowerRefused != nil {
-							h.PowerRefused(n.task.Name, dev.ID, watts, r.eng.Now())
-						}
-					}
+					r.emitPower(obs.PowerRefused, n, dev, watts)
 					r.blocked = true
 					r.applyOperatingPoints()
 					continue
 				}
-				for _, h := range r.hooks {
-					if h.PowerAdmitted != nil {
-						h.PowerAdmitted(n.task.Name, dev.ID, watts, r.eng.Now())
-					}
-				}
+				r.emitPower(obs.PowerAdmitted, n, dev, watts)
 			}
 			r.ready = append(r.ready[:qi], r.ready[qi+1:]...)
 			r.start(n, dev, watts)
@@ -846,6 +784,11 @@ func (r *Runtime) dispatch() {
 			return
 		}
 	}
+}
+
+// emitPower reports a watt-ledger admission outcome for running n on dev.
+func (r *Runtime) emitPower(k obs.Kind, n *node, dev *hw.Device, watts energy.Watts) {
+	r.emit(obs.Event{At: r.eng.Now(), Kind: k, Task: n.task.Name, Device: dev.ID, Value: float64(watts)})
 }
 
 // launch builds one execution of n on dev: the device meter is charged,
@@ -899,11 +842,7 @@ func (r *Runtime) start(n *node, dev *hw.Device, watts energy.Watts) {
 	}
 	n.started = true
 	n.hedges = 0
-	for _, h := range r.hooks {
-		if h.Placed != nil {
-			h.Placed(t.Name, dev.ID, t.Cores, r.eng.Now())
-		}
-	}
+	r.emit(obs.Event{At: r.eng.Now(), Kind: obs.TaskPlaced, Task: t.Name, Device: dev.ID, Value: float64(t.Cores)})
 	n.primary = r.launch(n, dev, watts, false)
 	n.record.Device = dev.ID
 	n.record.Class = dev.Spec.Class
@@ -913,11 +852,7 @@ func (r *Runtime) start(n *node, dev *hw.Device, watts energy.Watts) {
 	n.record.Hedged = false
 	n.record.Attempts++
 	r.running[n] = struct{}{}
-	for _, h := range r.hooks {
-		if h.Started != nil {
-			h.Started(n.record)
-		}
-	}
+	r.emit(obs.Event{At: n.record.Start, Kind: obs.TaskStarted, Task: t.Name, Device: dev.ID, Value: float64(n.record.DrawW)})
 }
 
 // releaseExec returns one execution's device cores and ledger grants.
@@ -951,11 +886,11 @@ func (r *Runtime) straggler(n *node, ex *exec) {
 	if !ex.flagged {
 		ex.flagged = true
 		r.stragglers++
-		for _, h := range r.hooks {
-			if h.Straggler != nil {
-				h.Straggler(n.task.Name, ex.dev.ID, ex.expected, elapsed)
-			}
+		stretch := 0.0
+		if ex.expected > 0 {
+			stretch = float64(elapsed) / float64(ex.expected)
 		}
+		r.emit(obs.Event{At: now, Kind: obs.HedgeArmed, Task: n.task.Name, Device: ex.dev.ID, Value: stretch})
 	}
 	if ex.expected > 0 {
 		r.noteSuspect(ex.dev.ID, float64(elapsed)/float64(ex.expected))
@@ -1013,19 +948,11 @@ func (r *Runtime) straggler(n *node, ex *exec) {
 			if r.adm != nil {
 				r.adm.Release(dev.ID, n.task.Cores)
 			}
-			for _, h := range r.hooks {
-				if h.PowerRefused != nil {
-					h.PowerRefused(n.task.Name, dev.ID, watts, now)
-				}
-			}
+			r.emitPower(obs.PowerRefused, n, dev, watts)
 			rearm()
 			return
 		}
-		for _, h := range r.hooks {
-			if h.PowerAdmitted != nil {
-				h.PowerAdmitted(n.task.Name, dev.ID, watts, now)
-			}
-		}
+		r.emitPower(obs.PowerAdmitted, n, dev, watts)
 	}
 	if err := dev.Acquire(n.task.Cores); err != nil {
 		if r.adm != nil {
@@ -1040,11 +967,7 @@ func (r *Runtime) straggler(n *node, ex *exec) {
 	n.hedges++
 	r.hedgesLaunched++
 	n.hedge = r.launch(n, dev, watts, true)
-	for _, h := range r.hooks {
-		if h.Hedged != nil {
-			h.Hedged(n.task.Name, ex.dev.ID, dev.ID, now)
-		}
-	}
+	r.emit(obs.Event{At: now, Kind: obs.HedgeLaunched, Task: n.task.Name, Device: dev.ID, Detail: "from " + ex.dev.ID})
 }
 
 // complete finishes one execution of n: the winner's device and admission
@@ -1070,12 +993,10 @@ func (r *Runtime) complete(n *node, ex *exec) {
 		r.releaseExec(loser)
 		wasted := r.wastedJoules(loser)
 		r.hedgeWastedJ += wasted
-		replica := ex
-		if !ex.hedge {
-			replica = loser
-		}
+		k := obs.HedgeCancelled
 		if ex.hedge {
 			r.hedgesWon++
+			k = obs.HedgeWon
 		}
 		if loser.expected > 0 && now-loser.start > loser.expected {
 			// Whichever side lost, if it overran its expected span the
@@ -1085,11 +1006,7 @@ func (r *Runtime) complete(n *node, ex *exec) {
 			// *hedges*, which carry no watchdog of their own.
 			r.noteSuspect(loser.dev.ID, float64(now-loser.start)/float64(loser.expected))
 		}
-		for _, h := range r.hooks {
-			if h.HedgeResolved != nil {
-				h.HedgeResolved(t.Name, ex.dev.ID, ex.hedge, wasted, replica.start, now)
-			}
-		}
+		r.emit(obs.Event{At: now, Kind: k, Task: t.Name, Device: ex.dev.ID, Value: float64(wasted)})
 	}
 	n.primary, n.hedge = nil, nil
 	// Commit the winner. Start stays the primary's launch instant so
@@ -1128,10 +1045,11 @@ func (r *Runtime) finishNode(n *node) {
 	if n.task.Fn != nil && !n.record.Shed {
 		n.task.Fn()
 	}
-	for _, h := range r.hooks {
-		if h.Finished != nil {
-			h.Finished(n.record)
-		}
+	if rec := &n.record; rec.Shed {
+		r.emit(obs.Event{At: rec.End, Kind: obs.TaskShed, Task: rec.Name, Detail: "deadline"})
+	} else {
+		r.emit(obs.Event{At: rec.End, Kind: obs.TaskCompleted, Task: rec.Name, Device: rec.Device,
+			Value: float64(rec.EnergyJ), Detail: completionDetail(rec)})
 	}
 	for _, s := range n.succ {
 		s.deps--
@@ -1146,6 +1064,20 @@ func (r *Runtime) finishNode(n *node) {
 		}
 		r.faultEvents = r.faultEvents[:0]
 	}
+}
+
+// completionDetail flags how a committed execution differs from a clean
+// primary run.
+func completionDetail(rec *Record) string {
+	switch {
+	case rec.Hedged && rec.Corrupted:
+		return "hedged,corrupted"
+	case rec.Hedged:
+		return "hedged"
+	case rec.Corrupted:
+		return "corrupted"
+	}
+	return ""
 }
 
 // maybeCheckpoint advances the checkpoint schedule after n completed and,
@@ -1193,11 +1125,8 @@ func (r *Runtime) maybeCheckpoint(n *node) {
 			}
 		}
 		r.ckpts++
-		for _, h := range r.hooks {
-			if h.Checkpointed != nil {
-				h.Checkpointed(committed, bytes, start, r.eng.Now())
-			}
-		}
+		r.emit(obs.Event{At: start, Kind: obs.CheckpointBegin, Value: float64(bytes)})
+		r.emit(obs.Event{At: r.eng.Now(), Kind: obs.CheckpointCommit, Value: float64(committed)})
 	})
 }
 
@@ -1217,20 +1146,12 @@ func (r *Runtime) retry(n *node, reason string) {
 		if r.failErr == nil {
 			r.failErr = fmt.Errorf("taskrt: task %q gave up after %d failed attempts (%s): %w",
 				n.task.Name, n.attempts, reason, ErrRetriesExhausted)
-			for _, h := range r.hooks {
-				if h.Failed != nil {
-					h.Failed(n.task.Name, reason, r.eng.Now())
-				}
-			}
+			r.emit(obs.Event{At: r.eng.Now(), Kind: obs.TaskFailed, Task: n.task.Name, Detail: reason})
 		}
 		return
 	}
 	r.retries++
-	for _, h := range r.hooks {
-		if h.Retried != nil {
-			h.Retried(n.task.Name, n.attempts, reason, r.eng.Now())
-		}
-	}
+	r.emitRetried(n, reason)
 	backoff := r.retryBackoff << uint(n.attempts-1)
 	r.eng.Schedule(backoff, func() {
 		// deps may have grown since the revocation if a predecessor's
@@ -1241,6 +1162,11 @@ func (r *Runtime) retry(n *node, reason string) {
 			r.dispatch()
 		}
 	})
+}
+
+// emitRetried reports n re-queued after a failed or invalidated execution.
+func (r *Runtime) emitRetried(n *node, reason string) {
+	r.emit(obs.Event{At: r.eng.Now(), Kind: obs.TaskRetried, Task: n.task.Name, Value: float64(n.attempts), Detail: reason})
 }
 
 // FailDevice fails the named device mid-run: in-flight tasks on it are
@@ -1291,11 +1217,7 @@ func (r *Runtime) FailDevice(id string) (revoked, restored int) {
 			// hedge to sole execution — no retry, no attempt charged.
 			n.primary = h
 			n.hedge = nil
-			for _, hk := range r.hooks {
-				if hk.HedgePromoted != nil {
-					hk.HedgePromoted(n.task.Name, h.dev.ID, r.eng.Now())
-				}
-			}
+			r.emit(obs.Event{At: r.eng.Now(), Kind: obs.HedgePromoted, Task: n.task.Name, Device: h.dev.ID})
 			continue
 		}
 		n.primary = nil
@@ -1367,11 +1289,7 @@ func (r *Runtime) FailDevice(id string) (revoked, restored int) {
 	r.restores += restored
 	for _, n := range inval {
 		n := n
-		for _, h := range r.hooks {
-			if h.Retried != nil {
-				h.Retried(n.task.Name, n.attempts, "restore", r.eng.Now())
-			}
-		}
+		r.emitRetried(n, "restore")
 		r.eng.Schedule(delay, func() {
 			if n.deps == 0 && !n.done && !n.started && !r.inReady(n) {
 				r.enqueue(n)
@@ -1379,11 +1297,8 @@ func (r *Runtime) FailDevice(id string) (revoked, restored int) {
 			}
 		})
 	}
-	for _, h := range r.hooks {
-		if h.DeviceLost != nil {
-			h.DeviceLost(id, revoked, restored, r.eng.Now())
-		}
-	}
+	r.emit(obs.Event{At: r.eng.Now(), Kind: obs.DeviceLost, Device: id, Value: float64(revoked),
+		Detail: fmt.Sprintf("revoked=%d restored=%d", revoked, restored)})
 	r.dispatch()
 	return revoked, restored
 }

@@ -8,7 +8,6 @@
 // A System wires together the layers of Fig. 2:
 //
 //   - hardware: a RECS|BOX chassis or Fig. 9 edge server (internal/hw);
-//   - middleware: management firmware (internal/middleware);
 //   - runtime: the OmpSs-style dependence-aware task runtime
 //     (internal/taskrt) with energy-aware placement;
 //   - engine: a concurrent multi-job engine (internal/engine) that runs
@@ -52,7 +51,6 @@ import (
 	"legato/internal/faults"
 	"legato/internal/fti"
 	"legato/internal/hw"
-	"legato/internal/middleware"
 	"legato/internal/monitor"
 	"legato/internal/obs"
 	"legato/internal/power"
@@ -431,9 +429,6 @@ type System struct {
 	eng    *engine.Engine
 	reg    *monitor.Registry
 	fleet  []*hw.Device
-	box    *hw.RECSBox
-	edge   *hw.EdgeServer
-	mgr    *middleware.Manager
 	tracer *trace.Tracer  // session trace; completed jobs merge into it
 	bus    *obs.Bus       // session event bus (nil only via withoutObservability)
 	evlog  *obs.Collector // ordered event log (nil without WithEventLog)
@@ -443,30 +438,29 @@ type System struct {
 	evsub *obs.Subscription
 }
 
-// buildPlatform constructs a platform instance on the given clock.
-func buildPlatform(kind PlatformKind, je *sim.Engine) (*hw.RECSBox, *hw.EdgeServer, []*hw.Device, error) {
+// buildPlatform constructs the compute devices of a platform instance on
+// the given clock.
+func buildPlatform(kind PlatformKind, je *sim.Engine) ([]*hw.Device, error) {
+	var devices []*hw.Device
 	switch kind {
 	case EdgePlatform:
 		edge, err := hw.MirrorEdgeCPUGPUFPGA(je, "edge0")
 		if err != nil {
-			return nil, nil, nil, err
+			return nil, err
 		}
-		var devices []*hw.Device
 		for _, m := range edge.Modules {
 			devices = append(devices, m.Device)
 		}
-		return nil, edge, devices, nil
 	default:
 		box, err := hw.StandardCloudBox(je, "recs0")
 		if err != nil {
-			return nil, nil, nil, err
+			return nil, err
 		}
-		var devices []*hw.Device
 		for _, ms := range box.Microservers() {
 			devices = append(devices, ms.Device)
 		}
-		return box, nil, devices, nil
 	}
+	return devices, nil
 }
 
 // NewSystem assembles a stack. With no options it is a cloud platform with
@@ -486,14 +480,11 @@ func NewSystem(opts ...Option) (*System, error) {
 
 	s := &System{set: set, reg: monitor.NewRegistry()}
 	refClock := sim.NewEngine()
-	box, edge, fleet, err := buildPlatform(set.platform, refClock)
+	fleet, err := buildPlatform(set.platform, refClock)
 	if err != nil {
 		return nil, err
 	}
-	s.box, s.edge, s.fleet = box, edge, fleet
-	if box != nil {
-		s.mgr = middleware.NewManager(box)
-	}
+	s.fleet = fleet
 	s.tracer = trace.New(refClock)
 	if !set.noObs {
 		s.bus = obs.NewBus()
@@ -510,8 +501,7 @@ func NewSystem(opts ...Option) (*System, error) {
 		Workers: set.workers,
 		Policy:  set.policy,
 		NewPlatform: func(je *sim.Engine) ([]*hw.Device, error) {
-			_, _, devices, err := buildPlatform(set.platform, je)
-			return devices, err
+			return buildPlatform(set.platform, je)
 		},
 		Fleet:        fleet,
 		Registry:     s.reg,
@@ -531,9 +521,6 @@ func NewSystem(opts ...Option) (*System, error) {
 // Devices lists the platform's compute devices (the reference fleet whose
 // capacity the admission ledger enforces).
 func (s *System) Devices() []*hw.Device { return s.fleet }
-
-// Manager exposes the middleware firmware (nil on the edge platform).
-func (s *System) Manager() *middleware.Manager { return s.mgr }
 
 // Tracer exposes the session trace; every completed job's spans and
 // counters are merged into it.
@@ -764,7 +751,6 @@ type Job struct {
 	ej      *engine.Job
 	name    string
 	enclave *secure.Enclave
-	tracer  *trace.Tracer
 
 	mu        sync.Mutex
 	data      map[string]*taskrt.Data
@@ -791,103 +777,10 @@ func (s *System) NewJob(name string) (*Job, error) {
 	if err != nil {
 		return nil, err
 	}
-	j := &Job{
+	return &Job{
 		sys: s, ej: ej, name: name, enclave: enclave,
-		tracer: trace.New(ej.Clock()),
-		data:   make(map[string]*taskrt.Data),
-	}
-	// samplePower records the shared watt ledger as an instant "power" span
-	// on the job's clock. Draw only changes at task boundaries, so sampling
-	// in Started/Finished captures every level of the draw-vs-time curve
-	// (internal/plot renders it from Tracer.Series("power")).
-	samplePower := func(at sim.Time) {
-		j.tracer.Add(trace.Span{
-			Name: "fleet-draw", Category: "power", Resource: "fleet",
-			Start: at, End: at, Value: float64(s.eng.Power().Draw()),
-		})
-	}
-	ej.Runtime().AddHooks(taskrt.Hooks{
-		// A zero-width "queue" span at submission marks when the task
-		// entered the graph; obs.Timelines derives queue wait from it.
-		Queued: func(task string) {
-			at := ej.Clock().Now()
-			j.tracer.Add(trace.Span{
-				Name: task, Category: "queue", Resource: task,
-				Start: at, End: at,
-			})
-		},
-		Started: func(rec taskrt.Record) { samplePower(rec.Start) },
-		Finished: func(rec taskrt.Record) {
-			if rec.Shed {
-				j.tracer.Add(trace.Span{
-					Name:     fmt.Sprintf("%s#shed", rec.Name),
-					Category: "deadline", Resource: rec.Name,
-					Start: rec.End, End: rec.End,
-				})
-				return
-			}
-			j.tracer.Add(trace.Span{
-				Name: rec.Name, Category: "task", Resource: rec.Device,
-				Start: rec.Start, End: rec.End,
-			})
-			samplePower(rec.End)
-		},
-		Retried: func(task string, attempt int, reason string, at sim.Time) {
-			j.tracer.Add(trace.Span{
-				Name:     fmt.Sprintf("%s#retry%d(%s)", task, attempt, reason),
-				Category: "failure", Resource: task, Start: at, End: at,
-			})
-		},
-		DeviceLost: func(deviceID string, revoked, restored int, at sim.Time) {
-			j.tracer.Add(trace.Span{
-				Name:     fmt.Sprintf("crash(%s) revoked=%d restored=%d", deviceID, revoked, restored),
-				Category: "failure", Resource: deviceID, Start: at, End: at,
-			})
-		},
-		Checkpointed: func(tasks int, bytes int64, start, end sim.Time) {
-			j.tracer.Add(trace.Span{
-				Name:     fmt.Sprintf("ckpt tasks=%d bytes=%d", tasks, bytes),
-				Category: "checkpoint", Resource: name, Start: start, End: end,
-			})
-		},
-		Straggler: func(task, device string, expected, elapsed sim.Time) {
-			at := ej.Clock().Now()
-			j.tracer.Add(trace.Span{
-				Name:     fmt.Sprintf("%s straggling on %s (%v > %v)", task, device, elapsed, expected),
-				Category: "hedge", Resource: device, Start: at, End: at,
-			})
-		},
-		Hedged: func(task, from, to string, at sim.Time) {
-			j.tracer.Add(trace.Span{
-				Name:     fmt.Sprintf("%s hedge %s->%s", task, from, to),
-				Category: "hedge", Resource: to, Start: at, End: at,
-			})
-			samplePower(at)
-		},
-		HedgeResolved: func(task, winner string, hedgeWon bool, wastedJ energy.Joules, start, end sim.Time) {
-			outcome := "lost"
-			if hedgeWon {
-				outcome = "won"
-			}
-			j.tracer.Add(trace.Span{
-				Name:     fmt.Sprintf("%s hedge %s on %s", task, outcome, winner),
-				Category: "hedge", Resource: winner,
-				Start: start, End: end, Value: float64(wastedJ),
-			})
-			samplePower(end)
-		},
-		DeadlineMissed: func(task string, deadline, at sim.Time, shed bool) {
-			verdict := "late"
-			if shed {
-				verdict = "shed"
-			}
-			j.tracer.Add(trace.Span{
-				Name:     fmt.Sprintf("%s %s (deadline %v)", task, verdict, deadline),
-				Category: "deadline", Resource: task, Start: at, End: at,
-			})
-		},
-	})
-	return j, nil
+		data: make(map[string]*taskrt.Data),
+	}, nil
 }
 
 // Name returns the job name.
@@ -1204,8 +1097,9 @@ func (j *Job) buildReport(res *taskrt.Result) {
 		rep.AvgPowerW = rep.PlatformEnergyJ / sec
 	}
 	j.report = rep
-	j.tracer.Count("jobs", 1)
-	j.sys.tracer.Merge(j.tracer)
+	tr := j.ej.Tracer()
+	tr.Count("jobs", 1)
+	j.sys.tracer.Merge(tr)
 }
 
 // TaskBuilder accumulates one task fluently; Submit finalises it. Builder

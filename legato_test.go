@@ -46,9 +46,6 @@ func TestEdgeSystem(t *testing.T) {
 	if len(sys.Devices()) != 3 {
 		t.Fatalf("edge devices: %d", len(sys.Devices()))
 	}
-	if sys.Manager() != nil {
-		t.Fatal("edge platform should have no chassis manager")
-	}
 	if err := sys.Submit(Task{Name: "t", Gops: 10}); err != nil {
 		t.Fatal(err)
 	}
