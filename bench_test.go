@@ -146,17 +146,21 @@ func BenchmarkXiTAOElastic(b *testing.B) {
 // dependence-heavy graph on the cloud platform (E10 substrate throughput).
 func BenchmarkTaskRuntime(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		sys, err := NewSystem(Config{Policy: MinEnergy})
+		sys, err := NewSystem(WithPolicy(MinEnergy), WithTEE(secure.SGX))
+		if err != nil {
+			b.Fatal(err)
+		}
+		job, err := sys.NewJob("main")
 		if err != nil {
 			b.Fatal(err)
 		}
 		// Chain of stages with fan-out 8 each.
 		prev := "stage0"
-		sys.Data(prev, 1024)
+		job.Data(prev, 1024)
 		for stage := 1; stage <= 10; stage++ {
 			cur := "stage" + string(rune('0'+stage%10)) + "x"
 			for j := 0; j < 8; j++ {
-				if err := sys.Submit(Task{
+				if err := job.Submit(Task{
 					Name: "work", Gops: 10,
 					In: []string{prev}, Out: []string{cur + string(rune('a'+j))},
 				}); err != nil {
@@ -165,7 +169,7 @@ func BenchmarkTaskRuntime(b *testing.B) {
 			}
 			prev = cur + "a"
 		}
-		if _, err := sys.Run(); err != nil {
+		if _, err := job.Run(context.Background()); err != nil {
 			b.Fatal(err)
 		}
 		_ = sys.Close(context.Background())
@@ -376,7 +380,7 @@ func BenchmarkTailLatency(b *testing.B) {
 // BenchmarkRECSBoxConstruction measures platform bring-up (E7).
 func BenchmarkRECSBoxConstruction(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		sys, err := NewSystem(Config{Platform: CloudPlatform})
+		sys, err := NewSystem(WithPlatform(CloudPlatform), WithPolicy(MinTime), WithTEE(secure.SGX))
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -106,7 +106,7 @@ func main() {
 			log.Fatalf("%s: %v", job.Name(), err)
 		}
 		fmt.Printf("%-9s done: makespan %6.3f s · stragglers %d · hedges %d launched / %d won · %5.1f J wasted · %d shed\n",
-			job.Name(), sim.ToSeconds(rep.Makespan), rep.Stragglers,
+			job.Name(), sim.ToSeconds(rep.Makespan), rep.StragglersDetected,
 			rep.HedgesLaunched, rep.HedgesWon, rep.HedgeWastedJ, rep.TasksShed)
 	}
 

@@ -86,7 +86,7 @@ func main() {
 		}
 		fmt.Printf("%-10s done: %2d tasks, makespan %.3f s, retries %d, restores %d, checkpoints %d\n",
 			job.Name(), len(rep.Records), sim.ToSeconds(rep.Makespan),
-			rep.Retries, rep.Restores, rep.Checkpoints)
+			rep.TasksRetried, rep.TasksRestored, rep.Checkpoints)
 	}
 
 	st := sys.Stats()

@@ -286,31 +286,10 @@ type Stats struct {
 	SessionMakespan sim.Time
 	// AdmissionStalls counts failed admission attempts (contention).
 	AdmissionStalls uint64
-	// TasksRetried counts task executions re-queued after a crash or a
-	// detected corruption, across all jobs.
-	TasksRetried int
-	// TasksRestored counts completed tasks re-executed because a device
-	// loss invalidated their un-checkpointed outputs.
-	TasksRestored int
-	// Checkpoints counts committed asynchronous job checkpoints.
-	Checkpoints int
 	// DevicesLost counts devices crashed by the failure process.
 	DevicesLost int
-	// StragglersDetected counts executions flagged by the tail watchdog.
-	StragglersDetected int
-	// HedgesLaunched counts speculative replicas started across all jobs.
-	HedgesLaunched int
-	// HedgesWon counts replicas that beat their straggling primary.
-	HedgesWon int
-	// HedgesDenied counts replica launches refused by availability or the
-	// core/watt ledgers.
-	HedgesDenied int
-	// HedgeWastedJ is the energy burned by cancelled losing executions.
-	HedgeWastedJ float64
-	// DeadlineMisses counts tasks that passed their deadline.
-	DeadlineMisses int
-	// TasksShed counts tasks skipped by graceful degradation.
-	TasksShed int
+	// Counts sums the lifecycle tallies of all completed jobs.
+	obs.Counts
 }
 
 // Speedup is the throughput gain of the session over serial submission.
@@ -542,6 +521,9 @@ func (f *RegistryFold) Apply(e obs.Event) {
 		reg.Add("tail", "hedge-wasted-J", e.Value)
 	case obs.HedgePromoted:
 		reg.Add("tail", "hedges-promoted", 1)
+	case obs.HedgeDenied:
+		// Session scope only, so denials add no registry key per job.
+		reg.Add("tail", "hedges-denied", 1)
 	case obs.DeadlineMissed:
 		reg.Add(scope, "deadline-misses", 1)
 		reg.Add("tail", "deadline-misses", 1)
@@ -698,16 +680,7 @@ func (e *Engine) account(j *Job, res *taskrt.Result, err error) {
 		e.stats.TotalJobTime += res.Makespan
 		e.stats.TasksCompleted += len(res.Records)
 		e.stats.EnergyJ += float64(res.EnergyJ)
-		e.stats.TasksRetried += res.Retries
-		e.stats.TasksRestored += res.Restores
-		e.stats.Checkpoints += res.Checkpoints
-		e.stats.StragglersDetected += res.Stragglers
-		e.stats.HedgesLaunched += res.HedgesLaunched
-		e.stats.HedgesWon += res.HedgesWon
-		e.stats.HedgesDenied += res.HedgesDenied
-		e.stats.HedgeWastedJ += float64(res.HedgeWastedJ)
-		e.stats.DeadlineMisses += res.DeadlineMisses
-		e.stats.TasksShed += res.TasksShed
+		e.stats.Add(res.Counts)
 	}
 	switch {
 	case err == nil:

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync"
 	"testing"
@@ -86,6 +87,192 @@ func TestFleetLedger(t *testing.T) {
 	}
 	if f.TryAcquire("dev/ghost", 1) {
 		t.Fatal("unknown device admitted")
+	}
+}
+
+// TestFleetReacquire: a resuming job's grants are claimed all or none, and
+// a grant on a device that shrank below it comes back as a deficit.
+func TestFleetReacquire(t *testing.T) {
+	se := sim.NewEngine()
+	devs, _ := testPlatform(se)
+	f := NewFleet(devs)
+	if !f.TryAcquire("dev/fpga", 3) {
+		t.Fatal("acquire refused")
+	}
+	if f.Reacquire(map[string]int{"dev/cpu": 8, "dev/fpga": 2}) {
+		t.Fatal("reacquire succeeded past a busy device")
+	}
+	if f.InUse("dev/cpu") != 0 || f.Stalls() != 1 {
+		t.Fatalf("failed reacquire left cpu in use %d, stalls %d", f.InUse("dev/cpu"), f.Stalls())
+	}
+	if !f.Reacquire(map[string]int{"dev/cpu": 8, "dev/fpga": 1}) {
+		t.Fatal("reacquire refused with room on both devices")
+	}
+	if f.InUse("dev/cpu") != 8 || f.InUse("dev/fpga") != 4 || f.Peak("dev/fpga") != 4 {
+		t.Fatalf("in use cpu %d fpga %d, fpga peak %d", f.InUse("dev/cpu"), f.InUse("dev/fpga"), f.Peak("dev/fpga"))
+	}
+	f.Release("dev/cpu", 8)
+	f.SetCapacity("dev/cpu", 2)
+	if !f.Reacquire(map[string]int{"dev/cpu": 5}) {
+		t.Fatal("grant larger than the shrunk device refused")
+	}
+	if f.InUse("dev/cpu") != 5 || f.Peak("dev/cpu") > f.Capacity("dev/cpu") {
+		t.Fatalf("deficit grant: in use %d, peak %d of %d", f.InUse("dev/cpu"), f.Peak("dev/cpu"), f.Capacity("dev/cpu"))
+	}
+	if f.TryAcquire("dev/cpu", 1) {
+		t.Fatal("admitted into a deficit")
+	}
+
+	// A sibling filled the device while the job was parked, then the
+	// device shrank: the job's larger grant waits for the sibling, and then
+	// leaves the deficit the job would have had by keeping its grant.
+	f.Release("dev/cpu", 5)
+	f.SetCapacity("dev/cpu", 8)
+	if !f.TryAcquire("dev/cpu", 8) {
+		t.Fatal("sibling acquire refused")
+	}
+	f.SetCapacity("dev/cpu", 4)
+	if f.Reacquire(map[string]int{"dev/cpu": 6}) {
+		t.Fatalf("over-capacity grant claimed beside a sibling: %d in use of %d", f.InUse("dev/cpu"), f.Capacity("dev/cpu"))
+	}
+	f.Release("dev/cpu", 8)
+	if !f.Reacquire(map[string]int{"dev/cpu": 6}) {
+		t.Fatal("over-capacity grant refused on a device no sibling holds")
+	}
+	if f.InUse("dev/cpu") != 6 || f.Peak("dev/cpu") != f.Capacity("dev/cpu") {
+		t.Fatalf("deficit grant: in use %d, peak %d of %d", f.InUse("dev/cpu"), f.Peak("dev/cpu"), f.Capacity("dev/cpu"))
+	}
+}
+
+// cancelOnResume is the fleet as a job sees it whose ctx fires the moment
+// its suspension ends.
+type cancelOnResume struct {
+	*Fleet
+	cancel func()
+}
+
+func (c cancelOnResume) Reacquire(grants map[string]int) bool {
+	ok := c.Fleet.Reacquire(grants)
+	if ok {
+		c.cancel()
+	}
+	return ok
+}
+
+// TestCancelledSuspendedJobReleasesCores: a job cancelled while suspended
+// on a sibling's grants, or just as it resumes with its stalled placement
+// reserved, leaves no core claimed on any device.
+func TestCancelledSuspendedJobReleasesCores(t *testing.T) {
+	ctx := context.Background()
+	for _, onResume := range []bool{false, true} {
+		e := newTestEngine(t, 1)
+		f := e.Fleet()
+		// The sibling's grants fill both devices.
+		if !f.TryAcquire("dev/cpu", 8) || !f.TryAcquire("dev/fpga", 4) {
+			t.Fatal("sibling acquire refused")
+		}
+		stalls := f.Stalls()
+		j := chainJob(t, e, "j", 4, 1, nil)
+		if onResume {
+			j.Runtime().SetAdmission(cancelOnResume{f, j.Cancel})
+		}
+		if err := e.Submit(ctx, j); err != nil {
+			t.Fatal(err)
+		}
+		for f.Stalls() == stalls {
+			time.Sleep(10 * time.Microsecond)
+		}
+		if !onResume {
+			j.Cancel()
+		}
+		f.Release("dev/cpu", 8)
+		f.Release("dev/fpga", 4)
+		if _, err := j.Wait(ctx); !errors.Is(err, context.Canceled) {
+			t.Fatalf("cancel on resume %v: err = %v, want context.Canceled", onResume, err)
+		}
+		if err := e.Shutdown(ctx); err != nil {
+			t.Fatal(err)
+		}
+		for _, id := range []string{"dev/cpu", "dev/fpga"} {
+			if n := f.InUse(id); n != 0 {
+				t.Fatalf("cancel on resume %v: %d cores of %s left in use after shutdown", onResume, n, id)
+			}
+		}
+	}
+}
+
+// wideJob builds a job of `chains` independent chains of `depth` 1-core
+// tasks: alone it fills the 4-region FPGA, so concurrent copies contend.
+func wideJob(t testing.TB, e *Engine, name string, chains, depth int) *Job {
+	t.Helper()
+	j, err := e.NewJob(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt := j.Runtime()
+	for c := 0; c < chains; c++ {
+		prev := rt.Data(fmt.Sprintf("%s/c%d/d0", name, c), 64)
+		for i := 0; i < depth; i++ {
+			next := rt.Data(fmt.Sprintf("%s/c%d/d%d", name, c, i+1), 64)
+			if err := rt.Submit(taskrt.Task{Name: fmt.Sprintf("c%d/t%d", c, i), Gops: 20, Cores: 1,
+				In: []*taskrt.Data{prev}, Out: []*taskrt.Data{next}}); err != nil {
+				t.Fatal(err)
+			}
+			prev = next
+		}
+	}
+	return j
+}
+
+// TestContendedJobsKeepSoloSchedule: jobs that contend for the same device
+// are suspended on their clocks rather than stepped past the stall, so
+// every job's schedule (device, start and end of each task) is the one it
+// has alone, however the goroutines interleave.
+func TestContendedJobsKeepSoloSchedule(t *testing.T) {
+	ctx := context.Background()
+	solo := newTestEngine(t, 1)
+	j := wideJob(t, solo, "solo", 4, 4)
+	if err := solo.Submit(ctx, j); err != nil {
+		t.Fatal(err)
+	}
+	want, err := j.Wait(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for round := 0; round < 20; round++ {
+		e := newTestEngine(t, 8)
+		var jobs []*Job
+		for i := 0; i < 8; i++ {
+			j := wideJob(t, e, fmt.Sprintf("job%d", i), 4, 4)
+			jobs = append(jobs, j)
+			if err := e.Submit(ctx, j); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, j := range jobs {
+			got, err := j.Wait(ctx)
+			if err != nil {
+				t.Fatalf("round %d job %s: %v", round, j.Name, err)
+			}
+			for k, rec := range got.Records {
+				w := want.Records[k]
+				if rec.Device != w.Device || rec.Start != w.Start || rec.End != w.End {
+					t.Fatalf("round %d job %s task %s: %s [%v, %v], alone %s [%v, %v]", round, j.Name,
+						rec.Name, rec.Device, rec.Start, rec.End, w.Device, w.Start, w.End)
+				}
+			}
+		}
+		if err := e.Shutdown(ctx); err != nil {
+			t.Fatal(err)
+		}
+		for _, id := range []string{"dev/cpu", "dev/fpga"} {
+			if f := e.Fleet(); f.Peak(id) > f.Capacity(id) || f.InUse(id) != 0 {
+				t.Fatalf("round %d %s: peak %d of %d, %d left in use", round, id, f.Peak(id), f.Capacity(id), f.InUse(id))
+			}
+		}
+		if st := e.Stats(); st.Speedup() != 8 {
+			t.Fatalf("round %d: fleet-time speedup %.2f, want 8 (one lane per job)", round, st.Speedup())
+		}
 	}
 }
 

@@ -72,6 +72,29 @@ func (f *Fleet) TryAcquire(deviceID string, cores int) bool {
 	return true
 }
 
+// Reacquire claims every grant in one step, or none of them: a job
+// resuming from suspension takes back the grants it returned while parked
+// plus its stalled placement. A grant larger than its device's current
+// capacity (the device shrank or failed while the job was parked) waits
+// until no sibling holds that device, then is claimed as a deficit: the
+// same one SetCapacity would have left had the job kept its grants, and
+// clamped into the peak the same way.
+func (f *Fleet) Reacquire(grants map[string]int) bool {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	for id, n := range grants {
+		if f.free[id] < min(n, f.cap[id]) {
+			f.stalls++
+			return false
+		}
+	}
+	for id, n := range grants {
+		f.free[id] -= n
+		f.peak[id] = max(f.peak[id], min(f.cap[id]-f.free[id], f.cap[id]))
+	}
+	return true
+}
+
 // Release returns cores to a device and wakes every parked job.
 func (f *Fleet) Release(deviceID string, cores int) {
 	f.mu.Lock()

@@ -89,8 +89,8 @@ func TestHedgePromotedFolds(t *testing.T) {
 	if err != nil {
 		t.Fatalf("job did not survive losing its primary's device: %v", err)
 	}
-	if rec := res.Records[0]; rec.Device != "dev/backup" || !rec.Hedged || res.Retries != 0 {
-		t.Fatalf("record device=%s hedged=%v retries=%d, want the promoted replica", rec.Device, rec.Hedged, res.Retries)
+	if rec := res.Records[0]; rec.Device != "dev/backup" || !rec.Hedged || res.TasksRetried != 0 {
+		t.Fatalf("record device=%s hedged=%v retries=%d, want the promoted replica", rec.Device, rec.Hedged, res.TasksRetried)
 	}
 	if got := reg.Get("tail", "hedges-promoted"); got != 1 {
 		t.Fatalf("tail hedges-promoted = %v, want 1", got)

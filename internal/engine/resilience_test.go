@@ -284,8 +284,9 @@ func TestDegradeStragglerHedgeEndToEnd(t *testing.T) {
 // straggling primary keeps running and completes, and the job survives
 // without a retry.
 func TestHedgeRacesHedgeDeviceLoss(t *testing.T) {
+	reg := monitor.NewRegistry()
 	e, err := New(Config{Workers: 1, Policy: taskrt.MinTime, NewPlatform: tailTestPlatform,
-		Registry: monitor.NewRegistry(), Hedge: taskrt.HedgePolicy{Multiplier: 1.5}})
+		Registry: reg, Hedge: taskrt.HedgePolicy{Multiplier: 1.5}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -331,6 +332,18 @@ func TestHedgeRacesHedgeDeviceLoss(t *testing.T) {
 	}
 	if st.HedgeWastedJ <= 0 {
 		t.Fatal("hedge waste not accounted for the revoked replica")
+	}
+	// The revoked replica's waste reaches the registry and the trace
+	// through its HedgeCancelled event, not only the session counters.
+	if got := reg.Get("tail", "hedge-wasted-J"); got != st.HedgeWastedJ {
+		t.Fatalf("registry tail/hedge-wasted-J = %v, Stats.HedgeWastedJ = %v", got, st.HedgeWastedJ)
+	}
+	lost := false
+	for _, sp := range j.Tracer().Spans() {
+		lost = lost || sp.Name == "race/t0 hedge lost on dev/backup"
+	}
+	if !lost {
+		t.Fatal("no 'race/t0 hedge lost on dev/backup' span for the revoked replica")
 	}
 	if st.TasksRetried != 0 {
 		t.Fatalf("retries = %d, want 0 (the primary never stopped)", st.TasksRetried)

@@ -82,6 +82,9 @@ const (
 	// DeviceLost: a job observed a device loss on its platform mirror
 	// (revocations and restores in Detail).
 	DeviceLost
+	// HedgeDenied: the straggler watchdog could not launch a replica; the
+	// cause is in Detail (no-device, cores, watts or device).
+	HedgeDenied
 )
 
 // kindNames is the canonical Kind naming, used by String and the
@@ -108,6 +111,7 @@ var kindNames = [...]string{
 	PowerAdmitted:     "power-admitted",
 	PowerRefused:      "power-refused",
 	DeviceLost:        "device-lost",
+	HedgeDenied:       "hedge-denied",
 }
 
 // String names the kind.

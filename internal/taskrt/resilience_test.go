@@ -57,8 +57,8 @@ func TestCrashRevokesAndRetries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Retries != 1 {
-		t.Fatalf("retries = %d, want 1", res.Retries)
+	if res.TasksRetried != 1 {
+		t.Fatalf("retries = %d, want 1", res.TasksRetried)
 	}
 	rec := res.Records[0]
 	if rec.Device != "cpu1" {
@@ -123,8 +123,8 @@ func TestSDCDetectionSemantics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.SDCDetected != 1 || res.Retries != 1 {
-		t.Fatalf("detected=%d retries=%d, want 1/1", res.SDCDetected, res.Retries)
+	if res.SDCDetected != 1 || res.TasksRetried != 1 {
+		t.Fatalf("detected=%d retries=%d, want 1/1", res.SDCDetected, res.TasksRetried)
 	}
 	if res.Records[0].Corrupted {
 		t.Fatal("re-executed critical task still marked corrupted")
@@ -145,8 +145,8 @@ func TestSDCDetectionSemantics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res2.SDCSilent != 1 || res2.Retries != 0 {
-		t.Fatalf("silent=%d retries=%d, want 1/0", res2.SDCSilent, res2.Retries)
+	if res2.SDCSilent != 1 || res2.TasksRetried != 0 {
+		t.Fatalf("silent=%d retries=%d, want 1/0", res2.SDCSilent, res2.TasksRetried)
 	}
 	if !res2.Records[0].Corrupted {
 		t.Fatal("silently corrupted record not marked")
@@ -188,15 +188,15 @@ func TestCheckpointLimitsRestores(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if bare.Restores == 0 {
+	if bare.TasksRestored == 0 {
 		t.Fatalf("uncheckpointed run restored nothing: %+v", bare)
 	}
 	if ckpt.Checkpoints == 0 {
 		t.Fatalf("checkpointed run committed nothing: %+v", ckpt)
 	}
-	if ckpt.Restores >= bare.Restores {
+	if ckpt.TasksRestored >= bare.TasksRestored {
 		t.Fatalf("checkpoints did not reduce restores: %d (ckpt) vs %d (bare)",
-			ckpt.Restores, bare.Restores)
+			ckpt.TasksRestored, bare.TasksRestored)
 	}
 	if ckpt.Makespan >= bare.Makespan {
 		t.Fatalf("checkpointed recovery not faster: %v vs %v", ckpt.Makespan, bare.Makespan)
@@ -224,7 +224,7 @@ func TestFaultAfterCompletionCancelled(t *testing.T) {
 	if !devs[0].Healthy() {
 		t.Fatal("device failed after the graph completed")
 	}
-	if res.Restores != 0 || res.Retries != 0 {
+	if res.TasksRestored != 0 || res.TasksRetried != 0 {
 		t.Fatalf("phantom recovery work: %+v", res)
 	}
 }

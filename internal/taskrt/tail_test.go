@@ -38,9 +38,9 @@ func TestStragglerHedgeWins(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Stragglers != 1 || res.HedgesLaunched != 1 || res.HedgesWon != 1 {
+	if res.StragglersDetected != 1 || res.HedgesLaunched != 1 || res.HedgesWon != 1 {
 		t.Fatalf("stragglers=%d launched=%d won=%d, want 1/1/1",
-			res.Stragglers, res.HedgesLaunched, res.HedgesWon)
+			res.StragglersDetected, res.HedgesLaunched, res.HedgesWon)
 	}
 	if res.HedgeWastedJ <= 0 {
 		t.Fatalf("hedge waste = %v J, want > 0 (the cancelled primary burned energy)", res.HedgeWastedJ)
@@ -71,9 +71,9 @@ func TestNoHedgingNoWatchdog(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Stragglers != 0 || res.HedgesLaunched != 0 {
+	if res.StragglersDetected != 0 || res.HedgesLaunched != 0 {
 		t.Fatalf("stragglers=%d launched=%d, want 0/0 without a policy",
-			res.Stragglers, res.HedgesLaunched)
+			res.StragglersDetected, res.HedgesLaunched)
 	}
 	rec := res.Records[0]
 	if rec.Device != "fast" || rec.Hedged {
@@ -101,9 +101,9 @@ func TestPrimaryBeatsHedge(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Stragglers != 1 || res.HedgesLaunched != 1 || res.HedgesWon != 0 {
+	if res.StragglersDetected != 1 || res.HedgesLaunched != 1 || res.HedgesWon != 0 {
 		t.Fatalf("stragglers=%d launched=%d won=%d, want 1/1/0",
-			res.Stragglers, res.HedgesLaunched, res.HedgesWon)
+			res.StragglersDetected, res.HedgesLaunched, res.HedgesWon)
 	}
 	if res.HedgeWastedJ <= 0 {
 		t.Fatalf("hedge waste = %v J, want > 0 (the cancelled replica ran ~0.4 s)", res.HedgeWastedJ)
@@ -135,8 +135,8 @@ func TestHedgePromotedOnPrimaryDeviceLoss(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Retries != 0 {
-		t.Fatalf("retries = %d, want 0 (promotion, not re-placement)", res.Retries)
+	if res.TasksRetried != 0 {
+		t.Fatalf("retries = %d, want 0 (promotion, not re-placement)", res.TasksRetried)
 	}
 	rec := res.Records[0]
 	if rec.Device != "backup" || !rec.Hedged || rec.Attempts != 1 {

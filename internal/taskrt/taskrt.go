@@ -103,12 +103,22 @@ const (
 // TryAcquire can never be missed. Capacity reports a device's current
 // total capacity — zero for a lost device — letting runtimes distinguish
 // transient contention (park and wait) from permanent loss (re-place or
-// fail with ErrDeviceLost).
+// fail with ErrDeviceLost). Reacquire claims a set of grants in one step,
+// or none of them, for a runtime resuming from suspension; a grant larger
+// than its device's current capacity (the device shrank while the runtime
+// was parked) is claimed as a deficit once no sibling holds that device.
 type Admission interface {
 	TryAcquire(deviceID string, cores int) bool
 	Release(deviceID string, cores int)
 	Changed() <-chan struct{}
 	Capacity(deviceID string) int
+	Reacquire(grants map[string]int) bool
+}
+
+// grant is a claim on cores of one fleet device.
+type grant struct {
+	dev   string
+	cores int
 }
 
 // PowerAdmission arbitrates the fleet watt budget between runtimes, the
@@ -296,6 +306,8 @@ type Runtime struct {
 	held    map[string]int          // admission grants currently held, by device ID
 	heldW   map[string]energy.Watts // watt grants currently held, by device ID
 	blocked bool                    // a ready task lost admission this dispatch round
+	stalled grant                   // placement stalled only by sibling jobs' grants
+	reserve grant                   // fleet grant won by suspend for the stalled placement
 
 	// Resilience state.
 	running      map[*node]struct{}
@@ -318,18 +330,7 @@ type Runtime struct {
 	sinceCkpt   int
 	ckptBytes   int64
 
-	retries        int
-	restores       int
-	ckpts          int
-	sdcDetected    int
-	sdcSilent      int
-	stragglers     int
-	hedgesLaunched int
-	hedgesWon      int
-	hedgesDenied   int
-	hedgeWastedJ   energy.Joules
-	deadlineMisses int
-	shedTasks      int
+	counts obs.Counts // lifecycle tally, folded from every emitted event
 }
 
 // New creates a runtime over the given devices.
@@ -470,9 +471,6 @@ func (r *Runtime) ScheduleFault(at sim.Time, fn func()) {
 	r.faultEvents = append(r.faultEvents, r.eng.ScheduleAt(at, fn))
 }
 
-// Checkpoints reports how many checkpoints have committed.
-func (r *Runtime) Checkpoints() int { return r.ckpts }
-
 // SetSink installs the lifecycle observer. Must be called before the first
 // Submit. Every lifecycle transition — queue, placement, start, completion,
 // shed, retry, failure, device loss, checkpoint, hedge, deadline miss,
@@ -482,8 +480,10 @@ func (r *Runtime) Checkpoints() int { return r.ckpts }
 // Detail.
 func (r *Runtime) SetSink(fn func(obs.Event)) { r.sink = fn }
 
-// emit reports one lifecycle event to the sink.
+// emit folds one lifecycle event into the run's Counts and reports it to
+// the sink.
 func (r *Runtime) emit(e obs.Event) {
+	r.counts.Apply(e)
 	if r.sink != nil {
 		r.sink(e)
 	}
@@ -584,7 +584,6 @@ func (r *Runtime) deadlineFire(n *node) {
 		return
 	}
 	now := r.eng.Now()
-	r.deadlineMisses++
 	shed := r.dlMode == DeadlineShed && !n.started && n.task.Priority <= 0
 	detail := "late"
 	if shed {
@@ -597,7 +596,6 @@ func (r *Runtime) deadlineFire(n *node) {
 		if !shed {
 			return
 		}
-		r.shedTasks++
 		r.unready(n)
 		n.record.Shed = true
 		n.record.End = now
@@ -750,10 +748,16 @@ func (r *Runtime) dispatch() {
 				continue // no device free for this task right now
 			}
 			dev := r.devices[best]
-			if r.adm != nil && !r.adm.TryAcquire(dev.ID, n.task.Cores) {
-				// The fleet capacity behind this device is occupied by a
-				// sibling job; leave the task queued and note the stall so
-				// RunContext knows to wait for a global release.
+			if r.adm != nil && !r.admit(dev.ID, n.task.Cores) {
+				if r.held[dev.ID]+n.task.Cores <= r.adm.Capacity(dev.ID) {
+					// Only sibling jobs' grants stand in the way. End the
+					// round here so RunContext suspends the job at this
+					// instant instead of stepping on (see suspend).
+					r.stalled = grant{dev.ID, n.task.Cores}
+					return
+				}
+				// The device shrank under this job's own grants: leave the
+				// task queued until they come back.
 				r.blocked = true
 				continue
 			}
@@ -784,6 +788,74 @@ func (r *Runtime) dispatch() {
 			return
 		}
 	}
+}
+
+// admit wins fleet capacity for cores on dev, spending the grant suspend
+// reserved for this placement first.
+func (r *Runtime) admit(dev string, cores int) bool {
+	if r.reserve == (grant{dev, cores}) {
+		r.reserve = grant{}
+		return true
+	}
+	return r.adm.TryAcquire(dev, cores)
+}
+
+// dropReserve returns a fleet grant suspend reserved but no placement spent.
+func (r *Runtime) dropReserve() {
+	if r.reserve.dev != "" {
+		r.adm.Release(r.reserve.dev, r.reserve.cores)
+		r.reserve = grant{}
+	}
+}
+
+// suspend parks a job whose next placement is stalled only by sibling
+// jobs' grants, without advancing its clock. Stepping on instead would
+// start the task later on the job's clock than an uncontended run does,
+// by an amount set by goroutine interleaving; resuming at the same instant
+// keeps every job's schedule the one it has alone. While parked the job
+// holds no core grant (its running tasks pause with its clock), so parked
+// jobs never wait on one another, and it resumes once those grants plus
+// the stalled placement fit the fleet in one step.
+func (r *Runtime) suspend(ctx context.Context) error {
+	want := make(map[string]int, len(r.held)+1)
+	for id, n := range r.held {
+		if n > 0 {
+			want[id] = n
+			r.adm.Release(id, n)
+		}
+	}
+	clear(r.held)
+	st := r.stalled
+	for {
+		changed := r.adm.Changed()
+		claim := want
+		if st.dev != "" {
+			if want[st.dev]+st.cores > r.adm.Capacity(st.dev) {
+				// A sibling applied a fault meanwhile; the next round
+				// re-places the task.
+				st = grant{}
+			} else {
+				claim = make(map[string]int, len(want)+1)
+				for id, n := range want {
+					claim[id] = n
+				}
+				claim[st.dev] += st.cores
+			}
+		}
+		if r.adm.Reacquire(claim) {
+			break
+		}
+		select {
+		case <-changed:
+		case <-ctx.Done():
+			return ctx.Err()
+		}
+	}
+	for id, n := range want {
+		r.held[id] += n
+	}
+	r.reserve = st
+	return nil
 }
 
 // emitPower reports a watt-ledger admission outcome for running n on dev.
@@ -885,7 +957,6 @@ func (r *Runtime) straggler(n *node, ex *exec) {
 	elapsed := now - ex.start
 	if !ex.flagged {
 		ex.flagged = true
-		r.stragglers++
 		stretch := 0.0
 		if ex.expected > 0 {
 			stretch = float64(elapsed) / float64(ex.expected)
@@ -923,20 +994,20 @@ func (r *Runtime) straggler(n *node, ex *exec) {
 			best, bestScore, foreign = di, s, df
 		}
 	}
-	rearm := func() {
+	rearm := func(dev, cause string) {
 		// No replica this round (no device, or admission refused). Re-check
 		// after another expected span; the primary completing first turns
 		// the re-armed watchdog into a no-op.
-		r.hedgesDenied++
+		r.emit(obs.Event{At: now, Kind: obs.HedgeDenied, Task: n.task.Name, Device: dev, Detail: cause})
 		ex.watchdog = r.eng.Schedule(ex.expected, func() { r.straggler(n, ex) })
 	}
 	if best == -1 {
-		rearm()
+		rearm("", "no-device")
 		return
 	}
 	dev := r.devices[best]
 	if r.adm != nil && !r.adm.TryAcquire(dev.ID, n.task.Cores) {
-		rearm()
+		rearm(dev.ID, "cores")
 		return
 	}
 	watts := energy.Watts(0)
@@ -949,7 +1020,7 @@ func (r *Runtime) straggler(n *node, ex *exec) {
 				r.adm.Release(dev.ID, n.task.Cores)
 			}
 			r.emitPower(obs.PowerRefused, n, dev, watts)
-			rearm()
+			rearm(dev.ID, "watts")
 			return
 		}
 		r.emitPower(obs.PowerAdmitted, n, dev, watts)
@@ -961,11 +1032,10 @@ func (r *Runtime) straggler(n *node, ex *exec) {
 		if r.pow != nil {
 			r.pow.ReleaseDraw(dev.ID, watts)
 		}
-		rearm()
+		rearm(dev.ID, "device")
 		return
 	}
 	n.hedges++
-	r.hedgesLaunched++
 	n.hedge = r.launch(n, dev, watts, true)
 	r.emit(obs.Event{At: now, Kind: obs.HedgeLaunched, Task: n.task.Name, Device: dev.ID, Detail: "from " + ex.dev.ID})
 }
@@ -992,10 +1062,8 @@ func (r *Runtime) complete(n *node, ex *exec) {
 		loser.watchdog.Cancel()
 		r.releaseExec(loser)
 		wasted := r.wastedJoules(loser)
-		r.hedgeWastedJ += wasted
 		k := obs.HedgeCancelled
 		if ex.hedge {
-			r.hedgesWon++
 			k = obs.HedgeWon
 		}
 		if loser.expected > 0 && now-loser.start > loser.expected {
@@ -1021,14 +1089,12 @@ func (r *Runtime) complete(n *node, ex *exec) {
 	if r.corrupt != nil && r.corrupt(n.record) {
 		if t.Critical {
 			// The replica vote disagrees: corruption detected, re-execute.
-			r.sdcDetected++
 			n.started = false
 			r.retry(n, "sdc")
 			r.dispatch()
 			return
 		}
 		n.record.Corrupted = true
-		r.sdcSilent++
 	}
 	r.finishNode(n)
 	r.dispatch()
@@ -1124,7 +1190,6 @@ func (r *Runtime) maybeCheckpoint(n *node) {
 				committed++
 			}
 		}
-		r.ckpts++
 		r.emit(obs.Event{At: start, Kind: obs.CheckpointBegin, Value: float64(bytes)})
 		r.emit(obs.Event{At: r.eng.Now(), Kind: obs.CheckpointCommit, Value: float64(committed)})
 	})
@@ -1150,7 +1215,6 @@ func (r *Runtime) retry(n *node, reason string) {
 		}
 		return
 	}
-	r.retries++
 	r.emitRetried(n, reason)
 	backoff := r.retryBackoff << uint(n.attempts-1)
 	r.eng.Schedule(backoff, func() {
@@ -1200,8 +1264,9 @@ func (r *Runtime) FailDevice(id string) (revoked, restored int) {
 			h.done.Cancel()
 			h.watchdog.Cancel()
 			r.releaseExec(h)
-			r.hedgeWastedJ += r.wastedJoules(h)
+			wasted := r.wastedJoules(h)
 			n.hedge = nil
+			r.emit(obs.Event{At: r.eng.Now(), Kind: obs.HedgeCancelled, Task: n.task.Name, Device: id, Value: wasted})
 			revoked++
 		}
 		p := n.primary
@@ -1286,7 +1351,6 @@ func (r *Runtime) FailDevice(id string) (revoked, restored int) {
 		delay = r.restoreCost(restoreBytes)
 	}
 	restored = len(inval)
-	r.restores += restored
 	for _, n := range inval {
 		n := n
 		r.emitRetried(n, "restore")
@@ -1309,34 +1373,8 @@ type Result struct {
 	Records  []Record
 	// EnergyJ is the summed dynamic task energy.
 	EnergyJ energy.Joules
-	// Retries counts re-queued executions after crashes or detected SDCs.
-	Retries int
-	// Restores counts completed tasks re-executed after a device loss
-	// invalidated their un-checkpointed outputs.
-	Restores int
-	// Checkpoints counts committed asynchronous checkpoints.
-	Checkpoints int
-	// SDCDetected counts corruptions caught by the replica vote.
-	SDCDetected int
-	// SDCSilent counts corruptions that went undetected.
-	SDCSilent int
-	// Stragglers counts executions flagged by the watchdog as exceeding
-	// the hedge policy's multiple of their expected span.
-	Stragglers int
-	// HedgesLaunched counts speculative replicas started.
-	HedgesLaunched int
-	// HedgesWon counts replicas that beat their straggling primary.
-	HedgesWon int
-	// HedgesDenied counts replica launches refused by device availability
-	// or the core/watt ledgers.
-	HedgesDenied int
-	// HedgeWastedJ is the energy burned by cancelled losing executions —
-	// the price of the insurance the hedge policy buys.
-	HedgeWastedJ energy.Joules
-	// DeadlineMisses counts tasks that passed their deadline.
-	DeadlineMisses int
-	// TasksShed counts tasks skipped by graceful degradation.
-	TasksShed int
+	// Counts is the run's lifecycle tally, folded from its events.
+	obs.Counts
 }
 
 // Run executes the submitted graph to completion and returns the trace.
@@ -1348,11 +1386,11 @@ func (r *Runtime) Run() (*Result, error) { return r.RunContext(context.Backgroun
 // cancellation or deadline expiry is checked between every simulated event,
 // aborts the run with the context's error, and returns any admission grants
 // held by in-flight tasks so sibling runtimes can make progress. When the
-// runtime shares devices through an Admission ledger and every ready task
-// is stalled on foreign occupancy, the goroutine parks until capacity is
+// runtime shares devices through an Admission ledger and a placement is
+// stalled by sibling runtimes' grants, the job suspends until capacity is
 // released elsewhere (or ctx fires) — the job's virtual clock does not
-// advance while parked. A runtime that returned an error must not be run
-// again.
+// advance while parked (see suspend). A runtime that returned an error
+// must not be run again.
 //
 // Failure semantics: a task that exhausts its retry budget aborts the run
 // with ErrRetriesExhausted; a task left unplaceable by device loss aborts
@@ -1382,7 +1420,17 @@ func (r *Runtime) RunContext(ctx context.Context) (*Result, error) {
 			powChanged = r.pow.Changed()
 		}
 		r.blocked = false
+		r.stalled = grant{}
 		r.dispatch()
+		// A reserve left unspent means the round placed the stalled task
+		// elsewhere (the governor moved an operating point meanwhile).
+		r.dropReserve()
+		if r.stalled.dev != "" {
+			if err := r.suspend(ctx); err != nil {
+				return abort(err)
+			}
+			continue
+		}
 		if r.eng.Step() {
 			continue
 		}
@@ -1407,20 +1455,7 @@ func (r *Runtime) RunContext(ctx context.Context) (*Result, error) {
 			}
 		}
 	}
-	res := &Result{
-		Retries:        r.retries,
-		Restores:       r.restores,
-		Checkpoints:    r.ckpts,
-		SDCDetected:    r.sdcDetected,
-		SDCSilent:      r.sdcSilent,
-		Stragglers:     r.stragglers,
-		HedgesLaunched: r.hedgesLaunched,
-		HedgesWon:      r.hedgesWon,
-		HedgesDenied:   r.hedgesDenied,
-		HedgeWastedJ:   r.hedgeWastedJ,
-		DeadlineMisses: r.deadlineMisses,
-		TasksShed:      r.shedTasks,
-	}
+	res := &Result{Counts: r.counts}
 	for _, n := range r.nodes {
 		res.Records = append(res.Records, n.record)
 		if n.record.End > res.Makespan {
@@ -1455,9 +1490,10 @@ func (r *Runtime) stuckErr(n *node) error {
 }
 
 // releaseHeld returns every admission grant — cores and watts — still held
-// by in-flight tasks, so a cancelled job cannot strand fleet capacity or
-// watt budget.
+// by in-flight tasks or reserved by suspend, so a cancelled job cannot
+// strand fleet capacity or watt budget.
 func (r *Runtime) releaseHeld() {
+	r.dropReserve()
 	if r.adm != nil {
 		for id, n := range r.held {
 			if n > 0 {

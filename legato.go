@@ -29,9 +29,7 @@
 //	rep, err := job.Run(ctx)
 //
 // Jobs are context-aware end to end: Run honours cancellation and
-// deadlines, and System.Close drains the engine gracefully. The legacy
-// single-job surface — NewSystem(Config{...}), System.Submit, System.Run —
-// is kept as thin deprecated shims over an implicit job named "main".
+// deadlines, and System.Close drains the engine gracefully.
 //
 // See the examples/ directory for runnable end-to-end programs and
 // DESIGN.md for the full system inventory and the API migration table.
@@ -147,6 +145,11 @@ type Event = obs.Event
 // EventKind re-exports the event taxonomy.
 type EventKind = obs.Kind
 
+// Counts re-exports the lifecycle tally that SessionStats and Report
+// embed: each field is a fold of the event stream (obs.Counts.Apply), so
+// folding a job's EventLog through a zero Counts reproduces its Report.
+type Counts = obs.Counts
+
 // Event kinds (see DESIGN.md §5 for the full taxonomy).
 const (
 	EvTaskQueued        = obs.TaskQueued
@@ -170,6 +173,7 @@ const (
 	EvPowerAdmitted     = obs.PowerAdmitted
 	EvPowerRefused      = obs.PowerRefused
 	EvDeviceLost        = obs.DeviceLost
+	EvHedgeDenied       = obs.HedgeDenied
 )
 
 // PlatformKind selects the hardware substrate.
@@ -235,8 +239,8 @@ func WithPolicy(p Policy) Option {
 }
 
 // WithTEE selects the trusted-execution technology backing secure tasks.
-// Unlike the legacy Config field, the value is honoured verbatim —
-// secure.SoftwareOnly is a real choice, not a sentinel for "default".
+// The value is honoured verbatim: secure.SoftwareOnly is a real choice,
+// not a sentinel for "default".
 func WithTEE(k secure.TEEKind) Option {
 	return optionFunc(func(s *settings) { s.tee = k })
 }
@@ -340,40 +344,6 @@ func withoutObservability() Option {
 	return optionFunc(func(s *settings) { s.noObs = true })
 }
 
-// Config parametrises a System.
-//
-// Deprecated: Config is the legacy all-in-one option; it implements Option
-// so NewSystem(Config{...}) keeps compiling, with the historical quirks
-// intact (zero Policy means MinTime, TEE secure.SoftwareOnly is coerced to
-// SGX). New code should compose WithPlatform, WithPolicy, WithTEE,
-// WithRootKey and WithWorkers instead.
-type Config struct {
-	// Platform selects the hardware substrate (default CloudPlatform).
-	Platform PlatformKind
-	// Policy is the placement objective.
-	Policy Policy
-	// TEE enables secure tasks with the given technology (default SGX).
-	TEE secure.TEEKind
-	// PlatformRootKey seeds enclave key derivation; a default test key is
-	// used when empty (production deployments must set it).
-	PlatformRootKey []byte
-}
-
-func (c Config) apply(s *settings) {
-	s.platform = c.Platform
-	s.policy = c.Policy
-	if c.TEE == secure.SoftwareOnly {
-		s.tee = secure.SGX // historical sentinel behaviour, preserved
-	} else {
-		s.tee = c.TEE
-	}
-	if len(c.PlatformRootKey) > 0 {
-		s.rootKey = append([]byte(nil), c.PlatformRootKey...)
-	} else {
-		s.rootKey = []byte(devRootKey)
-	}
-}
-
 // Requirements are a task's per-requirement knobs (Fig. 1: energy, fault
 // tolerance, security around the programming model).
 type Requirements struct {
@@ -434,7 +404,6 @@ type System struct {
 	evlog  *obs.Collector // ordered event log (nil without WithEventLog)
 
 	mu    sync.Mutex
-	def   *Job // implicit job behind the deprecated single-job surface
 	evsub *obs.Subscription
 }
 
@@ -465,7 +434,7 @@ func buildPlatform(kind PlatformKind, je *sim.Engine) ([]*hw.Device, error) {
 
 // NewSystem assembles a stack. With no options it is a cloud platform with
 // the MinEnergy policy, an SGX-backed enclave and a development root key;
-// pass functional options (or a legacy Config value) to override.
+// pass functional options to override.
 func NewSystem(opts ...Option) (*System, error) {
 	set := defaultSettings()
 	for _, o := range opts {
@@ -559,14 +528,6 @@ type SessionStats struct {
 	// AdmissionStalls counts admission attempts that lost to a sibling
 	// job (contention signal; zero means the overlap estimate is exact).
 	AdmissionStalls uint64
-	// TasksRetried counts task executions re-queued after crashes or
-	// detected corruptions, across all jobs.
-	TasksRetried int
-	// TasksRestored counts completed tasks re-executed after a device loss
-	// invalidated their un-checkpointed outputs.
-	TasksRestored int
-	// Checkpoints counts committed asynchronous job checkpoints.
-	Checkpoints int
 	// DevicesLost counts devices crashed by the failure process.
 	DevicesLost int
 	// PlatformEnergyJ adds the static (idle) energy of the surviving fleet
@@ -583,56 +544,33 @@ type SessionStats struct {
 	PowerStalls uint64
 	// GovernorRescales counts governor DVFS operating-point changes.
 	GovernorRescales uint64
-	// StragglersDetected counts executions flagged by the tail watchdog
-	// as exceeding the hedge policy's multiple of their expected span.
-	StragglersDetected int
-	// HedgesLaunched counts speculative replicas started across all jobs.
-	HedgesLaunched int
-	// HedgesWon counts replicas that beat their straggling primary.
-	HedgesWon int
-	// HedgesDenied counts replica launches refused by device availability
-	// or the core/watt ledgers (hedges pay their way under the power cap).
-	HedgesDenied int
-	// HedgeWastedJ is the energy burned by cancelled losing executions —
-	// the price of the tail insurance, included in PlatformEnergyJ.
-	HedgeWastedJ float64
-	// DeadlineMisses counts tasks that passed their deadline.
-	DeadlineMisses int
-	// TasksShed counts tasks skipped by graceful degradation.
-	TasksShed int
+	// Counts sums the lifecycle tallies of all completed jobs; its
+	// HedgeWastedJ is included in PlatformEnergyJ.
+	Counts
 }
 
 // Stats snapshots the engine session counters.
 func (s *System) Stats() SessionStats {
 	st := s.eng.Stats()
 	return SessionStats{
-		JobsSubmitted:      st.JobsSubmitted,
-		JobsCompleted:      st.JobsCompleted,
-		JobsFailed:         st.JobsFailed,
-		JobsCancelled:      st.JobsCancelled,
-		TasksCompleted:     st.TasksCompleted,
-		EnergyJ:            st.EnergyJ,
-		TotalJobTime:       st.TotalJobTime,
-		SessionMakespan:    st.SessionMakespan,
-		Speedup:            st.Speedup(),
-		AdmissionStalls:    st.AdmissionStalls,
-		TasksRetried:       st.TasksRetried,
-		TasksRestored:      st.TasksRestored,
-		Checkpoints:        st.Checkpoints,
-		DevicesLost:        st.DevicesLost,
-		PlatformEnergyJ:    st.PlatformEnergyJ,
-		AvgPowerW:          st.AvgPowerW,
-		PowerCapW:          st.PowerCapW,
-		PeakDrawW:          st.PeakDrawW,
-		PowerStalls:        st.PowerStalls,
-		GovernorRescales:   st.GovernorRescales,
-		StragglersDetected: st.StragglersDetected,
-		HedgesLaunched:     st.HedgesLaunched,
-		HedgesWon:          st.HedgesWon,
-		HedgesDenied:       st.HedgesDenied,
-		HedgeWastedJ:       st.HedgeWastedJ,
-		DeadlineMisses:     st.DeadlineMisses,
-		TasksShed:          st.TasksShed,
+		JobsSubmitted:    st.JobsSubmitted,
+		JobsCompleted:    st.JobsCompleted,
+		JobsFailed:       st.JobsFailed,
+		JobsCancelled:    st.JobsCancelled,
+		TasksCompleted:   st.TasksCompleted,
+		EnergyJ:          st.EnergyJ,
+		TotalJobTime:     st.TotalJobTime,
+		SessionMakespan:  st.SessionMakespan,
+		Speedup:          st.Speedup(),
+		AdmissionStalls:  st.AdmissionStalls,
+		DevicesLost:      st.DevicesLost,
+		PlatformEnergyJ:  st.PlatformEnergyJ,
+		AvgPowerW:        st.AvgPowerW,
+		PowerCapW:        st.PowerCapW,
+		PeakDrawW:        st.PeakDrawW,
+		PowerStalls:      st.PowerStalls,
+		GovernorRescales: st.GovernorRescales,
+		Counts:           st.Counts,
 	}
 }
 
@@ -1037,7 +975,14 @@ func (j *Job) Run(ctx context.Context) (*Report, error) {
 	if err := j.Start(ctx); err != nil {
 		return nil, err
 	}
-	return j.Wait(ctx)
+	rep, err := j.Wait(ctx)
+	if err != nil && ctx.Err() != nil && j.ej.State() == engine.Running {
+		// ctx also governs the running job, which stops at its next event:
+		// report its cancellation, not a wait that lost the race to it.
+		<-j.ej.Done()
+		return j.Wait(context.Background())
+	}
+	return rep, err
 }
 
 // Wait blocks until the job completes (or ctx fires — which abandons the
@@ -1075,17 +1020,7 @@ func (j *Job) buildReport(res *taskrt.Result) {
 		TaskEnergyJ:     res.EnergyJ,
 		SecurityEnergyJ: j.enclave.EnergyNJ * 1e-9,
 		ReplicatedTasks: replicas,
-		Retries:         res.Retries,
-		Restores:        res.Restores,
-		Checkpoints:     res.Checkpoints,
-		SDCDetected:     res.SDCDetected,
-		SDCSilent:       res.SDCSilent,
-		Stragglers:      res.Stragglers,
-		HedgesLaunched:  res.HedgesLaunched,
-		HedgesWon:       res.HedgesWon,
-		HedgeWastedJ:    float64(res.HedgeWastedJ),
-		DeadlineMisses:  res.DeadlineMisses,
-		TasksShed:       res.TasksShed,
+		Counts:          res.Counts,
 		Energy:          energy.NewReport(),
 	}
 	for _, d := range j.ej.Devices() {
@@ -1223,33 +1158,9 @@ type Report struct {
 	SecurityEnergyJ float64
 	// ReplicatedTasks counts DMR-expanded submissions.
 	ReplicatedTasks int
-	// Retries counts task executions re-queued after a crash or a detected
-	// corruption.
-	Retries int
-	// Restores counts completed tasks re-executed because a device loss
-	// invalidated their un-checkpointed outputs.
-	Restores int
-	// Checkpoints counts committed asynchronous checkpoints.
-	Checkpoints int
-	// SDCDetected counts silent corruptions caught by the replica vote.
-	SDCDetected int
-	// SDCSilent counts corruptions that went undetected (the task was not
-	// replicated).
-	SDCSilent int
-	// Stragglers counts executions the tail watchdog flagged as exceeding
-	// the hedge policy's multiple of their expected span.
-	Stragglers int
-	// HedgesLaunched counts speculative replicas started for this job.
-	HedgesLaunched int
-	// HedgesWon counts replicas that beat their straggling primary.
-	HedgesWon int
-	// HedgeWastedJ is the energy burned by cancelled losing executions.
-	HedgeWastedJ float64
-	// DeadlineMisses counts tasks that passed their deadline.
-	DeadlineMisses int
-	// TasksShed counts tasks skipped by graceful degradation
-	// (DeadlineShed): they never executed and their records say so.
-	TasksShed int
+	// Counts is the job's lifecycle tally (retries, restores, checkpoints,
+	// SDCs, hedges, deadline misses, shed tasks), folded from its events.
+	Counts
 	// EDPJs is the job's energy-delay product: TaskEnergyJ × makespan in
 	// joule-seconds, the quantity the MinEDP policy optimises.
 	EDPJs float64
@@ -1257,63 +1168,6 @@ type Report struct {
 	AvgPowerW float64
 	// Energy is the per-device breakdown.
 	Energy *energy.Report
-}
-
-// defaultJob returns the implicit job behind the deprecated single-job
-// surface, creating it on first use.
-func (s *System) defaultJob() (*Job, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.def == nil {
-		j, err := s.NewJob("main")
-		if err != nil {
-			return nil, err
-		}
-		s.def = j
-	}
-	return s.def, nil
-}
-
-// Data declares (or fetches) a named data region on the implicit job.
-//
-// Deprecated: create a Job with NewJob and use Job.Data.
-func (s *System) Data(name string, size int64) DataHandle {
-	j, err := s.defaultJob()
-	if err != nil {
-		return DataHandle{}
-	}
-	return j.Data(name, size)
-}
-
-// Submit adds a task to the implicit job.
-//
-// Deprecated: create a Job with NewJob and use Job.Submit or Job.Task.
-func (s *System) Submit(t Task) error {
-	j, err := s.defaultJob()
-	if err != nil {
-		return err
-	}
-	return j.Submit(t)
-}
-
-// Run executes the implicit job and returns its report.
-//
-// Deprecated: create a Job with NewJob and use Job.Run with a context.
-func (s *System) Run() (*Report, error) { return s.RunContext(context.Background()) }
-
-// RunContext executes the implicit job under ctx and returns its report.
-// Afterwards the single-job surface starts a fresh implicit job.
-//
-// Deprecated: create a Job with NewJob and use Job.Run.
-func (s *System) RunContext(ctx context.Context) (*Report, error) {
-	j, err := s.defaultJob()
-	if err != nil {
-		return nil, err
-	}
-	s.mu.Lock()
-	s.def = nil
-	s.mu.Unlock()
-	return j.Run(ctx)
 }
 
 func max(a, b int) int {

@@ -1,8 +1,7 @@
 package legato
 
-// Tests for the redesigned public API: functional options, the multi-job
-// engine surface (Job/Run(ctx)/Stats), DataHandle + TaskBuilder, and the
-// deprecated Config shim's equivalence with the historical behaviour.
+// Tests for the public API: functional options, the multi-job engine
+// surface (Job/Run(ctx)/Stats) and DataHandle + TaskBuilder.
 
 import (
 	"context"
@@ -56,8 +55,7 @@ func TestOptionsCompose(t *testing.T) {
 }
 
 // TestTEESentinelGone pins the headline fix of the options redesign: with
-// WithTEE the SoftwareOnly value is honoured, while the deprecated Config
-// path keeps its historical SGX coercion so old callers see old behaviour.
+// WithTEE the SoftwareOnly value is honoured, not coerced to SGX.
 func TestTEESentinelGone(t *testing.T) {
 	viaOption, err := NewSystem(WithTEE(secure.SoftwareOnly))
 	if err != nil {
@@ -66,92 +64,6 @@ func TestTEESentinelGone(t *testing.T) {
 	defer viaOption.Close(context.Background())
 	if viaOption.TEE() != secure.SoftwareOnly {
 		t.Fatalf("WithTEE(SoftwareOnly) coerced to %v", viaOption.TEE())
-	}
-	viaConfig, err := NewSystem(Config{TEE: secure.SoftwareOnly})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer viaConfig.Close(context.Background())
-	if viaConfig.TEE() != secure.SGX {
-		t.Fatalf("Config shim changed behaviour: tee = %v, want SGX", viaConfig.TEE())
-	}
-}
-
-// submitPipeline builds the same five-task mixed-requirements graph
-// through the legacy string-dependence Submit surface.
-func submitPipeline(t *testing.T, submit func(Task) error) {
-	t.Helper()
-	tasks := []Task{
-		{Name: "ingest", Gops: 20, Out: []string{"raw"}},
-		{Name: "preprocess", Gops: 120, Cores: 4, In: []string{"raw"}, Out: []string{"clean"}},
-		{Name: "analyze", Gops: 80, In: []string{"clean"}, Out: []string{"scores"},
-			Req: Requirements{Replicate: true}},
-		{Name: "private", Gops: 40, In: []string{"clean"}, Out: []string{"insights"},
-			Req: Requirements{Secure: true}},
-		{Name: "report", Gops: 5, In: []string{"scores", "insights"}, Out: []string{"summary"}},
-	}
-	for _, task := range tasks {
-		if err := submit(task); err != nil {
-			t.Fatalf("submit %s: %v", task.Name, err)
-		}
-	}
-}
-
-// TestDeprecatedShimEquivalence runs the same graph through the old
-// surface (NewSystem(Config), System.Submit, System.Run) and through the
-// new one (options, NewJob, TaskBuilder, Run(ctx)) and requires identical
-// schedules.
-func TestDeprecatedShimEquivalence(t *testing.T) {
-	old, err := NewSystem(Config{Policy: MinTime})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer old.Close(context.Background())
-	submitPipeline(t, old.Submit)
-	oldRep, err := old.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	sys, err := NewSystem(WithPolicy(MinTime))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sys.Close(context.Background())
-	job, err := sys.NewJob("pipeline")
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw := job.Data("raw", 0)
-	clean := job.Data("clean", 0)
-	scores := job.Data("scores", 0)
-	insights := job.Data("insights", 0)
-	summary := job.Data("summary", 0)
-	for _, submit := range []func() error{
-		job.Task("ingest").Gops(20).Out(raw).Submit,
-		job.Task("preprocess").Gops(120).Cores(4).In(raw).Out(clean).Submit,
-		job.Task("analyze").Gops(80).In(clean).Out(scores).Replicated().Submit,
-		job.Task("private").Gops(40).In(clean).Out(insights).Secure().Submit,
-		job.Task("report").Gops(5).In(scores).Out(summary).In(insights).Submit,
-	} {
-		if err := submit(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	newRep, err := job.Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	if oldRep.Makespan != newRep.Makespan {
-		t.Fatalf("makespan diverged: old %v, new %v", oldRep.Makespan, newRep.Makespan)
-	}
-	if oldRep.TaskEnergyJ != newRep.TaskEnergyJ {
-		t.Fatalf("task energy diverged: old %v, new %v", oldRep.TaskEnergyJ, newRep.TaskEnergyJ)
-	}
-	if oldRep.ReplicatedTasks != newRep.ReplicatedTasks || len(oldRep.Records) != len(newRep.Records) {
-		t.Fatalf("graph expansion diverged: old %d/%d, new %d/%d",
-			oldRep.ReplicatedTasks, len(oldRep.Records), newRep.ReplicatedTasks, len(newRep.Records))
 	}
 }
 
@@ -360,28 +272,6 @@ func TestMonitorAndTraceSurface(t *testing.T) {
 	}
 	if sys.Tracer().Counter("jobs") != 1 {
 		t.Fatalf("jobs counter = %v", sys.Tracer().Counter("jobs"))
-	}
-}
-
-// TestImplicitJobRestarts verifies the deprecated surface can be used
-// again after Run: each Run cycle gets a fresh implicit job.
-func TestImplicitJobRestarts(t *testing.T) {
-	sys, err := NewSystem()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sys.Close(context.Background())
-	for round := 0; round < 2; round++ {
-		if err := sys.Submit(Task{Name: "t", Gops: 5}); err != nil {
-			t.Fatalf("round %d: %v", round, err)
-		}
-		rep, err := sys.Run()
-		if err != nil {
-			t.Fatalf("round %d: %v", round, err)
-		}
-		if len(rep.Records) != 1 {
-			t.Fatalf("round %d: records = %d", round, len(rep.Records))
-		}
 	}
 }
 

@@ -77,8 +77,9 @@ func buildLifecycleJob(job *Job) error {
 
 // runLifecycleSession runs three checkpointed lifecycle jobs on one
 // worker, each awaited before the next is built, under a cap of 35% of the
-// cloud fleet's peak draw, with the event log armed.
-func runLifecycleSession(t *testing.T) *System {
+// cloud fleet's peak draw, with the event log armed. It returns the jobs'
+// reports in submission order.
+func runLifecycleSession(t *testing.T) (*System, []*Report) {
 	t.Helper()
 	sys, err := NewSystem(
 		WithPlatform(CloudPlatform),
@@ -95,6 +96,7 @@ func runLifecycleSession(t *testing.T) *System {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
+	var reports []*Report
 	for n := 0; n < 3; n++ {
 		job, err := sys.NewJob(fmt.Sprintf("life-%d", n))
 		if err != nil {
@@ -106,11 +108,13 @@ func runLifecycleSession(t *testing.T) *System {
 		if err := job.Checkpoint(2, fti.L1); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := job.Run(ctx); err != nil {
+		rep, err := job.Run(ctx)
+		if err != nil {
 			t.Fatal(err)
 		}
+		reports = append(reports, rep)
 	}
-	return sys
+	return sys, reports
 }
 
 // formatSnapshot renders a registry snapshot one sorted line per metric,
@@ -163,7 +167,7 @@ func golden(t *testing.T, name, got string) {
 }
 
 func TestLifecycleParityGolden(t *testing.T) {
-	sys := runLifecycleSession(t)
+	sys, _ := runLifecycleSession(t)
 	defer sys.Close(context.Background())
 	log := obs.FormatLog(sys.EventLog())
 	for _, k := range []EventKind{
@@ -179,21 +183,46 @@ func TestLifecycleParityGolden(t *testing.T) {
 	golden(t, "lifecycle.spans", formatSpans(sys.Tracer().Spans()))
 }
 
-// TestRegistryReplay is the replay witness of the registry fold: folding
-// the logged event stream, job by job, into an empty registry rebuilds the
-// live registry's fold-owned counters exactly.
+// TestRegistryReplay is the replay witness of the registry and Counts
+// folds: folding the logged event stream, job by job, into an empty
+// registry rebuilds the live registry's fold-owned counters exactly, and
+// into a zero Counts rebuilds each job's Report counters and, summed, the
+// session's.
 func TestRegistryReplay(t *testing.T) {
-	sys := runLifecycleSession(t)
+	sys, reports := runLifecycleSession(t)
 	defer sys.Close(context.Background())
 	replay := monitor.NewRegistry()
 	folds := make(map[string]*engine.RegistryFold)
+	counts := make(map[string]*Counts)
 	for _, e := range sys.EventLog() {
 		f, ok := folds[e.Job]
 		if !ok {
 			f = engine.NewRegistryFold(replay, e.Job)
 			folds[e.Job] = f
+			counts[e.Job] = &Counts{}
 		}
 		f.Apply(e)
+		counts[e.Job].Apply(e)
+	}
+	var session Counts
+	for n, rep := range reports {
+		job := fmt.Sprintf("life-%d", n)
+		got := counts[job]
+		if got == nil || *got != rep.Counts {
+			t.Errorf("%s: replayed counts %+v, report %+v", job, got, rep.Counts)
+			continue
+		}
+		session.Add(*got)
+	}
+	st := sys.Stats()
+	if session != st.Counts {
+		t.Errorf("replayed session counts %+v, Stats %+v", session, st.Counts)
+	}
+	if st.HedgesDenied == 0 {
+		t.Error("the lifecycle session denies no hedge")
+	}
+	if got := sys.Monitor().Get("tail", "hedges-denied"); got != float64(st.HedgesDenied) {
+		t.Errorf("registry tail/hedges-denied = %v, Stats.HedgesDenied = %d", got, st.HedgesDenied)
 	}
 	live, got := sys.Monitor().Snapshot(), replay.Snapshot()
 	for scope, metrics := range got {

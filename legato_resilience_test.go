@@ -232,7 +232,7 @@ func TestFailureSpansAndReportCounters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Retries == 0 {
+	if rep.TasksRetried == 0 {
 		t.Fatalf("no retries in report: %+v", rep)
 	}
 	for _, rec := range rep.Records {

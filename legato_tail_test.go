@@ -64,9 +64,9 @@ func TestWithHedgingEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Stragglers == 0 || rep.HedgesLaunched == 0 || rep.HedgesWon == 0 {
+	if rep.StragglersDetected == 0 || rep.HedgesLaunched == 0 || rep.HedgesWon == 0 {
 		t.Fatalf("report stragglers=%d launched=%d won=%d, want the tail path exercised",
-			rep.Stragglers, rep.HedgesLaunched, rep.HedgesWon)
+			rep.StragglersDetected, rep.HedgesLaunched, rep.HedgesWon)
 	}
 	if rep.HedgeWastedJ <= 0 {
 		t.Fatalf("report hedge waste = %v J, want > 0", rep.HedgeWastedJ)
@@ -88,7 +88,7 @@ func TestWithHedgingEndToEnd(t *testing.T) {
 	}
 
 	st := sys.Stats()
-	if st.StragglersDetected != rep.Stragglers || st.HedgesWon != rep.HedgesWon ||
+	if st.StragglersDetected != rep.StragglersDetected || st.HedgesWon != rep.HedgesWon ||
 		st.HedgeWastedJ != rep.HedgeWastedJ || st.TasksShed != rep.TasksShed {
 		t.Fatalf("session stats %+v disagree with the sole job's report", st)
 	}

@@ -1,29 +1,44 @@
 package legato
 
 import (
+	"context"
 	"strings"
 	"testing"
 
 	"legato/internal/hw"
+	"legato/internal/secure"
 )
 
-func TestCloudSystemRunsTaskGraph(t *testing.T) {
-	sys, err := NewSystem(Config{Policy: MinTime})
+// newJob assembles a system from opts plus the SGX enclave and opens one
+// job named "main" on it; the system is closed when the test ends.
+func newJob(t *testing.T, opts ...Option) (*System, *Job) {
+	t.Helper()
+	sys, err := NewSystem(append(opts, WithTEE(secure.SGX))...)
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { _ = sys.Close(context.Background()) })
+	job, err := sys.NewJob("main")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sys, job
+}
+
+func TestCloudSystemRunsTaskGraph(t *testing.T) {
+	_, job := newJob(t, WithPolicy(MinTime))
 	var order []string
 	mk := func(name string, in, out []string) Task {
 		return Task{Name: name, Gops: 5, In: in, Out: out,
 			Fn: func() { order = append(order, name) }}
 	}
-	if err := sys.Submit(mk("produce", nil, []string{"A"})); err != nil {
+	if err := job.Submit(mk("produce", nil, []string{"A"})); err != nil {
 		t.Fatal(err)
 	}
-	if err := sys.Submit(mk("consume", []string{"A"}, []string{"B"})); err != nil {
+	if err := job.Submit(mk("consume", []string{"A"}, []string{"B"})); err != nil {
 		t.Fatal(err)
 	}
-	rep, err := sys.Run()
+	rep, err := job.Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,45 +54,39 @@ func TestCloudSystemRunsTaskGraph(t *testing.T) {
 }
 
 func TestEdgeSystem(t *testing.T) {
-	sys, err := NewSystem(Config{Platform: EdgePlatform, Policy: MinEnergy})
-	if err != nil {
-		t.Fatal(err)
-	}
+	sys, job := newJob(t, WithPlatform(EdgePlatform), WithPolicy(MinEnergy))
 	if len(sys.Devices()) != 3 {
 		t.Fatalf("edge devices: %d", len(sys.Devices()))
 	}
-	if err := sys.Submit(Task{Name: "t", Gops: 10}); err != nil {
+	if err := job.Submit(Task{Name: "t", Gops: 10}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sys.Run(); err != nil {
+	if _, err := job.Run(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestSubmitValidation(t *testing.T) {
-	sys, _ := NewSystem(Config{})
-	if err := sys.Submit(Task{}); err == nil {
+	_, job := newJob(t, WithPolicy(MinTime))
+	if err := job.Submit(Task{}); err == nil {
 		t.Fatal("unnamed task accepted")
 	}
 }
 
 func TestReplicationExpandsToDMRWithVote(t *testing.T) {
-	sys, err := NewSystem(Config{Policy: MinTime})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sys.Submit(Task{
+	_, job := newJob(t, WithPolicy(MinTime))
+	if err := job.Submit(Task{
 		Name: "critical", Gops: 10, Out: []string{"R"},
 		Req: Requirements{Replicate: true},
 	}); err != nil {
 		t.Fatal(err)
 	}
 	var after bool
-	if err := sys.Submit(Task{Name: "reader", Gops: 1, In: []string{"R"},
+	if err := job.Submit(Task{Name: "reader", Gops: 1, In: []string{"R"},
 		Fn: func() { after = true }}); err != nil {
 		t.Fatal(err)
 	}
-	rep, err := sys.Run()
+	rep, err := job.Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,18 +124,15 @@ func TestReplicationExpandsToDMRWithVote(t *testing.T) {
 }
 
 func TestSecureTaskChargesEnclave(t *testing.T) {
-	sys, err := NewSystem(Config{Policy: MinTime})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sys.Data("payload", 4096)
-	if err := sys.Submit(Task{
+	_, job := newJob(t, WithPolicy(MinTime))
+	job.Data("payload", 4096)
+	if err := job.Submit(Task{
 		Name: "gateway", Gops: 5, In: []string{"payload"},
 		Req: Requirements{Secure: true},
 	}); err != nil {
 		t.Fatal(err)
 	}
-	rep, err := sys.Run()
+	rep, err := job.Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,17 +143,14 @@ func TestSecureTaskChargesEnclave(t *testing.T) {
 
 func TestPolicyChangesPlacement(t *testing.T) {
 	run := func(p Policy) float64 {
-		sys, err := NewSystem(Config{Policy: p})
-		if err != nil {
-			t.Fatal(err)
-		}
+		_, job := newJob(t, WithPolicy(p))
 		for i := 0; i < 10; i++ {
-			if err := sys.Submit(Task{Name: "t", Gops: 50,
+			if err := job.Submit(Task{Name: "t", Gops: 50,
 				Targets: []hw.Class{hw.CPUx86, hw.CPUARM}}); err != nil {
 				t.Fatal(err)
 			}
 		}
-		rep, err := sys.Run()
+		rep, err := job.Run(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
