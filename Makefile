@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: ci vet lint build test race bench-module bench bench-short run-bench clean
+.PHONY: ci vet lint build test race bench-module bench bench-short bench-taskrt run-bench clean
 
 ci: vet lint build race bench-module bench-short
 
@@ -39,6 +39,10 @@ bench-short:
 
 bench:
 	$(GO) test -run '^$$' -bench . -benchtime 3x ./...
+
+# The taskrt dispatch ladder: ns/task and allocs/task at 10^2..10^4 tasks.
+bench-taskrt:
+	$(GO) test -run '^$$' -bench Dispatch -benchmem -benchtime 3x ./internal/taskrt
 
 # Regenerate every paper table/figure (add QUICK=1 for smaller sweeps).
 run-bench:

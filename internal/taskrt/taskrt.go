@@ -20,7 +20,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
 	"time"
 
 	"legato/internal/energy"
@@ -215,20 +214,23 @@ type exec struct {
 
 // node is a submitted task with graph state.
 type node struct {
-	task    Task
-	id      int
-	deps    int     // unsatisfied predecessor count
-	succ    []*node // successors
-	pred    []*node // predecessors (for re-execution after invalidation)
-	done    bool
-	started bool
-
-	attempts  int   // failed executions so far (crash/sdc)
+	task      Task
+	id        int
+	deps      int     // unsatisfied predecessor count
+	succ      []*node // successors
+	pred      []*node // predecessors (for re-execution after invalidation)
+	done      bool
+	started   bool
 	persisted bool  // output captured by a committed checkpoint
-	primary   *exec // the scheduled placement while running
-	hedge     *exec // speculative replica racing the primary, if any
-	hedges    int   // speculative replicas launched for this task
-	deadline  sim.Handle
+	queued    bool  // in the ready queue (see ready.go)
+	slot      int32 // heap index in lane; -1 while dispatch sets the node aside
+	lane      *lane // ready-queue lane of the task's shape
+
+	attempts int   // failed executions so far (crash/sdc)
+	primary  *exec // the scheduled placement while running
+	hedge    *exec // speculative replica racing the primary, if any
+	hedges   int   // speculative replicas launched for this task
+	deadline sim.Handle
 
 	record Record
 }
@@ -296,9 +298,16 @@ type Runtime struct {
 	policy  Policy
 
 	nodes  []*node
-	ready  []*node
 	nextID int
 	inDAG  int // submitted, not finished
+
+	// Ready queue and dispatch scratch (see ready.go).
+	lanes    []*lane         // one heap of ready tasks per task shape
+	nready   int             // queued tasks
+	capacity []int           // fleet capacity per device, as of readCapacity
+	free     [classSlots]int // most free cores on one healthy device, per class
+	freeAny  int             // most free cores on any healthy device
+	aside    []*node         // dispatch call: popped, not placed, retried after each placement
 
 	adm     Admission               // nil: sole owner of its devices
 	pow     PowerAdmission          // nil: no fleet watt budget
@@ -335,13 +344,18 @@ type Runtime struct {
 
 // New creates a runtime over the given devices.
 func New(eng *sim.Engine, devices []*hw.Device, policy Policy) *Runtime {
-	return &Runtime{
+	r := &Runtime{
 		eng: eng, devices: devices, policy: policy,
+		capacity:     make([]int, len(devices)),
 		held:         make(map[string]int),
 		heldW:        make(map[string]energy.Watts),
 		running:      make(map[*node]struct{}),
 		retryBackoff: time.Millisecond,
 	}
+	for i, d := range devices {
+		r.capacity[i] = d.Spec.Cores
+	}
+	return r
 }
 
 // SetAdmission installs a shared capacity ledger. Must be called before the
@@ -610,38 +624,8 @@ func (r *Runtime) deadlineFire(n *node) {
 	}
 }
 
-// enqueue adds a ready node, keeping the queue priority-sorted.
-func (r *Runtime) enqueue(n *node) {
-	r.ready = append(r.ready, n)
-	sort.SliceStable(r.ready, func(i, j int) bool {
-		if r.ready[i].task.Priority != r.ready[j].task.Priority {
-			return r.ready[i].task.Priority > r.ready[j].task.Priority
-		}
-		return r.ready[i].id < r.ready[j].id
-	})
-}
-
-// unready removes a node from the ready queue if present.
-func (r *Runtime) unready(n *node) {
-	for i, m := range r.ready {
-		if m == n {
-			r.ready = append(r.ready[:i], r.ready[i+1:]...)
-			return
-		}
-	}
-}
-
-func (r *Runtime) inReady(n *node) bool {
-	for _, m := range r.ready {
-		if m == n {
-			return true
-		}
-	}
-	return false
-}
-
 // compatible reports whether dev can run t.
-func compatible(t Task, dev *hw.Device) bool {
+func compatible(t *Task, dev *hw.Device) bool {
 	if !dev.Healthy() {
 		return false
 	}
@@ -652,7 +636,7 @@ func compatible(t Task, dev *hw.Device) bool {
 }
 
 // classMatch reports whether t accepts the given device class.
-func classMatch(t Task, c hw.Class) bool {
+func classMatch(t *Task, c hw.Class) bool {
 	if len(t.Targets) == 0 {
 		return true
 	}
@@ -666,7 +650,7 @@ func classMatch(t Task, c hw.Class) bool {
 
 // score returns the policy objective for running t on dev now (lower is
 // better); ok=false if the device cannot take the task at this instant.
-func (r *Runtime) score(t Task, dev *hw.Device) (float64, bool) {
+func (r *Runtime) score(t *Task, dev *hw.Device) (float64, bool) {
 	if !compatible(t, dev) {
 		return 0, false
 	}
@@ -720,74 +704,67 @@ func (r *Runtime) applyOperatingPoints() {
 
 // taskDrawW is the dynamic draw a task would hold on dev at its current
 // operating point, shrunk by the task's undervolt level.
-func taskDrawW(t Task, dev *hw.Device) energy.Watts {
+func taskDrawW(t *Task, dev *hw.Device) energy.Watts {
 	return dev.DynamicWatts(t.Cores) * power.UndervoltPowerScale(t.Undervolt)
 }
 
-// dispatch assigns as many ready tasks as possible.
-func (r *Runtime) dispatch() {
-	r.applyOperatingPoints()
-	for {
-		assigned := false
-		for qi := 0; qi < len(r.ready); qi++ {
-			n := r.ready[qi]
-			best := -1
-			bestScore := 0.0
-			for di, dev := range r.devices {
-				if r.adm != nil && r.adm.Capacity(dev.ID) < n.task.Cores {
-					// The fleet behind this device lost the capacity to ever
-					// fit the task (crash or degrade) — permanently unfit,
-					// not a transient stall.
-					continue
-				}
-				if s, ok := r.score(n.task, dev); ok && (best == -1 || s < bestScore) {
-					best, bestScore = di, s
-				}
-			}
-			if best == -1 {
-				continue // no device free for this task right now
-			}
-			dev := r.devices[best]
-			if r.adm != nil && !r.admit(dev.ID, n.task.Cores) {
-				if r.held[dev.ID]+n.task.Cores <= r.adm.Capacity(dev.ID) {
-					// Only sibling jobs' grants stand in the way. End the
-					// round here so RunContext suspends the job at this
-					// instant instead of stepping on (see suspend).
-					r.stalled = grant{dev.ID, n.task.Cores}
-					return
-				}
-				// The device shrank under this job's own grants: leave the
-				// task queued until they come back.
-				r.blocked = true
-				continue
-			}
-			watts := energy.Watts(0)
-			if r.pow != nil {
-				watts = taskDrawW(n.task, dev)
-				if !r.pow.TryDraw(dev.ID, watts) {
-					// The placement fits the core budget but not the watt
-					// budget: give the cores back and park. A PackAndThrottle
-					// governor may have stepped the device down, so the next
-					// dispatch round re-scores at the cheaper point.
-					if r.adm != nil {
-						r.adm.Release(dev.ID, n.task.Cores)
-					}
-					r.emitPower(obs.PowerRefused, n, dev, watts)
-					r.blocked = true
-					r.applyOperatingPoints()
-					continue
-				}
-				r.emitPower(obs.PowerAdmitted, n, dev, watts)
-			}
-			r.ready = append(r.ready[:qi], r.ready[qi+1:]...)
-			r.start(n, dev, watts)
-			assigned = true
-			break
+// place tries to start n on its best-scoring device now. Capacity comes
+// from the call's readCapacity snapshot; TryAcquire stays the authority, so
+// a capacity change racing with the snapshot is caught at admission.
+func (r *Runtime) place(n *node) outcome {
+	t := &n.task
+	best := -1
+	bestScore := 0.0
+	for di, dev := range r.devices {
+		if r.capacity[di] < t.Cores {
+			// The fleet behind this device lost the capacity to ever fit
+			// the task (crash or degrade) — permanently unfit, not a
+			// transient stall.
+			continue
 		}
-		if !assigned {
-			return
+		if s, ok := r.score(t, dev); ok && (best == -1 || s < bestScore) {
+			best, bestScore = di, s
 		}
 	}
+	if best == -1 {
+		return skipped // no device free for this task right now
+	}
+	dev := r.devices[best]
+	if r.adm != nil && !r.admit(dev.ID, t.Cores) {
+		if r.held[dev.ID]+t.Cores <= r.capacity[best] {
+			// Only sibling jobs' grants stand in the way. End the round
+			// here so RunContext suspends the job at this instant instead
+			// of stepping on (see suspend).
+			r.stalled = grant{dev.ID, t.Cores}
+			return stalled
+		}
+		// The device shrank under this job's own grants: leave the task
+		// queued until they come back.
+		r.blocked = true
+		return skipped
+	}
+	watts := energy.Watts(0)
+	if r.pow != nil {
+		watts = taskDrawW(t, dev)
+		if !r.pow.TryDraw(dev.ID, watts) {
+			// The placement fits the core budget but not the watt budget:
+			// give the cores back and park. A PackAndThrottle governor may
+			// have stepped the device down, so the next attempt re-scores
+			// at the cheaper point.
+			if r.adm != nil {
+				r.adm.Release(dev.ID, t.Cores)
+			}
+			r.emitPower(obs.PowerRefused, n, dev, watts)
+			r.blocked = true
+			r.applyOperatingPoints()
+			return skipped
+		}
+		r.emitPower(obs.PowerAdmitted, n, dev, watts)
+	}
+	n.queued = false
+	r.nready--
+	r.start(n, dev, watts)
+	return placed
 }
 
 // admit wins fleet capacity for cores on dev, spending the grant suspend
@@ -830,7 +807,8 @@ func (r *Runtime) suspend(ctx context.Context) error {
 		changed := r.adm.Changed()
 		claim := want
 		if st.dev != "" {
-			if want[st.dev]+st.cores > r.adm.Capacity(st.dev) {
+			r.readCapacity()
+			if want[st.dev]+st.cores > r.capacity[r.deviceIndex(st.dev)] {
 				// A sibling applied a fault meanwhile; the next round
 				// re-places the task.
 				st = grant{}
@@ -868,7 +846,7 @@ func (r *Runtime) emitPower(k obs.Kind, n *node, dev *hw.Device, watts energy.Wa
 // and the held-grant maps advance. The caller has already won global
 // admission for the cores and watts.
 func (r *Runtime) launch(n *node, dev *hw.Device, watts energy.Watts, hedge bool) *exec {
-	t := n.task
+	t := &n.task
 	if r.adm != nil {
 		r.held[dev.ID] += t.Cores
 	}
@@ -900,17 +878,10 @@ func (r *Runtime) launch(n *node, dev *hw.Device, watts energy.Watts, hedge bool
 // global admission for the task's cores (and watts of draw) when shared
 // ledgers are installed.
 func (r *Runtime) start(n *node, dev *hw.Device, watts energy.Watts) {
-	t := n.task
+	t := &n.task
 	if err := dev.Acquire(t.Cores); err != nil {
-		// Raced with another assignment; requeue and give back admission.
-		if r.adm != nil {
-			r.adm.Release(dev.ID, t.Cores)
-		}
-		if r.pow != nil {
-			r.pow.ReleaseDraw(dev.ID, watts)
-		}
-		r.enqueue(n)
-		return
+		// place scored the device healthy with the cores free.
+		panic(fmt.Sprintf("taskrt: placing %s: %v", t.Name, err))
 	}
 	n.started = true
 	n.hedges = 0
@@ -978,14 +949,15 @@ func (r *Runtime) straggler(n *node, ex *exec) {
 	// so among foreign devices a known-degraded one loses to a clean one.
 	best, foreign := -1, false
 	bestScore := 0.0
+	r.readCapacity()
 	for di, dev := range r.devices {
 		if dev.ID == ex.dev.ID {
 			continue
 		}
-		if r.adm != nil && r.adm.Capacity(dev.ID) < n.task.Cores {
+		if r.capacity[di] < n.task.Cores {
 			continue
 		}
-		s, ok := r.score(n.task, dev)
+		s, ok := r.score(&n.task, dev)
 		if !ok {
 			continue
 		}
@@ -1012,7 +984,7 @@ func (r *Runtime) straggler(n *node, ex *exec) {
 	}
 	watts := energy.Watts(0)
 	if r.pow != nil {
-		watts = taskDrawW(n.task, dev)
+		watts = taskDrawW(&n.task, dev)
 		if !r.pow.TryDraw(dev.ID, watts) {
 			// Hedges pay their way under the power cap: a replica that does
 			// not fit the watt budget is denied, never force-admitted.
@@ -1045,7 +1017,7 @@ func (r *Runtime) straggler(n *node, ex *exec) {
 // burned energy accounted as hedge waste), the SDC oracle is consulted on
 // the committed record, and the node either finishes or re-queues.
 func (r *Runtime) complete(n *node, ex *exec) {
-	t := n.task
+	t := &n.task
 	now := r.eng.Now()
 	delete(r.running, n)
 	r.releaseExec(ex)
@@ -1221,7 +1193,7 @@ func (r *Runtime) retry(n *node, reason string) {
 		// deps may have grown since the revocation if a predecessor's
 		// output was invalidated by the same device loss — then the
 		// completion path re-enqueues this node, not the backoff timer.
-		if n.deps == 0 && !n.done && !n.started && !r.inReady(n) {
+		if n.deps == 0 && !n.done && !n.started && !n.queued {
 			r.enqueue(n)
 			r.dispatch()
 		}
@@ -1242,16 +1214,11 @@ func (r *Runtime) emitRetried(n *node, reason string) {
 // revocation and invalidation counts; failing an unknown or already-failed
 // device is a no-op.
 func (r *Runtime) FailDevice(id string) (revoked, restored int) {
-	var dev *hw.Device
-	for _, d := range r.devices {
-		if d.ID == id {
-			dev = d
-			break
-		}
-	}
-	if dev == nil || !dev.Healthy() {
+	i := r.deviceIndex(id)
+	if i < 0 || !r.devices[i].Healthy() {
 		return 0, 0
 	}
+	dev := r.devices[i]
 	// Revoke in-flight executions, in deterministic submission order. A
 	// node may hold two executions (primary + hedge) on different devices;
 	// losing the hedge's device cancels just the replica, while losing the
@@ -1355,7 +1322,7 @@ func (r *Runtime) FailDevice(id string) (revoked, restored int) {
 		n := n
 		r.emitRetried(n, "restore")
 		r.eng.Schedule(delay, func() {
-			if n.deps == 0 && !n.done && !n.started && !r.inReady(n) {
+			if n.deps == 0 && !n.done && !n.started && !n.queued {
 				r.enqueue(n)
 				r.dispatch()
 			}
@@ -1365,6 +1332,16 @@ func (r *Runtime) FailDevice(id string) (revoked, restored int) {
 		Detail: fmt.Sprintf("revoked=%d restored=%d", revoked, restored)})
 	r.dispatch()
 	return revoked, restored
+}
+
+// deviceIndex returns the index of the named device, or -1.
+func (r *Runtime) deviceIndex(id string) int {
+	for i, d := range r.devices {
+		if d.ID == id {
+			return i
+		}
+	}
+	return -1
 }
 
 // Result summarises a completed run.
@@ -1455,7 +1432,7 @@ func (r *Runtime) RunContext(ctx context.Context) (*Result, error) {
 			}
 		}
 	}
-	res := &Result{Counts: r.counts}
+	res := &Result{Counts: r.counts, Records: make([]Record, 0, len(r.nodes))}
 	for _, n := range r.nodes {
 		res.Records = append(res.Records, n.record)
 		if n.record.End > res.Makespan {
@@ -1475,11 +1452,12 @@ func (r *Runtime) stuckErr(n *node) error {
 		cores = 1
 	}
 	lost := false
-	for _, d := range r.devices {
-		if d.Spec.Cores < cores || !classMatch(n.task, d.Spec.Class) {
+	r.readCapacity()
+	for di, d := range r.devices {
+		if d.Spec.Cores < cores || !classMatch(&n.task, d.Spec.Class) {
 			continue
 		}
-		if !d.Healthy() || (r.adm != nil && r.adm.Capacity(d.ID) < cores) {
+		if !d.Healthy() || r.capacity[di] < cores {
 			lost = true
 		}
 	}
