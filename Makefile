@@ -3,9 +3,9 @@
 
 GO ?= go
 
-.PHONY: ci vet lint build test race bench-module bench bench-short bench-taskrt run-bench clean
+.PHONY: ci vet lint build test race examples bench-module bench bench-short bench-taskrt run-bench clean
 
-ci: vet lint build race bench-module bench-short
+ci: vet lint build race examples bench-module bench-short
 
 vet:
 	$(GO) vet ./...
@@ -24,6 +24,11 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# Build and run every example program; a non-zero exit fails the step.
+# examples/observe writes its artifacts (gitignored) to the working directory.
+examples:
+	@set -e; for d in examples/*/; do echo "run $$d"; $(GO) run ./$$d > /dev/null; done
 
 # The benchmark harness (bench/) is its own module, so the root ./...
 # patterns skip it; vet and test it against the current tree.

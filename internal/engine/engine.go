@@ -8,9 +8,9 @@
 //   - every job owns a private virtual clock (sim.Engine) and a private
 //     mirror of the platform's devices, so its schedule and energy
 //     accounting are isolated and deterministic;
-//   - a Fleet ledger arbitrates the real device capacity between jobs
-//     (taskrt.Admission), so the union of all placements never
-//     oversubscribes any device;
+//   - one fleet ledger (power.Ledger, behind taskrt.Admission) arbitrates
+//     the real device cores and the watt budget between jobs, so the union
+//     of all placements never oversubscribes a device or breaches the cap;
 //   - jobs are context-aware end to end: submission contexts carry
 //     cancellation and per-job deadlines into the scheduler loop, and
 //     Shutdown drains gracefully.
@@ -303,8 +303,7 @@ func (s Stats) Speedup() float64 {
 // Engine is the long-lived multi-job engine.
 type Engine struct {
 	cfg      Config
-	fleet    *Fleet
-	power    *power.Ledger
+	fleet    *power.Ledger
 	ref      []*hw.Device
 	injector *faults.Injector // nil without a fault plan
 	queue    chan *Job
@@ -344,38 +343,33 @@ func New(cfg Config) (*Engine, error) {
 	if cfg.RetryBackoff <= 0 {
 		cfg.RetryBackoff = time.Millisecond
 	}
-	ledger := power.NewLedger(energy.Watts(cfg.PowerCapW), ref, cfg.Governor)
-	if ledger.Capped() && ledger.Cap() <= ledger.IdleWatts() {
+	fleet := power.NewLedger(energy.Watts(cfg.PowerCapW), ref, cfg.Governor)
+	if fleet.Capped() && fleet.Cap() <= fleet.IdleWatts() {
 		// The idle floor alone exhausts the budget: every placement would
 		// park forever, rescuable only by cancellation.
 		return nil, fmt.Errorf("engine: power cap %v W leaves no headroom over the fleet's %v W idle floor",
-			ledger.Cap(), ledger.IdleWatts())
+			fleet.Cap(), fleet.IdleWatts())
 	}
 	e := &Engine{
 		cfg:   cfg,
-		fleet: NewFleet(ref),
-		power: ledger,
+		fleet: fleet,
 		ref:   ref,
 		queue: make(chan *Job, cfg.QueueDepth),
 		lanes: make([]sim.Time, cfg.Workers),
 	}
-	e.fleet.AttachPower(e.power)
 	if cfg.Faults != nil && cfg.Faults.Enabled() {
 		e.injector = faults.NewInjector(*cfg.Faults, e.fleet, ref, cfg.Registry)
 	}
 	e.wg.Add(cfg.Workers)
 	for w := 0; w < cfg.Workers; w++ {
-		go e.worker(w)
+		go e.worker()
 	}
 	return e, nil
 }
 
-// Fleet exposes the shared admission ledger.
-func (e *Engine) Fleet() *Fleet { return e.fleet }
-
-// Power exposes the shared watt ledger (always non-nil; uncapped when no
-// PowerCapW was configured).
-func (e *Engine) Power() *power.Ledger { return e.power }
+// Fleet exposes the shared fleet ledger: cores, watts and liveness of
+// every device (uncapped when no PowerCapW was configured).
+func (e *Engine) Fleet() *power.Ledger { return e.fleet }
 
 // Workers reports the pool width.
 func (e *Engine) Workers() int { return e.cfg.Workers }
@@ -391,7 +385,6 @@ func (e *Engine) NewJob(name string) (*Job, error) {
 	}
 	rt := taskrt.New(clock, devs, e.cfg.Policy)
 	rt.SetAdmission(e.fleet)
-	rt.SetPowerAdmission(e.power)
 	rt.SetHedging(e.cfg.Hedge)
 	rt.SetDeadlineMode(e.cfg.DeadlineMode)
 
@@ -432,9 +425,9 @@ func (e *Engine) sink(j *Job) func(obs.Event) {
 	}
 }
 
-// fleetDrawW samples the shared watt ledger for the job traces' power
+// fleetDrawW samples the fleet ledger's draw for the job traces' power
 // series.
-func (e *Engine) fleetDrawW() float64 { return float64(e.power.Draw()) }
+func (e *Engine) fleetDrawW() float64 { return float64(e.fleet.Draw()) }
 
 // RegistryFold folds one job's lifecycle events into registry counters:
 // the "job/<name>" scope; the per-device task, energy, busy-time,
@@ -641,9 +634,8 @@ func (e *Engine) Submit(ctx context.Context, j *Job) error {
 	}
 }
 
-func (e *Engine) worker(w int) {
+func (e *Engine) worker() {
 	defer e.wg.Done()
-	_ = w
 	for j := range e.queue {
 		e.runJob(j)
 	}
@@ -703,16 +695,16 @@ func (e *Engine) account(j *Job, res *taskrt.Result, err error) {
 			reg.Set(scope, "energy-total-J", float64(res.EnergyJ))
 		}
 		reg.Set(scope, "fleet-start-s", sim.ToSeconds(start))
-		reg.Set("power", "draw-W", float64(e.power.Draw()))
-		reg.Set("power", "peak-draw-W", float64(e.power.PeakDraw()))
-		reg.Set("power", "idle-W", float64(e.power.IdleWatts()))
-		reg.Set("power", "stalls", float64(e.power.Stalls()))
-		reg.Set("power", "governor-rescales", float64(e.power.Rescales()))
-		if e.power.Capped() {
-			reg.Set("power", "cap-W", float64(e.power.Cap()))
+		reg.Set("power", "draw-W", float64(e.fleet.Draw()))
+		reg.Set("power", "peak-draw-W", float64(e.fleet.PeakDraw()))
+		reg.Set("power", "idle-W", float64(e.fleet.IdleWatts()))
+		reg.Set("power", "stalls", float64(e.fleet.WattStalls()))
+		reg.Set("power", "governor-rescales", float64(e.fleet.Rescales()))
+		if e.fleet.Capped() {
+			reg.Set("power", "cap-W", float64(e.fleet.Cap()))
 		}
 		for _, d := range e.ref {
-			reg.Set("device/"+d.ID, "draw-W", float64(e.power.DrawOf(d.ID)))
+			reg.Set("device/"+d.ID, "draw-W", float64(e.fleet.DrawOf(d.ID)))
 		}
 	}
 	j.finish(res, err)
@@ -728,21 +720,21 @@ func (e *Engine) Stats() Stats {
 			s.SessionMakespan = c
 		}
 	}
-	s.AdmissionStalls = e.fleet.Stalls()
+	s.AdmissionStalls = e.fleet.CoreStalls()
 	if e.injector != nil {
 		s.DevicesLost = e.injector.Crashes()
 	}
-	if e.power.Capped() {
-		s.PowerCapW = float64(e.power.Cap())
+	if e.fleet.Capped() {
+		s.PowerCapW = float64(e.fleet.Cap())
 	}
-	s.PeakDrawW = float64(e.power.PeakDraw())
-	s.PowerStalls = e.power.Stalls()
-	s.GovernorRescales = e.power.Rescales()
+	s.PeakDrawW = float64(e.fleet.PeakDraw())
+	s.PowerStalls = e.fleet.WattStalls()
+	s.GovernorRescales = e.fleet.Rescales()
 	sec := sim.ToSeconds(s.SessionMakespan)
 	// The meter reads idle floor + committed task energy + energy burned by
 	// cancelled hedge losers: speculation is not free, and the E14 gate
 	// bounds exactly this term.
-	s.PlatformEnergyJ = float64(e.power.IdleWatts())*sec + s.EnergyJ + s.HedgeWastedJ
+	s.PlatformEnergyJ = float64(e.fleet.IdleWatts())*sec + s.EnergyJ + s.HedgeWastedJ
 	if sec > 0 {
 		s.AvgPowerW = s.PlatformEnergyJ / sec
 	}

@@ -10,6 +10,7 @@ import (
 
 	"legato/internal/hw"
 	"legato/internal/monitor"
+	"legato/internal/power"
 	"legato/internal/sim"
 	"legato/internal/taskrt"
 )
@@ -57,102 +58,15 @@ func chainJob(t testing.TB, e *Engine, name string, depth, cores int, fn func())
 	return j
 }
 
-func TestFleetLedger(t *testing.T) {
-	se := sim.NewEngine()
-	devs, _ := testPlatform(se)
-	f := NewFleet(devs)
-	if !f.TryAcquire("dev/cpu", 8) {
-		t.Fatal("full acquire refused")
-	}
-	if f.TryAcquire("dev/cpu", 1) {
-		t.Fatal("oversubscription allowed")
-	}
-	if f.Stalls() != 1 {
-		t.Fatalf("stalls = %d, want 1", f.Stalls())
-	}
-	ch := f.Changed()
-	select {
-	case <-ch:
-		t.Fatal("Changed closed before any release")
-	default:
-	}
-	f.Release("dev/cpu", 8)
-	select {
-	case <-ch:
-	default:
-		t.Fatal("release did not signal Changed")
-	}
-	if f.Peak("dev/cpu") != 8 || f.InUse("dev/cpu") != 0 {
-		t.Fatalf("peak=%d inuse=%d", f.Peak("dev/cpu"), f.InUse("dev/cpu"))
-	}
-	if f.TryAcquire("dev/ghost", 1) {
-		t.Fatal("unknown device admitted")
-	}
-}
-
-// TestFleetReacquire: a resuming job's grants are claimed all or none, and
-// a grant on a device that shrank below it comes back as a deficit.
-func TestFleetReacquire(t *testing.T) {
-	se := sim.NewEngine()
-	devs, _ := testPlatform(se)
-	f := NewFleet(devs)
-	if !f.TryAcquire("dev/fpga", 3) {
-		t.Fatal("acquire refused")
-	}
-	if f.Reacquire(map[string]int{"dev/cpu": 8, "dev/fpga": 2}) {
-		t.Fatal("reacquire succeeded past a busy device")
-	}
-	if f.InUse("dev/cpu") != 0 || f.Stalls() != 1 {
-		t.Fatalf("failed reacquire left cpu in use %d, stalls %d", f.InUse("dev/cpu"), f.Stalls())
-	}
-	if !f.Reacquire(map[string]int{"dev/cpu": 8, "dev/fpga": 1}) {
-		t.Fatal("reacquire refused with room on both devices")
-	}
-	if f.InUse("dev/cpu") != 8 || f.InUse("dev/fpga") != 4 || f.Peak("dev/fpga") != 4 {
-		t.Fatalf("in use cpu %d fpga %d, fpga peak %d", f.InUse("dev/cpu"), f.InUse("dev/fpga"), f.Peak("dev/fpga"))
-	}
-	f.Release("dev/cpu", 8)
-	f.SetCapacity("dev/cpu", 2)
-	if !f.Reacquire(map[string]int{"dev/cpu": 5}) {
-		t.Fatal("grant larger than the shrunk device refused")
-	}
-	if f.InUse("dev/cpu") != 5 || f.Peak("dev/cpu") > f.Capacity("dev/cpu") {
-		t.Fatalf("deficit grant: in use %d, peak %d of %d", f.InUse("dev/cpu"), f.Peak("dev/cpu"), f.Capacity("dev/cpu"))
-	}
-	if f.TryAcquire("dev/cpu", 1) {
-		t.Fatal("admitted into a deficit")
-	}
-
-	// A sibling filled the device while the job was parked, then the
-	// device shrank: the job's larger grant waits for the sibling, and then
-	// leaves the deficit the job would have had by keeping its grant.
-	f.Release("dev/cpu", 5)
-	f.SetCapacity("dev/cpu", 8)
-	if !f.TryAcquire("dev/cpu", 8) {
-		t.Fatal("sibling acquire refused")
-	}
-	f.SetCapacity("dev/cpu", 4)
-	if f.Reacquire(map[string]int{"dev/cpu": 6}) {
-		t.Fatalf("over-capacity grant claimed beside a sibling: %d in use of %d", f.InUse("dev/cpu"), f.Capacity("dev/cpu"))
-	}
-	f.Release("dev/cpu", 8)
-	if !f.Reacquire(map[string]int{"dev/cpu": 6}) {
-		t.Fatal("over-capacity grant refused on a device no sibling holds")
-	}
-	if f.InUse("dev/cpu") != 6 || f.Peak("dev/cpu") != f.Capacity("dev/cpu") {
-		t.Fatalf("deficit grant: in use %d, peak %d of %d", f.InUse("dev/cpu"), f.Peak("dev/cpu"), f.Capacity("dev/cpu"))
-	}
-}
-
 // cancelOnResume is the fleet as a job sees it whose ctx fires the moment
 // its suspension ends.
 type cancelOnResume struct {
-	*Fleet
+	*power.Ledger
 	cancel func()
 }
 
 func (c cancelOnResume) Reacquire(grants map[string]int) bool {
-	ok := c.Fleet.Reacquire(grants)
+	ok := c.Ledger.Reacquire(grants)
 	if ok {
 		c.cancel()
 	}
@@ -168,10 +82,10 @@ func TestCancelledSuspendedJobReleasesCores(t *testing.T) {
 		e := newTestEngine(t, 1)
 		f := e.Fleet()
 		// The sibling's grants fill both devices.
-		if !f.TryAcquire("dev/cpu", 8) || !f.TryAcquire("dev/fpga", 4) {
+		if f.Claim("dev/cpu", 8, 0) != power.Granted || f.Claim("dev/fpga", 4, 0) != power.Granted {
 			t.Fatal("sibling acquire refused")
 		}
-		stalls := f.Stalls()
+		stalls := f.CoreStalls()
 		j := chainJob(t, e, "j", 4, 1, nil)
 		if onResume {
 			j.Runtime().SetAdmission(cancelOnResume{f, j.Cancel})
@@ -179,14 +93,14 @@ func TestCancelledSuspendedJobReleasesCores(t *testing.T) {
 		if err := e.Submit(ctx, j); err != nil {
 			t.Fatal(err)
 		}
-		for f.Stalls() == stalls {
+		for f.CoreStalls() == stalls {
 			time.Sleep(10 * time.Microsecond)
 		}
 		if !onResume {
 			j.Cancel()
 		}
-		f.Release("dev/cpu", 8)
-		f.Release("dev/fpga", 4)
+		f.Release("dev/cpu", 8, 0)
+		f.Release("dev/fpga", 4, 0)
 		if _, err := j.Wait(ctx); !errors.Is(err, context.Canceled) {
 			t.Fatalf("cancel on resume %v: err = %v, want context.Canceled", onResume, err)
 		}

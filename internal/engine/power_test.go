@@ -8,10 +8,10 @@ import (
 	"legato/internal/taskrt"
 )
 
-// TestPowerLedgerWiredToFleet checks the core-ledger/watt-ledger coupling:
-// a Fleet.Fail mid-session must release the lost device's draw from the
-// power ledger (idle and granted dynamic watts), and late releases from
-// jobs crossing the crash on private clocks must not double-release.
+// TestPowerLedgerWiredToFleet checks that the engine's fleet ledger is
+// the one its jobs draw watts from: it carries the configured cap and
+// governor, charges the idle floor, and its Fail removes both the lost
+// device's cores and its idle and granted watts.
 func TestPowerLedgerWiredToFleet(t *testing.T) {
 	e, err := New(Config{Workers: 1, Policy: taskrt.MinTime, NewPlatform: testPlatform,
 		PowerCapW: 100, Governor: power.PackAndThrottle})
@@ -20,25 +20,23 @@ func TestPowerLedgerWiredToFleet(t *testing.T) {
 	}
 	defer func() { _ = e.Shutdown(context.Background()) }()
 
-	pw := e.Power()
+	f := e.Fleet()
+	if f.Cap() != 100 || f.Governor() != power.PackAndThrottle {
+		t.Fatalf("fleet cap %v governor %v, want the configured 100 W pack-and-throttle", f.Cap(), f.Governor())
+	}
 	// testPlatform idles at 10 + 5 = 15 W.
-	if got := pw.Draw(); got != 15 {
+	if got := f.Draw(); got != 15 {
 		t.Fatalf("initial draw = %v, want 15 W idle floor", got)
 	}
-	if !pw.TryDraw("dev/cpu", 30) {
-		t.Fatal("draw refused")
+	if f.Claim("dev/cpu", 2, 30) != power.Granted {
+		t.Fatal("claim refused")
 	}
-	e.Fleet().Fail("dev/cpu")
-	if !pw.Lost("dev/cpu") {
-		t.Fatal("fleet failure not forwarded to the power ledger")
+	if !f.Fail("dev/cpu") {
+		t.Fatal("Fail reported the device already gone")
 	}
 	// cpu idle (10) and its granted 30 W both gone: only fpga idle remains.
-	if got := pw.Draw(); got != 5 {
-		t.Fatalf("draw after Fail = %v, want 5", got)
-	}
-	pw.ReleaseDraw("dev/cpu", 30) // late revocation: must be a no-op
-	if got := pw.Draw(); got != 5 {
-		t.Fatalf("draw after late release = %v, want 5 (double release)", got)
+	if got := f.Draw(); got != 5 || f.Capacity("dev/cpu") != 0 {
+		t.Fatalf("after Fail: draw %v, cpu capacity %d; want 5 W and 0", got, f.Capacity("dev/cpu"))
 	}
 }
 
@@ -91,11 +89,11 @@ func TestCapEnforcedUnderDeviceLoss(t *testing.T) {
 	if st.PeakDrawW > capW {
 		t.Fatalf("peak draw %v W exceeded the %v W cap", st.PeakDrawW, capW)
 	}
-	if !e.Power().Lost("dev/fpga") {
+	if !e.Fleet().Lost("dev/fpga") {
 		t.Fatal("mid-session loss never reached the power ledger")
 	}
 	// After the loss the fpga contributes nothing to the draw.
-	if got := e.Power().DrawOf("dev/fpga"); got != 0 {
+	if got := e.Fleet().DrawOf("dev/fpga"); got != 0 {
 		t.Fatalf("lost device draw = %v, want 0", got)
 	}
 	if st.PowerCapW != capW {

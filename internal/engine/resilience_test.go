@@ -16,75 +16,6 @@ import (
 	"legato/internal/taskrt"
 )
 
-// A mid-session capacity shrink may leave more cores granted than the new
-// capacity allows. The ledger carries the deficit: admissions fail until
-// releases pay it down, no Release ever panics, and the oversubscription
-// witness Peak(id) ≤ Capacity(id) holds against the *current* capacity.
-func TestFleetCapacityShrinkDeficit(t *testing.T) {
-	se := sim.NewEngine()
-	devs, _ := testPlatform(se)
-	f := NewFleet(devs)
-
-	if !f.TryAcquire("dev/cpu", 6) {
-		t.Fatal("initial acquire refused")
-	}
-	f.SetCapacity("dev/cpu", 4) // 6 granted on a 4-core budget: deficit of 2
-	if f.Peak("dev/cpu") > f.Capacity("dev/cpu") {
-		t.Fatalf("peak %d exceeds shrunk capacity %d", f.Peak("dev/cpu"), f.Capacity("dev/cpu"))
-	}
-	if f.TryAcquire("dev/cpu", 1) {
-		t.Fatal("admission succeeded while the device is in deficit")
-	}
-	f.Release("dev/cpu", 3) // pays the deficit down to 1 free... of 4
-	if f.TryAcquire("dev/cpu", 2) {
-		t.Fatal("admission exceeded post-shrink capacity")
-	}
-	if !f.TryAcquire("dev/cpu", 1) {
-		t.Fatal("admission refused despite free post-shrink capacity")
-	}
-	f.Release("dev/cpu", 4) // returns the remaining grants: 3 old + 1 new
-	if f.InUse("dev/cpu") != 0 {
-		t.Fatalf("in-use %d after all releases, want 0", f.InUse("dev/cpu"))
-	}
-	if f.Peak("dev/cpu") > f.Capacity("dev/cpu") {
-		t.Fatalf("final peak %d > capacity %d", f.Peak("dev/cpu"), f.Capacity("dev/cpu"))
-	}
-}
-
-// Fail and SetCapacity must wake admission waiters just like Release does —
-// a parked job that missed the wakeup would deadlock the session.
-func TestFleetFailSignalsWaiters(t *testing.T) {
-	se := sim.NewEngine()
-	devs, _ := testPlatform(se)
-	f := NewFleet(devs)
-
-	ch := f.Changed()
-	f.Fail("dev/fpga")
-	select {
-	case <-ch:
-	default:
-		t.Fatal("Fail did not signal Changed")
-	}
-	if !f.Lost("dev/fpga") || f.Capacity("dev/fpga") != 0 {
-		t.Fatalf("lost=%v cap=%d after Fail", f.Lost("dev/fpga"), f.Capacity("dev/fpga"))
-	}
-	ch = f.Changed()
-	f.SetCapacity("dev/cpu", 4)
-	select {
-	case <-ch:
-	default:
-		t.Fatal("SetCapacity did not signal Changed")
-	}
-	// Fail is idempotent: a second call must not re-shrink or signal twice.
-	ch = f.Changed()
-	f.Fail("dev/fpga")
-	select {
-	case <-ch:
-		t.Fatal("repeated Fail signalled again")
-	default:
-	}
-}
-
 // Two FPGA-only jobs contend for the single 4-region FPGA; while one holds
 // it the other parks on admission. Failing the FPGA mid-session must wake
 // the parked job — which then has no compatible device left and fails with

@@ -11,6 +11,7 @@ import (
 	"legato/internal/ft"
 	"legato/internal/fti"
 	"legato/internal/monitor"
+	"legato/internal/power"
 	"legato/internal/sim"
 	"legato/internal/taskrt"
 )
@@ -87,7 +88,7 @@ func multiJobGraphSized(rt *taskrt.Runtime, name string, chains, depth int, byte
 // resilientSession runs one `jobs`-job session on the cloud fleet with the
 // given fault plan (nil = fault-free) and returns the engine stats plus
 // per-device peak/capacity from the ledger.
-func resilientSession(jobs, workers int, plan *faults.Plan, ckptEvery int, reg *monitor.Registry) (engine.Stats, *engine.Fleet, error) {
+func resilientSession(jobs, workers int, plan *faults.Plan, ckptEvery int, reg *monitor.Registry) (engine.Stats, *power.Ledger, error) {
 	e, err := engine.New(engine.Config{
 		Workers:     workers,
 		Policy:      taskrt.MinTime,

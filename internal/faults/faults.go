@@ -10,10 +10,10 @@
 // the E12 gate depend on that reproducibility.
 //
 // Layering: faults knows the hardware model and the monitor registry but
-// not the engine. The engine hands the Injector a FleetControl (its shared
-// admission ledger) and replays the sampled events on each job's private
-// clock; the injector makes the *global* state change exactly once no
-// matter how many jobs cross the event time.
+// not the engine. The engine hands the Injector a FleetControl (its fleet
+// ledger, which also holds device liveness) and replays the sampled events
+// on each job's private clock; the injector makes the *global* state
+// change exactly once no matter how many jobs cross the event time.
 package faults
 
 import (
@@ -163,10 +163,12 @@ func (p Plan) Schedule(devices []*hw.Device) []Event {
 	return events
 }
 
-// FleetControl is the slice of the shared admission ledger the injector
-// needs; engine.Fleet implements it.
+// FleetControl is the slice of the fleet ledger the injector needs;
+// power.Ledger implements it. Fail reports whether the call removed the
+// device, which makes the ledger the arbiter of exactly-once crashes.
 type FleetControl interface {
-	Fail(deviceID string)
+	Fail(deviceID string) bool
+	Lost(deviceID string) bool
 	SetCapacity(deviceID string, cores int)
 	Capacity(deviceID string) int
 }
@@ -182,21 +184,20 @@ type Injector struct {
 	reg    *monitor.Registry
 	events []Event
 
-	mu      sync.Mutex
-	applied map[string]bool // "crash/dev" or "degrade/dev" → already applied
-	lost    map[string]bool
+	mu       sync.Mutex
+	degraded map[string]bool // devices whose degrade was applied
+	crashes  int
 }
 
 // NewInjector samples the plan over the reference devices and returns the
 // injector that will apply it to the given fleet. reg may be nil.
 func NewInjector(plan Plan, fleet FleetControl, devices []*hw.Device, reg *monitor.Registry) *Injector {
 	return &Injector{
-		plan:    plan,
-		fleet:   fleet,
-		reg:     reg,
-		events:  plan.Schedule(devices),
-		applied: make(map[string]bool),
-		lost:    make(map[string]bool),
+		plan:     plan,
+		fleet:    fleet,
+		reg:      reg,
+		events:   plan.Schedule(devices),
+		degraded: make(map[string]bool),
 	}
 }
 
@@ -207,27 +208,19 @@ func (in *Injector) Plan() Plan { return in.plan }
 func (in *Injector) Events() []Event { return in.events }
 
 // Lost reports whether the device has already crashed globally.
-func (in *Injector) Lost(deviceID string) bool {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	return in.lost[deviceID]
-}
+func (in *Injector) Lost(deviceID string) bool { return in.fleet.Lost(deviceID) }
 
 // Crash applies the global crash of a device: the first caller removes it
 // from the fleet and gets true; later callers (other jobs crossing the
 // same virtual instant) get false. Every job must still fail its own
 // mirror regardless of the return value.
 func (in *Injector) Crash(deviceID string) bool {
-	in.mu.Lock()
-	key := "crash/" + deviceID
-	if in.applied[key] {
-		in.mu.Unlock()
+	if !in.fleet.Fail(deviceID) {
 		return false
 	}
-	in.applied[key] = true
-	in.lost[deviceID] = true
+	in.mu.Lock()
+	in.crashes++
 	in.mu.Unlock()
-	in.fleet.Fail(deviceID)
 	if in.reg != nil {
 		in.reg.Add("faults", "device-crashes", 1)
 	}
@@ -238,12 +231,11 @@ func (in *Injector) Crash(deviceID string) bool {
 // gets true.
 func (in *Injector) Degrade(ev Event) bool {
 	in.mu.Lock()
-	key := "degrade/" + ev.Device
-	if in.applied[key] || in.lost[ev.Device] {
+	if in.degraded[ev.Device] || in.fleet.Lost(ev.Device) {
 		in.mu.Unlock()
 		return false
 	}
-	in.applied[key] = true
+	in.degraded[ev.Device] = true
 	in.mu.Unlock()
 	if ev.Capacity < in.fleet.Capacity(ev.Device) {
 		in.fleet.SetCapacity(ev.Device, ev.Capacity)
@@ -258,7 +250,7 @@ func (in *Injector) Degrade(ev Event) bool {
 func (in *Injector) Crashes() int {
 	in.mu.Lock()
 	defer in.mu.Unlock()
-	return len(in.lost)
+	return in.crashes
 }
 
 // Sampler returns a per-job silent-data-corruption oracle: a deterministic

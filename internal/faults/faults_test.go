@@ -1,11 +1,13 @@
 package faults
 
 import (
+	"sync"
 	"testing"
 
 	"legato/internal/ft"
 	"legato/internal/hw"
 	"legato/internal/monitor"
+	"legato/internal/power"
 	"legato/internal/sim"
 )
 
@@ -136,25 +138,11 @@ func TestDegradeCapacity(t *testing.T) {
 	}
 }
 
-// fakeFleet records control calls for injector tests.
-type fakeFleet struct {
-	failed   []string
-	caps     map[string]int
-	setCalls int
-}
-
-func (f *fakeFleet) Fail(id string) { f.failed = append(f.failed, id) }
-func (f *fakeFleet) SetCapacity(id string, cores int) {
-	f.setCalls++
-	f.caps[id] = cores
-}
-func (f *fakeFleet) Capacity(id string) int { return f.caps[id] }
-
 // The injector applies each global fault exactly once no matter how many
 // jobs cross the event time, and records it in the registry.
 func TestInjectorIdempotent(t *testing.T) {
 	devs := refFleet(t)
-	fleet := &fakeFleet{caps: map[string]int{"cpu0": 16, "cpu1": 16}}
+	fleet := power.NewLedger(0, devs, power.RaceToIdle)
 	reg := monitor.NewRegistry()
 	plan := Plan{MTBF: ft.MTBFModel{hw.CPUx86: 100}, Seed: 1}
 	in := NewInjector(plan, fleet, devs, reg)
@@ -164,8 +152,8 @@ func TestInjectorIdempotent(t *testing.T) {
 	if !first || second {
 		t.Fatalf("crash application: first=%v second=%v, want true/false", first, second)
 	}
-	if len(fleet.failed) != 1 || fleet.failed[0] != "cpu0" {
-		t.Fatalf("fleet.Fail calls = %v, want exactly one for cpu0", fleet.failed)
+	if !fleet.Lost("cpu0") || fleet.Capacity("cpu0") != 0 {
+		t.Fatalf("crash left cpu0 lost=%v with capacity %d", fleet.Lost("cpu0"), fleet.Capacity("cpu0"))
 	}
 	if !in.Lost("cpu0") || in.Lost("cpu1") {
 		t.Fatal("lost bookkeeping wrong")
@@ -181,8 +169,8 @@ func TestInjectorIdempotent(t *testing.T) {
 	if !in.Degrade(ev) || in.Degrade(ev) {
 		t.Fatal("degrade not exactly-once")
 	}
-	if fleet.caps["cpu1"] != 8 {
-		t.Fatalf("cpu1 capacity = %d after degrade, want 8", fleet.caps["cpu1"])
+	if fleet.Capacity("cpu1") != 8 {
+		t.Fatalf("cpu1 capacity = %d after degrade, want 8", fleet.Capacity("cpu1"))
 	}
 	// Degrading an already-lost device is a no-op.
 	if in.Degrade(Event{Device: "cpu0", Kind: Degrade, Capacity: 4}) {
@@ -190,11 +178,71 @@ func TestInjectorIdempotent(t *testing.T) {
 	}
 }
 
+// Many jobs cross one crash at once: exactly one Crash call removes the
+// device, the injector counts one crash, the device's idle and granted
+// watts leave the fleet draw once, and late releases of its grants (jobs
+// revoking on their own clocks) change nothing. Run with -race.
+func TestCrashExactlyOnce(t *testing.T) {
+	devs := refFleet(t)
+	fleet := power.NewLedger(0, devs, power.PackAndThrottle)
+	in := NewInjector(Plan{MTBF: ft.MTBFModel{hw.CPUx86: 100}, Seed: 1}, fleet, devs, nil)
+	// Each of the jobs holds one core and 2 W on cpu0; a bystander holds
+	// 20 W on cpu1.
+	const jobs = 8
+	for i := 0; i < jobs; i++ {
+		if fleet.Claim("cpu0", 1, 2) != power.Granted {
+			t.Fatal("claim refused on an uncapped fleet")
+		}
+	}
+	if fleet.Claim("cpu1", 2, 20) != power.Granted {
+		t.Fatal("claim refused on an uncapped fleet")
+	}
+	idle := fleet.IdleWatts()
+	want := fleet.Draw() - devs[0].Spec.IdleWatts - 2*jobs
+
+	var wg sync.WaitGroup
+	wins := make(chan bool, jobs)
+	for i := 0; i < jobs; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			won := in.Crash("cpu0")
+			// Every job revokes its own grant on the lost device.
+			fleet.Release("cpu0", 1, 2)
+			wins <- won
+		}()
+	}
+	wg.Wait()
+	close(wins)
+	won := 0
+	for w := range wins {
+		if w {
+			won++
+		}
+	}
+	if won != 1 || in.Crashes() != 1 {
+		t.Fatalf("%d callers won the crash, injector counts %d; want exactly one", won, in.Crashes())
+	}
+	if got := fleet.Draw(); got != want {
+		t.Fatalf("draw after the crash = %v, want %v (cpu0 idle and grant gone once)", got, want)
+	}
+	if got := fleet.IdleWatts(); got != idle-devs[0].Spec.IdleWatts {
+		t.Fatalf("idle draw = %v, want %v", got, idle-devs[0].Spec.IdleWatts)
+	}
+	if fleet.DrawOf("cpu0") != 0 || fleet.Capacity("cpu0") != 0 {
+		t.Fatalf("lost cpu0 still charged %v W with %d cores", fleet.DrawOf("cpu0"), fleet.Capacity("cpu0"))
+	}
+	fleet.Release("cpu1", 2, 20)
+	if got := fleet.Draw(); got != fleet.IdleWatts() {
+		t.Fatalf("draw = %v after every grant returned, want the %v W idle floor", got, fleet.IdleWatts())
+	}
+}
+
 // Sampler streams are deterministic per (seed, stream) and independent
 // across streams.
 func TestSamplerDeterministic(t *testing.T) {
 	devs := refFleet(t)
-	fleet := &fakeFleet{caps: map[string]int{}}
+	fleet := power.NewLedger(0, devs, power.RaceToIdle)
 	plan := Plan{SDC: ft.SDCModel{hw.FPGA: 0.5}, Seed: 11}
 	mk := func() *Injector { return NewInjector(plan, fleet, devs, nil) }
 

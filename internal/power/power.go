@@ -1,20 +1,20 @@
-// Package power implements the fleet-wide power-management subsystem of
-// the LEGaTO reproduction — the third pillar (low-*energy*) next to the
-// resilience layer (internal/faults) and the concurrent engine
-// (internal/engine). Three pieces:
+// Package power implements the fleet ledger and power management of the
+// LEGaTO reproduction — the low-*energy* pillar next to the resilience
+// layer (internal/faults) and the concurrent engine (internal/engine).
+// Three pieces:
 //
 //   - DVFS ladders (LadderFor): every device's supported operating points
 //     (frequency/voltage → speed factor, dynamic-power factor), plus
 //     task-level undervolt points below the vendor guardband whose silent-
 //     data-corruption probability feeds the internal/faults SDC model —
 //     the Sec. III trade the paper builds FPGA undervolting on.
-//   - a power-cap Ledger: the watt sibling of the engine's core-admission
-//     ledger. The fleet has one watt budget; a placement is feasible only
-//     if its dynamic draw fits under the cap on top of the static (idle)
-//     draw of every healthy device. A TryDraw that would breach the cap
-//     fails, and the job parks on a generation channel exactly like a
-//     core-admission stall. PeakDraw ≤ Cap is the peak-draw witness, the
-//     analogue of the core ledger's Peak(id) ≤ Capacity(id).
+//   - the fleet Ledger: the one object that decides whether a device can
+//     still take a placement. It holds each device's cores, draw and
+//     liveness under one lock. A placement claims its cores and its
+//     dynamic draw in one step; the cores must be free, and the draw must
+//     fit under the fleet's watt cap on top of the static (idle) draw of
+//     every healthy device. A refused job parks on one generation channel.
+//     Peak(id) ≤ Capacity(id) and PeakDraw ≤ Cap are the witnesses.
 //   - a Governor policy: RaceToIdle keeps every device at nominal
 //     frequency and lets jobs park under cap pressure (finish fast, idle
 //     long); PackAndThrottle steps devices down their DVFS ladders when
@@ -23,11 +23,9 @@
 //     draw relaxes or a device loss frees headroom.
 //
 // Layering: power knows the hardware catalogue (hw) and the energy units
-// but not the engine or the task runtime; the engine owns one Ledger per
-// session, taskrt consults it through the taskrt.PowerAdmission interface,
-// and engine.Fleet forwards Fail/SetCapacity events so the watt ledger
-// releases a lost device's draw the moment the core ledger zeroes its
-// capacity.
+// but not the engine or the task runtime. The engine owns one Ledger per
+// session, taskrt claims from it through the taskrt.Admission interface,
+// and the fault injector fails and degrades devices on it.
 package power
 
 import (
@@ -151,54 +149,89 @@ func SDCProbability(level int) float64 {
 	return 2e-4 * math.Pow(4, float64(level-1))
 }
 
-// Ledger is the shared fleet power-cap ledger: one watt budget covering
-// the static (idle) draw of every healthy device plus the dynamic draw of
-// every admitted task, across all concurrently executing jobs. It is the
-// sibling of the engine's core-admission ledger and is safe for concurrent
-// use.
+// Verdict is the outcome of a Claim: granted, or the budget that refused.
+type Verdict int
+
+const (
+	// Granted means both the cores and the watts were claimed.
+	Granted Verdict = iota
+	// NoCores means the device lacks the free cores (sibling grants, a
+	// shrink or a loss) or is unknown; nothing was claimed.
+	NoCores
+	// NoWatts means the cores fit but the draw would breach the cap, or
+	// the device is lost; nothing was claimed.
+	NoWatts
+)
+
+// Ledger is the shared fleet ledger: the one object that decides whether a
+// device can still take a placement. Per device it holds the core capacity
+// and free cores, the static and granted dynamic draw, the DVFS operating
+// point the governor prescribes, and liveness. Across the fleet it holds
+// one watt budget covering the static (idle) draw of every healthy device
+// plus the dynamic draw of every admitted task.
+//
+// Jobs running concurrently on private virtual clocks claim cores and
+// watts from it in one step (Claim), so the union of their placements
+// never oversubscribes a device or breaches the cap. A refused job parks
+// on one generation channel (Changed), closed by every release, fleet
+// event and governor reshape. Peak(id) ≤ Capacity(id) and PeakDraw ≤ Cap
+// are the two witnesses. Safe for concurrent use.
 type Ledger struct {
 	mu   sync.Mutex
 	capW energy.Watts
 	gov  Kind
 
-	ids     []string // device IDs in fleet order: the governor's tie-break
-	ladders map[string]Ladder
-	point   map[string]int // governor-prescribed state index per device
-	idleW   map[string]energy.Watts
-	drawW   map[string]energy.Watts // granted dynamic draw per device
-	lost    map[string]bool
+	fleet []*account          // fleet order: Devices and the governor's tie-break
+	byID  map[string]*account // the same accounts, keyed by device ID
 
-	idleTotal energy.Watts
-	dynDraw   energy.Watts
-	peakW     energy.Watts
-	stalls    uint64
-	rescales  uint64
-	gen       chan struct{} // closed and replaced on every release/reshape
+	idleTotal  energy.Watts // static draw of the surviving fleet
+	dynDraw    energy.Watts // granted dynamic draw, fleet-wide
+	peakW      energy.Watts
+	coreStalls uint64 // claims and reacquires refused for cores
+	wattStalls uint64 // claims refused for watts
+	rescales   uint64
+	gen        chan struct{} // closed and replaced on every release, fleet event or reshape
+}
+
+// account is one device's entry in the ledger.
+type account struct {
+	id    string
+	cores int  // current capacity (zero once lost)
+	free  int  // free cores; negative after a shrink under grants (a deficit)
+	peak  int  // high-water mark of in-use cores, clamped to capacity
+	lost  bool // failed mid-session
+
+	idleW energy.Watts // static draw
+	drawW energy.Watts // granted dynamic draw
+	drawn bool         // a claim was ever granted here: the governor throttles only such devices
+
+	ladder Ladder
+	point  int // governor-prescribed state index
 }
 
 // NewLedger builds a ledger over the reference devices with the given cap
-// (watts; zero or negative means uncapped) and governor. The static draw
-// of every device is charged from the start — idle silicon is not free,
-// which is the accounting gap this subsystem closes.
+// (watts; zero or negative means uncapped) and governor. Each device starts
+// with its full core count free, and its static draw is charged from the
+// start: idle silicon is not free, which is the accounting gap the watt
+// budget closes.
 func NewLedger(capW energy.Watts, devices []*hw.Device, gov Kind) *Ledger {
 	l := &Ledger{
-		capW:    capW,
-		gov:     gov,
-		ladders: make(map[string]Ladder, len(devices)),
-		point:   make(map[string]int, len(devices)),
-		idleW:   make(map[string]energy.Watts, len(devices)),
-		drawW:   make(map[string]energy.Watts, len(devices)),
-		lost:    make(map[string]bool),
-		gen:     make(chan struct{}),
+		capW:  capW,
+		gov:   gov,
+		byID:  make(map[string]*account, len(devices)),
+		fleet: make([]*account, 0, len(devices)),
+		gen:   make(chan struct{}),
 	}
 	if capW <= 0 {
 		l.capW = math.Inf(1)
 	}
 	for _, d := range devices {
-		l.ids = append(l.ids, d.ID)
-		l.ladders[d.ID] = LadderFor(d.ID, d.Spec)
-		l.point[d.ID] = 0
-		l.idleW[d.ID] = d.Spec.IdleWatts
+		a := &account{
+			id: d.ID, cores: d.Spec.Cores, free: d.Spec.Cores,
+			idleW: d.Spec.IdleWatts, ladder: LadderFor(d.ID, d.Spec),
+		}
+		l.fleet = append(l.fleet, a)
+		l.byID[d.ID] = a
 		l.idleTotal += d.Spec.IdleWatts
 	}
 	l.peakW = l.idleTotal
@@ -213,6 +246,221 @@ func FleetPeakWatts(devices []*hw.Device) energy.Watts {
 		total += d.Spec.PeakWatts
 	}
 	return total
+}
+
+// Claim grants cores and watts of dynamic draw on a device in one step, or
+// neither. Cores are judged first: a device without the free cores, or an
+// unknown one, refuses and counts a core stall. Then the watts: any draw on
+// a lost device, or a draw that would push the fleet over the cap, is
+// refused and counts a watt stall. An over-cap refusal under
+// PackAndThrottle steps the device down its DVFS ladder (at the ladder
+// floor, the hungriest throttleable sibling), so the parked job re-scores
+// at a cheaper point, and wakes parked jobs. A claim of zero cores claims
+// watts alone. Only a grant raises the core and draw peaks.
+func (l *Ledger) Claim(deviceID string, cores int, watts energy.Watts) Verdict {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	a := l.byID[deviceID]
+	if a == nil || a.free < cores {
+		l.coreStalls++
+		return NoCores
+	}
+	if a.lost {
+		l.wattStalls++
+		return NoWatts
+	}
+	if l.idleTotal+l.dynDraw+watts > l.capW {
+		l.wattStalls++
+		if l.gov == PackAndThrottle {
+			l.throttleLocked(a)
+		}
+		// Wake parked jobs even without a reshape: a sibling release may
+		// have raced with this refusal.
+		l.wakeLocked()
+		return NoWatts
+	}
+	a.free -= cores
+	a.peak = max(a.peak, a.cores-a.free)
+	a.drawW += watts
+	a.drawn = true
+	l.dynDraw += watts
+	l.peakW = max(l.peakW, l.idleTotal+l.dynDraw)
+	return Granted
+}
+
+// Release returns a grant's cores and watts and wakes every parked job.
+// Watts returned on a lost device are dropped: Fail already released its
+// draw, and late revocations from jobs crossing the crash on their private
+// clocks must not release it twice. Under PackAndThrottle a watt release
+// that relaxes the draw steps the most-throttled device back toward
+// nominal. Returning more cores than the device has granted panics.
+func (l *Ledger) Release(deviceID string, cores int, watts energy.Watts) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	a := l.byID[deviceID]
+	if a == nil || a.free+cores > a.cores {
+		panic(fmt.Sprintf("power: over-release of %d cores on %s", cores, deviceID))
+	}
+	a.free += cores
+	if watts > 0 {
+		if !a.lost {
+			w := min(watts, a.drawW)
+			a.drawW -= w
+			l.dynDraw -= w
+		}
+		if l.gov == PackAndThrottle {
+			l.unthrottleLocked()
+		}
+	}
+	l.wakeLocked()
+}
+
+// Reacquire claims every core grant in one step, or none of them: a job
+// resuming from suspension takes back the grants it returned while parked
+// plus its stalled placement. A grant larger than its device's current
+// capacity (the device shrank or failed while the job was parked) waits
+// until no sibling holds that device, then is claimed as a deficit: the
+// same one SetCapacity would have left had the job kept its grants, and
+// clamped into the peak the same way.
+func (l *Ledger) Reacquire(grants map[string]int) bool {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	for id, n := range grants {
+		if a := l.byID[id]; a == nil || a.free < min(n, a.cores) {
+			l.coreStalls++
+			return false
+		}
+	}
+	for id, n := range grants {
+		a := l.byID[id]
+		a.free -= n
+		a.peak = max(a.peak, min(a.cores-a.free, a.cores))
+	}
+	return true
+}
+
+// Changed returns a channel closed on the next release, fleet event or
+// governor reshape after this call. A job grabs it before claiming, so a
+// release racing with a refusal can never be missed.
+func (l *Ledger) Changed() <-chan struct{} {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.gen
+}
+
+// SetCapacity rescales a healthy device's capacity mid-session (a degrade
+// event, e.g. thermal throttling or partial failure). Grants already out
+// may exceed the new capacity; the free count then goes negative (a
+// deficit) and later releases pay it down before new claims succeed. The
+// core peak is clamped to the new capacity, so Peak(id) ≤ Capacity(id)
+// reads against the current capacity. Parked jobs are woken to re-evaluate
+// placement. Unknown and lost devices are ignored.
+func (l *Ledger) SetCapacity(deviceID string, cores int) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	a := l.byID[deviceID]
+	if a == nil || a.lost {
+		return
+	}
+	l.setCapacityLocked(a, max(cores, 0))
+	l.wakeLocked()
+}
+
+func (l *Ledger) setCapacityLocked(a *account, cores int) {
+	a.free -= a.cores - cores
+	a.cores = cores
+	a.peak = min(a.peak, cores)
+}
+
+// Fail removes a device from the fleet in one step: its capacity drops to
+// zero (outstanding grants become a deficit that revocations pay back),
+// its static draw stops being charged and every dynamic grant on it is
+// released. Parked jobs are woken so the loss is never missed, and under
+// PackAndThrottle the freed headroom may step throttled survivors back up.
+// Fail reports whether this call removed the device: false for an unknown
+// or already lost one.
+func (l *Ledger) Fail(deviceID string) bool {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	a := l.byID[deviceID]
+	if a == nil || a.lost {
+		return false
+	}
+	a.lost = true
+	l.setCapacityLocked(a, 0)
+	l.idleTotal -= a.idleW
+	l.dynDraw -= a.drawW
+	a.drawW = 0
+	if l.gov == PackAndThrottle {
+		l.unthrottleLocked()
+	}
+	l.wakeLocked()
+	return true
+}
+
+// Lost reports whether the device was failed mid-session.
+func (l *Ledger) Lost(deviceID string) bool {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	a := l.byID[deviceID]
+	return a != nil && a.lost
+}
+
+// Devices returns the IDs of every device the ledger tracks, lost ones
+// included, in fleet (construction) order.
+func (l *Ledger) Devices() []string {
+	ids := make([]string, len(l.fleet))
+	for i, a := range l.fleet {
+		ids[i] = a.id
+	}
+	return ids
+}
+
+// Capacity returns a device's current total cores (zero if unknown or
+// lost).
+func (l *Ledger) Capacity(deviceID string) int {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if a := l.byID[deviceID]; a != nil {
+		return a.cores
+	}
+	return 0
+}
+
+// InUse returns a device's currently granted cores.
+func (l *Ledger) InUse(deviceID string) int {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if a := l.byID[deviceID]; a != nil {
+		return a.cores - a.free
+	}
+	return 0
+}
+
+// Peak returns the high-water mark of granted cores on a device — the
+// oversubscription witness: it never exceeds Capacity.
+func (l *Ledger) Peak(deviceID string) int {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if a := l.byID[deviceID]; a != nil {
+		return a.peak
+	}
+	return 0
+}
+
+// CoreStalls counts claims and reacquires refused for cores (the
+// contention signal).
+func (l *Ledger) CoreStalls() uint64 {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.coreStalls
+}
+
+// WattStalls counts claims refused for watts (the cap-pressure signal).
+func (l *Ledger) WattStalls() uint64 {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.wattStalls
 }
 
 // Cap returns the watt budget (+Inf when uncapped).
@@ -248,29 +496,22 @@ func (l *Ledger) IdleWatts() energy.Watts {
 }
 
 // DrawOf returns a device's current draw (static + granted dynamic); zero
-// for a lost device.
+// for a lost or unknown device.
 func (l *Ledger) DrawOf(deviceID string) energy.Watts {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.lost[deviceID] {
-		return 0
+	if a := l.byID[deviceID]; a != nil && !a.lost {
+		return a.idleW + a.drawW
 	}
-	return l.idleW[deviceID] + l.drawW[deviceID]
+	return 0
 }
 
 // PeakDraw returns the high-water mark of the fleet draw — the peak-draw
-// witness: it can never exceed Cap.
+// witness: it never exceeds Cap.
 func (l *Ledger) PeakDraw() energy.Watts {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.peakW
-}
-
-// Stalls counts refused draws (cap-pressure signal).
-func (l *Ledger) Stalls() uint64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.stalls
 }
 
 // Rescales counts governor operating-point changes.
@@ -285,106 +526,20 @@ func (l *Ledger) Rescales() uint64 {
 func (l *Ledger) OperatingPoint(deviceID string) int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.point[deviceID]
+	if a := l.byID[deviceID]; a != nil {
+		return a.point
+	}
+	return 0
 }
 
 // Ladder returns a device's resolved DVFS ladder.
 func (l *Ledger) Ladder(deviceID string) Ladder {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.ladders[deviceID]
-}
-
-// TryDraw claims watts of dynamic draw for a task on a device; it fails
-// (without blocking) when the grant would push the fleet draw over the
-// cap or the device is lost. On a refusal the PackAndThrottle governor
-// steps the device down its DVFS ladder (or, at the ladder floor, the
-// hungriest throttleable sibling), so the parked job re-scores the
-// placement at a cheaper operating point when it wakes.
-func (l *Ledger) TryDraw(deviceID string, w energy.Watts) bool {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.lost[deviceID] {
-		l.stalls++
-		return false
+	if a := l.byID[deviceID]; a != nil {
+		return a.ladder
 	}
-	if l.idleTotal+l.dynDraw+w > l.capW {
-		l.stalls++
-		if l.gov == PackAndThrottle {
-			l.throttleLocked(deviceID)
-		}
-		// Wake parked jobs even without a reshape: a sibling release may
-		// have raced with this refusal.
-		l.wakeLocked()
-		return false
-	}
-	l.drawW[deviceID] += w
-	l.dynDraw += w
-	if d := l.idleTotal + l.dynDraw; d > l.peakW {
-		l.peakW = d
-	}
-	return true
-}
-
-// ReleaseDraw returns granted watts and wakes every parked job. Releasing
-// on a lost device is a no-op: DeviceLost already zeroed its draw, and
-// late revocations from jobs crossing the crash on their private clocks
-// must not double-release. Under PackAndThrottle a relaxed draw steps the
-// most-throttled device back toward nominal.
-func (l *Ledger) ReleaseDraw(deviceID string, w energy.Watts) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if !l.lost[deviceID] {
-		if w > l.drawW[deviceID] {
-			w = l.drawW[deviceID]
-		}
-		l.drawW[deviceID] -= w
-		l.dynDraw -= w
-	}
-	if l.gov == PackAndThrottle {
-		l.unthrottleLocked()
-	}
-	l.wakeLocked()
-}
-
-// Changed returns a channel closed on the next release, reshape or fleet
-// event after this call — the park/wake protocol of admission stalls.
-func (l *Ledger) Changed() <-chan struct{} {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.gen
-}
-
-// DeviceLost removes a device from the power ledger: its static draw
-// stops being charged and every outstanding dynamic grant on it is
-// released at once (the core ledger's revocations will call ReleaseDraw
-// later from each job's clock; those become no-ops). Parked jobs are
-// woken — a loss frees watt headroom. Under PackAndThrottle the freed
-// headroom may step throttled survivors back up.
-func (l *Ledger) DeviceLost(deviceID string) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.lost[deviceID] {
-		return
-	}
-	if _, ok := l.idleW[deviceID]; !ok {
-		return
-	}
-	l.lost[deviceID] = true
-	l.idleTotal -= l.idleW[deviceID]
-	l.dynDraw -= l.drawW[deviceID]
-	l.drawW[deviceID] = 0
-	if l.gov == PackAndThrottle {
-		l.unthrottleLocked()
-	}
-	l.wakeLocked()
-}
-
-// Lost reports whether the device was removed from the power ledger.
-func (l *Ledger) Lost(deviceID string) bool {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.lost[deviceID]
+	return Ladder{}
 }
 
 // wakeLocked closes and replaces the generation channel.
@@ -396,35 +551,31 @@ func (l *Ledger) wakeLocked() {
 // throttleLocked steps a device one rung down its DVFS ladder; if the
 // device is already at the floor, the healthy device with the largest
 // dynamic draw that still has a lower rung is stepped instead.
-func (l *Ledger) throttleLocked(deviceID string) {
-	if l.stepDownLocked(deviceID) {
+func (l *Ledger) throttleLocked(a *account) {
+	if l.stepDownLocked(a) {
 		return
 	}
-	best, bestDraw := "", energy.Watts(-1)
-	for _, id := range l.ids {
-		w, drawn := l.drawW[id]
-		if !drawn || id == deviceID || l.lost[id] {
+	var best *account
+	bestDraw := energy.Watts(-1)
+	for _, s := range l.fleet {
+		if !s.drawn || s == a || s.lost {
 			continue
 		}
-		if l.point[id] < len(l.ladders[id].Points)-1 && w > bestDraw {
-			best, bestDraw = id, w
+		if s.point < len(s.ladder.Points)-1 && s.drawW > bestDraw {
+			best, bestDraw = s, s.drawW
 		}
 	}
-	if best != "" {
+	if best != nil {
 		l.stepDownLocked(best)
 	}
 }
 
 // stepDownLocked lowers one device's operating point if a rung exists.
-func (l *Ledger) stepDownLocked(deviceID string) bool {
-	if l.lost[deviceID] {
+func (l *Ledger) stepDownLocked(a *account) bool {
+	if a.lost || a.point >= len(a.ladder.Points)-1 {
 		return false
 	}
-	ladder, ok := l.ladders[deviceID]
-	if !ok || l.point[deviceID] >= len(ladder.Points)-1 {
-		return false
-	}
-	l.point[deviceID]++
+	a.point++
 	l.rescales++
 	return true
 }
@@ -436,14 +587,14 @@ func (l *Ledger) unthrottleLocked() {
 	if l.idleTotal+l.dynDraw > 0.7*l.capW {
 		return
 	}
-	best, depth := "", 0
-	for _, id := range l.ids {
-		if p := l.point[id]; !l.lost[id] && p > depth {
-			best, depth = id, p
+	var best *account
+	for _, a := range l.fleet {
+		if !a.lost && a.point > 0 && (best == nil || a.point > best.point) {
+			best = a
 		}
 	}
-	if best != "" {
-		l.point[best]--
+	if best != nil {
+		best.point--
 		l.rescales++
 	}
 }

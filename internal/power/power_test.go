@@ -86,17 +86,17 @@ func TestLedgerCapWitness(t *testing.T) {
 	if got := l.Draw(); got != 15 {
 		t.Fatalf("initial draw = %v, want the 15 W idle floor", got)
 	}
-	if !l.TryDraw("cpu0", 20) {
+	if l.Claim("cpu0", 0, 20) != Granted {
 		t.Fatal("draw within cap refused")
 	}
 	// 15 + 20 + 10 > 40: must refuse and count a stall.
-	if l.TryDraw("fpga0", 10) {
+	if l.Claim("fpga0", 0, 10) == Granted {
 		t.Fatal("draw over cap granted")
 	}
-	if l.Stalls() != 1 {
-		t.Fatalf("stalls = %d, want 1", l.Stalls())
+	if l.WattStalls() != 1 {
+		t.Fatalf("stalls = %d, want 1", l.WattStalls())
 	}
-	if l.TryDraw("fpga0", 5) != true {
+	if l.Claim("fpga0", 0, 5) != Granted {
 		t.Fatal("draw exactly at cap refused")
 	}
 	if got := l.PeakDraw(); got != 40 {
@@ -105,8 +105,8 @@ func TestLedgerCapWitness(t *testing.T) {
 	if l.PeakDraw() > l.Cap() {
 		t.Fatal("peak-draw witness violated")
 	}
-	l.ReleaseDraw("cpu0", 20)
-	l.ReleaseDraw("fpga0", 5)
+	l.Release("cpu0", 0, 20)
+	l.Release("fpga0", 0, 5)
 	if got := l.Draw(); got != 15 {
 		t.Fatalf("draw after release = %v, want 15", got)
 	}
@@ -122,7 +122,7 @@ func TestLedgerUncapped(t *testing.T) {
 	if l.Capped() {
 		t.Fatal("zero cap must mean uncapped")
 	}
-	if !l.TryDraw("cpu0", 1e9) {
+	if l.Claim("cpu0", 0, 1e9) != Granted {
 		t.Fatal("uncapped ledger refused a draw")
 	}
 }
@@ -130,7 +130,7 @@ func TestLedgerUncapped(t *testing.T) {
 func TestLedgerWakeOnRelease(t *testing.T) {
 	devs := testDevices(t)
 	l := NewLedger(40, devs, RaceToIdle)
-	if !l.TryDraw("cpu0", 25) {
+	if l.Claim("cpu0", 0, 25) != Granted {
 		t.Fatal("draw refused")
 	}
 	ch := l.Changed()
@@ -139,7 +139,7 @@ func TestLedgerWakeOnRelease(t *testing.T) {
 		t.Fatal("generation channel closed early")
 	default:
 	}
-	l.ReleaseDraw("cpu0", 25)
+	l.Release("cpu0", 0, 25)
 	select {
 	case <-ch:
 	default:
@@ -150,11 +150,11 @@ func TestLedgerWakeOnRelease(t *testing.T) {
 func TestLedgerDeviceLost(t *testing.T) {
 	devs := testDevices(t)
 	l := NewLedger(40, devs, RaceToIdle)
-	if !l.TryDraw("cpu0", 20) {
+	if l.Claim("cpu0", 0, 20) != Granted {
 		t.Fatal("draw refused")
 	}
 	ch := l.Changed()
-	l.DeviceLost("cpu0")
+	l.Fail("cpu0")
 	select {
 	case <-ch:
 	default:
@@ -169,15 +169,17 @@ func TestLedgerDeviceLost(t *testing.T) {
 	}
 	// Late revocations (jobs crossing the crash on private clocks) must not
 	// double-release.
-	l.ReleaseDraw("cpu0", 20)
+	l.Release("cpu0", 0, 20)
 	if got := l.Draw(); got != 5 {
 		t.Fatalf("draw after late release = %v, want 5 (no double release)", got)
 	}
-	if l.TryDraw("cpu0", 1) {
+	if l.Claim("cpu0", 0, 1) == Granted {
 		t.Fatal("draw granted on a lost device")
 	}
 	// A second loss of the same device is a no-op.
-	l.DeviceLost("cpu0")
+	if l.Fail("cpu0") {
+		t.Fatal("second Fail reported a removal")
+	}
 	if got := l.Draw(); got != 5 {
 		t.Fatalf("draw after repeated loss = %v, want 5", got)
 	}
@@ -186,11 +188,11 @@ func TestLedgerDeviceLost(t *testing.T) {
 func TestPackAndThrottleGovernor(t *testing.T) {
 	devs := testDevices(t)
 	l := NewLedger(40, devs, PackAndThrottle)
-	if !l.TryDraw("cpu0", 24) {
+	if l.Claim("cpu0", 0, 24) != Granted {
 		t.Fatal("draw refused")
 	}
 	// Refusal steps the target device down its ladder.
-	if l.TryDraw("cpu0", 10) {
+	if l.Claim("cpu0", 0, 10) == Granted {
 		t.Fatal("draw over cap granted")
 	}
 	if l.OperatingPoint("cpu0") != 1 {
@@ -202,16 +204,225 @@ func TestPackAndThrottleGovernor(t *testing.T) {
 	// The fpga has no lower rung, so a refusal on it throttles the
 	// hungriest throttleable sibling — but cpu0 is already at its floor,
 	// so the ladder stays put.
-	if l.TryDraw("fpga0", 10) {
+	if l.Claim("fpga0", 0, 10) == Granted {
 		t.Fatal("draw over cap granted")
 	}
 	if l.OperatingPoint("fpga0") != 0 {
 		t.Fatal("stateless device was stepped below its only point")
 	}
 	// Releasing far below the 70% hysteresis threshold steps cpu0 back up.
-	l.ReleaseDraw("cpu0", 24)
+	l.Release("cpu0", 0, 24)
 	if l.OperatingPoint("cpu0") != 0 {
 		t.Fatalf("cpu0 operating point = %d after relaxation, want 0 (nominal)", l.OperatingPoint("cpu0"))
+	}
+}
+
+// TestFleetLedger: cores are claimed without oversubscription, a refusal
+// counts a core stall, and a release wakes parked jobs.
+func TestFleetLedger(t *testing.T) {
+	f := NewLedger(0, testDevices(t), RaceToIdle)
+	if f.Claim("cpu0", 8, 0) != Granted {
+		t.Fatal("full acquire refused")
+	}
+	if f.Claim("cpu0", 1, 0) == Granted {
+		t.Fatal("oversubscription allowed")
+	}
+	if f.CoreStalls() != 1 {
+		t.Fatalf("stalls = %d, want 1", f.CoreStalls())
+	}
+	ch := f.Changed()
+	select {
+	case <-ch:
+		t.Fatal("Changed closed before any release")
+	default:
+	}
+	f.Release("cpu0", 8, 0)
+	select {
+	case <-ch:
+	default:
+		t.Fatal("release did not signal Changed")
+	}
+	if f.Peak("cpu0") != 8 || f.InUse("cpu0") != 0 {
+		t.Fatalf("peak=%d inuse=%d", f.Peak("cpu0"), f.InUse("cpu0"))
+	}
+	if f.Claim("ghost", 1, 0) == Granted {
+		t.Fatal("unknown device admitted")
+	}
+}
+
+// TestFleetReacquire: a resuming job's grants are claimed all or none, and
+// a grant on a device that shrank below it comes back as a deficit.
+func TestFleetReacquire(t *testing.T) {
+	f := NewLedger(0, testDevices(t), RaceToIdle)
+	if f.Claim("fpga0", 3, 0) != Granted {
+		t.Fatal("acquire refused")
+	}
+	if f.Reacquire(map[string]int{"cpu0": 8, "fpga0": 2}) {
+		t.Fatal("reacquire succeeded past a busy device")
+	}
+	if f.InUse("cpu0") != 0 || f.CoreStalls() != 1 {
+		t.Fatalf("failed reacquire left cpu in use %d, stalls %d", f.InUse("cpu0"), f.CoreStalls())
+	}
+	if !f.Reacquire(map[string]int{"cpu0": 8, "fpga0": 1}) {
+		t.Fatal("reacquire refused with room on both devices")
+	}
+	if f.InUse("cpu0") != 8 || f.InUse("fpga0") != 4 || f.Peak("fpga0") != 4 {
+		t.Fatalf("in use cpu %d fpga %d, fpga peak %d", f.InUse("cpu0"), f.InUse("fpga0"), f.Peak("fpga0"))
+	}
+	f.Release("cpu0", 8, 0)
+	f.SetCapacity("cpu0", 2)
+	if !f.Reacquire(map[string]int{"cpu0": 5}) {
+		t.Fatal("grant larger than the shrunk device refused")
+	}
+	if f.InUse("cpu0") != 5 || f.Peak("cpu0") > f.Capacity("cpu0") {
+		t.Fatalf("deficit grant: in use %d, peak %d of %d", f.InUse("cpu0"), f.Peak("cpu0"), f.Capacity("cpu0"))
+	}
+	if f.Claim("cpu0", 1, 0) == Granted {
+		t.Fatal("admitted into a deficit")
+	}
+
+	// A sibling filled the device while the job was parked, then the
+	// device shrank: the job's larger grant waits for the sibling, and then
+	// leaves the deficit the job would have had by keeping its grant.
+	f.Release("cpu0", 5, 0)
+	f.SetCapacity("cpu0", 8)
+	if f.Claim("cpu0", 8, 0) != Granted {
+		t.Fatal("sibling acquire refused")
+	}
+	f.SetCapacity("cpu0", 4)
+	if f.Reacquire(map[string]int{"cpu0": 6}) {
+		t.Fatalf("over-capacity grant claimed beside a sibling: %d in use of %d", f.InUse("cpu0"), f.Capacity("cpu0"))
+	}
+	f.Release("cpu0", 8, 0)
+	if !f.Reacquire(map[string]int{"cpu0": 6}) {
+		t.Fatal("over-capacity grant refused on a device no sibling holds")
+	}
+	if f.InUse("cpu0") != 6 || f.Peak("cpu0") != f.Capacity("cpu0") {
+		t.Fatalf("deficit grant: in use %d, peak %d of %d", f.InUse("cpu0"), f.Peak("cpu0"), f.Capacity("cpu0"))
+	}
+}
+
+// A mid-session capacity shrink may leave more cores granted than the new
+// capacity allows. The ledger carries the deficit: admissions fail until
+// releases pay it down, no Release ever panics, and the oversubscription
+// witness Peak(id) ≤ Capacity(id) holds against the *current* capacity.
+func TestFleetCapacityShrinkDeficit(t *testing.T) {
+	f := NewLedger(0, testDevices(t), RaceToIdle)
+
+	if f.Claim("cpu0", 6, 0) != Granted {
+		t.Fatal("initial acquire refused")
+	}
+	f.SetCapacity("cpu0", 4) // 6 granted on a 4-core budget: deficit of 2
+	if f.Peak("cpu0") > f.Capacity("cpu0") {
+		t.Fatalf("peak %d exceeds shrunk capacity %d", f.Peak("cpu0"), f.Capacity("cpu0"))
+	}
+	if f.Claim("cpu0", 1, 0) == Granted {
+		t.Fatal("admission succeeded while the device is in deficit")
+	}
+	f.Release("cpu0", 3, 0) // pays the deficit down to 1 free... of 4
+	if f.Claim("cpu0", 2, 0) == Granted {
+		t.Fatal("admission exceeded post-shrink capacity")
+	}
+	if f.Claim("cpu0", 1, 0) != Granted {
+		t.Fatal("admission refused despite free post-shrink capacity")
+	}
+	f.Release("cpu0", 4, 0) // returns the remaining grants: 3 old + 1 new
+	if f.InUse("cpu0") != 0 {
+		t.Fatalf("in-use %d after all releases, want 0", f.InUse("cpu0"))
+	}
+	if f.Peak("cpu0") > f.Capacity("cpu0") {
+		t.Fatalf("final peak %d > capacity %d", f.Peak("cpu0"), f.Capacity("cpu0"))
+	}
+}
+
+// Fail and SetCapacity must wake admission waiters just like Release does —
+// a parked job that missed the wakeup would deadlock the session.
+func TestFleetFailSignalsWaiters(t *testing.T) {
+	f := NewLedger(0, testDevices(t), RaceToIdle)
+
+	ch := f.Changed()
+	if !f.Fail("fpga0") {
+		t.Fatal("first Fail reported the device already gone")
+	}
+	select {
+	case <-ch:
+	default:
+		t.Fatal("Fail did not signal Changed")
+	}
+	if !f.Lost("fpga0") || f.Capacity("fpga0") != 0 {
+		t.Fatalf("lost=%v cap=%d after Fail", f.Lost("fpga0"), f.Capacity("fpga0"))
+	}
+	ch = f.Changed()
+	f.SetCapacity("cpu0", 4)
+	select {
+	case <-ch:
+	default:
+		t.Fatal("SetCapacity did not signal Changed")
+	}
+	// Fail is idempotent: a second call must not re-shrink or signal twice.
+	ch = f.Changed()
+	if f.Fail("fpga0") || f.Fail("ghost") {
+		t.Fatal("Fail of a lost or unknown device reported a removal")
+	}
+	select {
+	case <-ch:
+		t.Fatal("repeated Fail signalled again")
+	default:
+	}
+	// A degrade landing after the loss cannot give the device cores back.
+	f.SetCapacity("fpga0", 2)
+	if f.Capacity("fpga0") != 0 {
+		t.Fatalf("lost device resized to %d cores", f.Capacity("fpga0"))
+	}
+}
+
+// A claim judges cores first, then watts, and a refusal on either budget
+// leaves the other untouched. A watt refusal takes no cores: InUse and the
+// core Peak stay put, and one watt stall is counted. A core refusal never
+// reaches the watt budget: no watt stall, no draw, no governor step.
+func TestClaimRefusalTouchesOneBudget(t *testing.T) {
+	l := NewLedger(40, testDevices(t), PackAndThrottle) // idle 15 W
+	if l.Claim("cpu0", 2, 10) != Granted {
+		t.Fatal("claim within both budgets refused")
+	}
+	inUse, peak, draw := l.InUse("cpu0"), l.Peak("cpu0"), l.Draw()
+
+	if v := l.Claim("cpu0", 4, 20); v != NoWatts { // 15 + 10 + 20 > 40
+		t.Fatalf("over-cap claim = %v, want NoWatts", v)
+	}
+	if l.InUse("cpu0") != inUse || l.Peak("cpu0") != peak {
+		t.Fatalf("watt refusal moved cores: in use %d → %d, peak %d → %d",
+			inUse, l.InUse("cpu0"), peak, l.Peak("cpu0"))
+	}
+	if l.WattStalls() != 1 || l.CoreStalls() != 0 {
+		t.Fatalf("watt refusal counted %d watt and %d core stalls, want 1 and 0", l.WattStalls(), l.CoreStalls())
+	}
+	if l.Draw() != draw {
+		t.Fatalf("watt refusal changed the draw: %v → %v", draw, l.Draw())
+	}
+
+	points := map[string]int{}
+	for _, id := range l.Devices() {
+		points[id] = l.OperatingPoint(id)
+	}
+	rescales := l.Rescales()
+	if v := l.Claim("cpu0", 7, 1); v != NoCores { // 2 of 8 cores in use
+		t.Fatalf("oversubscribing claim = %v, want NoCores", v)
+	}
+	if l.WattStalls() != 1 || l.CoreStalls() != 1 {
+		t.Fatalf("core refusal counted %d watt and %d core stalls, want 1 and 1", l.WattStalls(), l.CoreStalls())
+	}
+	if l.Draw() != draw || l.Rescales() != rescales {
+		t.Fatalf("core refusal reached the watt budget: draw %v → %v, rescales %d → %d",
+			draw, l.Draw(), rescales, l.Rescales())
+	}
+	for id, p := range points {
+		if l.OperatingPoint(id) != p {
+			t.Fatalf("core refusal stepped %s from point %d to %d", id, p, l.OperatingPoint(id))
+		}
+	}
+	if l.InUse("cpu0") != inUse || l.Peak("cpu0") != peak {
+		t.Fatalf("core refusal moved cores: in use %d, peak %d", l.InUse("cpu0"), l.Peak("cpu0"))
 	}
 }
 

@@ -8,10 +8,10 @@ import (
 	"path/filepath"
 	"runtime"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
+	"legato/internal/energy"
 	"legato/internal/hw"
 	"legato/internal/obs"
 	"legato/internal/power"
@@ -63,87 +63,20 @@ func wideDAG(rt *Runtime, rng *rand.Rand, layers, width int) error {
 	return nil
 }
 
-// fleetLedger is a single-tenant Admission: capacity and free cores per
-// device, with SetCapacity standing in for the fleet side of a degrade or
-// crash (free may go negative: a deficit repaid by releases).
-type fleetLedger struct {
-	mu        sync.Mutex
-	cap, free map[string]int
-	changed   chan struct{}
-}
-
-func newFleetLedger(devs []*hw.Device) *fleetLedger {
-	l := &fleetLedger{cap: map[string]int{}, free: map[string]int{}, changed: make(chan struct{})}
-	for _, d := range devs {
-		l.cap[d.ID], l.free[d.ID] = d.Spec.Cores, d.Spec.Cores
-	}
-	return l
-}
-
-func (l *fleetLedger) TryAcquire(id string, cores int) bool {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.free[id] < cores {
-		return false
-	}
-	l.free[id] -= cores
-	return true
-}
-
-func (l *fleetLedger) Release(id string, cores int) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.free[id] += cores
-	close(l.changed)
-	l.changed = make(chan struct{})
-}
-
-func (l *fleetLedger) Changed() <-chan struct{} {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.changed
-}
-
-func (l *fleetLedger) Capacity(id string) int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.cap[id]
-}
-
-func (l *fleetLedger) Reacquire(grants map[string]int) bool {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	for id, n := range grants {
-		if l.free[id] < n {
-			return false
-		}
-	}
-	for id, n := range grants {
-		l.free[id] -= n
-	}
-	return true
-}
-
-func (l *fleetLedger) SetCapacity(id string, cores int) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.free[id] -= l.cap[id] - cores
-	l.cap[id] = cores
-}
-
 // dispatchCase builds one seeded 10×200 wide DAG on wideDevices behind a
-// fleetLedger; arm adds the case's ledgers and faults before the run.
-func dispatchCase(t *testing.T, arm func(*Runtime, []*hw.Device, *fleetLedger)) (*Result, map[obs.Kind]int) {
+// fleet ledger, uncapped unless capW is positive; arm adds the case's
+// faults before the run.
+func dispatchCase(t *testing.T, capW energy.Watts, arm func(*Runtime, *power.Ledger)) (*Result, map[obs.Kind]int) {
 	t.Helper()
 	eng := sim.NewEngine()
 	devs := wideDevices(eng)
 	rt := New(eng, devs, MinEDP)
-	led := newFleetLedger(devs)
+	led := power.NewLedger(capW, devs, power.PackAndThrottle)
 	rt.SetAdmission(led)
 	kinds := map[obs.Kind]int{}
 	rt.SetSink(func(e obs.Event) { kinds[e.Kind]++ })
 	if arm != nil {
-		arm(rt, devs, led)
+		arm(rt, led)
 	}
 	if err := wideDAG(rt, rand.New(rand.NewSource(1)), 10, 200); err != nil {
 		t.Fatal(err)
@@ -182,15 +115,14 @@ func formatPlacements(res *Result, kinds map[obs.Kind]int) string {
 func TestDispatchPlacementGolden(t *testing.T) {
 	cases := []struct {
 		name  string
-		arm   func(*Runtime, []*hw.Device, *fleetLedger)
+		capW  energy.Watts
+		arm   func(*Runtime, *power.Ledger)
 		check func(*testing.T, map[obs.Kind]int)
 	}{
 		{name: "wide"},
 		{
 			name: "power",
-			arm: func(rt *Runtime, devs []*hw.Device, _ *fleetLedger) {
-				rt.SetPowerAdmission(power.NewLedger(0.6*power.FleetPeakWatts(devs), devs, power.PackAndThrottle))
-			},
+			capW: 0.6 * power.FleetPeakWatts(wideDevices(sim.NewEngine())),
 			check: func(t *testing.T, kinds map[obs.Kind]int) {
 				if kinds[obs.PowerRefused] == 0 || kinds[obs.GovernorThrottled] == 0 {
 					t.Fatalf("refused=%d throttled=%d, want the refuse-throttle-retry path exercised",
@@ -200,11 +132,11 @@ func TestDispatchPlacementGolden(t *testing.T) {
 		},
 		{
 			name: "fail",
-			arm: func(rt *Runtime, _ []*hw.Device, led *fleetLedger) {
+			arm: func(rt *Runtime, led *power.Ledger) {
 				rt.SetRetryPolicy(3, time.Millisecond)
 				rt.ScheduleFault(20*time.Second, func() { led.SetCapacity("arm0", 4) })
 				rt.ScheduleFault(35*time.Second, func() {
-					led.SetCapacity("cpu0", 0)
+					led.Fail("cpu0")
 					rt.FailDevice("cpu0")
 				})
 			},
@@ -218,7 +150,7 @@ func TestDispatchPlacementGolden(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			res, kinds := dispatchCase(t, c.arm)
+			res, kinds := dispatchCase(t, c.capW, c.arm)
 			if c.check != nil {
 				c.check(t, kinds)
 			}
@@ -262,7 +194,7 @@ func BenchmarkDispatch(b *testing.B) {
 				eng := sim.NewEngine()
 				devs := wideDevices(eng)
 				rt := New(eng, devs, MinEDP)
-				rt.SetAdmission(newFleetLedger(devs))
+				rt.SetAdmission(power.NewLedger(0, devs, power.RaceToIdle))
 				if err := wideDAG(rt, rand.New(rand.NewSource(1)), 10, n/10); err != nil {
 					b.Fatal(err)
 				}
@@ -330,7 +262,7 @@ func TestDeviceLossRequeuesOnce(t *testing.T) {
 	eng := sim.NewEngine()
 	devs := wideDevices(eng)
 	rt := New(eng, devs, MinEDP)
-	led := newFleetLedger(devs)
+	led := power.NewLedger(0, devs, power.RaceToIdle)
 	rt.SetAdmission(led)
 	// A backoff near a layer's span lets a revoked task's invalidated
 	// predecessor re-run and re-release it while its backoff is pending.
@@ -349,7 +281,7 @@ func TestDeviceLossRequeuesOnce(t *testing.T) {
 	})
 	var revoked, restored int
 	rt.ScheduleFault(3500*time.Millisecond, func() {
-		led.SetCapacity("cpu0", 0)
+		led.Fail("cpu0")
 		revoked, restored = rt.FailDevice("cpu0")
 		checkQueue(t, rt)
 	})

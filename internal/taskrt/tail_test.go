@@ -157,7 +157,7 @@ func TestHedgeDeniedByPowerCap(t *testing.T) {
 	// Idle floor 31 W; the primary's 1-core draw on fast is ~4.06 W. A
 	// 36 W cap admits the primary (35.06 W) but not the backup replica's
 	// extra 2.25 W.
-	rt.SetPowerAdmission(power.NewLedger(36, devs, power.RaceToIdle))
+	rt.SetAdmission(power.NewLedger(36, devs, power.RaceToIdle))
 	rt.SetHedging(HedgePolicy{Multiplier: 1.5})
 	rt.ScheduleFault(time.Millisecond, func() { rt.DegradeDevice("fast", 4) })
 	if err := rt.Submit(Task{Name: "work", Gops: 100, Cores: 1}); err != nil {

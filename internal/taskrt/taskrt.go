@@ -89,29 +89,38 @@ const (
 	DeadlineShed
 )
 
-// Admission arbitrates real device capacity between runtimes that execute
-// concurrently on independent virtual clocks (the multi-job engine). Each
-// runtime schedules against its own platform mirror, but before a task may
-// occupy cores it must win the corresponding capacity from the shared
-// ledger, keyed by device ID — so the union of all placements never
-// oversubscribes the physical fleet.
+// Admission is the shared fleet ledger that arbitrates real device cores
+// and the fleet watt budget between runtimes executing concurrently on
+// independent virtual clocks (the multi-job engine). Each runtime schedules
+// against its own platform mirror, but before a task may start it must
+// claim its cores and its dynamic draw from the ledger, keyed by device ID,
+// so the union of all placements never oversubscribes a device or breaches
+// the cap. power.Ledger implements it; implementations must be safe for
+// concurrent use.
 //
-// Implementations must be safe for concurrent use. Changed returns a
-// channel that is closed on the next Release after the call; a runtime
-// grabs it before dispatching so a release racing with a failed
-// TryAcquire can never be missed. Capacity reports a device's current
-// total capacity — zero for a lost device — letting runtimes distinguish
-// transient contention (park and wait) from permanent loss (re-place or
-// fail with ErrDeviceLost). Reacquire claims a set of grants in one step,
-// or none of them, for a runtime resuming from suspension; a grant larger
-// than its device's current capacity (the device shrank while the runtime
-// was parked) is claimed as a deficit once no sibling holds that device.
+// Claim judges cores first, then watts, and names the budget that refused;
+// a claim of zero cores claims watts alone. Changed returns a channel
+// closed on the next release, fleet event or governor reshape after the
+// call; a runtime grabs it before dispatching so a release racing with a
+// refusal can never be missed. Capacity reports a device's current total
+// cores (zero for a lost device), letting runtimes tell transient
+// contention (park and wait) from permanent loss (re-place or fail with
+// ErrDeviceLost). Reacquire claims a set of core grants in one step, or
+// none, for a runtime resuming from suspension; a grant larger than its
+// device's current capacity (the device shrank while the runtime was
+// parked) is claimed as a deficit once no sibling holds that device.
+// OperatingPoint is the governor's current DVFS prescription for a device,
+// applied to the platform mirror before scoring. Capped reports whether
+// the watt budget is finite: only then can a draw be refused, so only
+// then are watt decisions reported as events.
 type Admission interface {
-	TryAcquire(deviceID string, cores int) bool
-	Release(deviceID string, cores int)
+	Claim(deviceID string, cores int, watts energy.Watts) power.Verdict
+	Release(deviceID string, cores int, watts energy.Watts)
+	Reacquire(grants map[string]int) bool
 	Changed() <-chan struct{}
 	Capacity(deviceID string) int
-	Reacquire(grants map[string]int) bool
+	OperatingPoint(deviceID string) int
+	Capped() bool
 }
 
 // grant is a claim on cores of one fleet device.
@@ -120,20 +129,10 @@ type grant struct {
 	cores int
 }
 
-// PowerAdmission arbitrates the fleet watt budget between runtimes, the
-// power sibling of Admission: before a task may start, its dynamic draw
-// must fit under the shared power cap on top of the fleet's static draw.
-// A refused TryDraw parks the job on Changed exactly like a core-admission
-// stall. OperatingPoint exposes the governor's current DVFS prescription
-// for a device; the runtime applies it to its platform mirror before
-// scoring, so throttling reshapes both execution time and draw.
-// power.Ledger implements this; implementations must be safe for
-// concurrent use.
-type PowerAdmission interface {
-	TryDraw(deviceID string, watts energy.Watts) bool
-	ReleaseDraw(deviceID string, watts energy.Watts)
-	Changed() <-chan struct{}
-	OperatingPoint(deviceID string) int
+// hold is what a runtime holds of one device's ledger account.
+type hold struct {
+	cores int
+	watts energy.Watts
 }
 
 // Data is a named data region tasks depend on.
@@ -309,14 +308,13 @@ type Runtime struct {
 	freeAny  int             // most free cores on any healthy device
 	aside    []*node         // dispatch call: popped, not placed, retried after each placement
 
-	adm     Admission               // nil: sole owner of its devices
-	pow     PowerAdmission          // nil: no fleet watt budget
-	sink    func(obs.Event)         // lifecycle observer (nil: none)
-	held    map[string]int          // admission grants currently held, by device ID
-	heldW   map[string]energy.Watts // watt grants currently held, by device ID
-	blocked bool                    // a ready task lost admission this dispatch round
-	stalled grant                   // placement stalled only by sibling jobs' grants
-	reserve grant                   // fleet grant won by suspend for the stalled placement
+	adm     Admission       // nil: sole owner of its devices, no watt budget
+	capped  bool            // adm has a finite watt budget
+	sink    func(obs.Event) // lifecycle observer (nil: none)
+	held    map[string]hold // ledger grants currently held, by device ID
+	blocked bool            // a ready task lost admission this dispatch round
+	stalled grant           // placement stalled only by sibling jobs' grants
+	reserve grant           // fleet grant won by suspend for the stalled placement
 
 	// Resilience state.
 	running      map[*node]struct{}
@@ -347,8 +345,7 @@ func New(eng *sim.Engine, devices []*hw.Device, policy Policy) *Runtime {
 	r := &Runtime{
 		eng: eng, devices: devices, policy: policy,
 		capacity:     make([]int, len(devices)),
-		held:         make(map[string]int),
-		heldW:        make(map[string]energy.Watts),
+		held:         make(map[string]hold),
 		running:      make(map[*node]struct{}),
 		retryBackoff: time.Millisecond,
 	}
@@ -358,15 +355,14 @@ func New(eng *sim.Engine, devices []*hw.Device, policy Policy) *Runtime {
 	return r
 }
 
-// SetAdmission installs a shared capacity ledger. Must be called before the
+// SetAdmission installs the shared fleet ledger. Must be called before the
 // first Submit. With no admission the runtime assumes exclusive ownership
-// of its devices, which is the historical single-tenant behaviour.
-func (r *Runtime) SetAdmission(a Admission) { r.adm = a }
-
-// SetPowerAdmission installs the shared fleet watt ledger. Must be called
-// before the first Submit. With no power admission placements are gated by
-// core capacity alone — the historical behaviour.
-func (r *Runtime) SetPowerAdmission(p PowerAdmission) { r.pow = p }
+// of its devices and places under no watt budget, which is the historical
+// single-tenant behaviour.
+func (r *Runtime) SetAdmission(a Admission) {
+	r.adm = a
+	r.capped = a != nil && a.Capped()
+}
 
 // SetRetryPolicy sets the default failure attempt budget (extra executions
 // after a crash or detected corruption; Task.Retry overrides per task) and
@@ -682,11 +678,11 @@ func (r *Runtime) score(t *Task, dev *hw.Device) (float64, bool) {
 // the span and energy they were scheduled with; only new placements are
 // reshaped — the DVFS transition model.
 func (r *Runtime) applyOperatingPoints() {
-	if r.pow == nil {
+	if r.adm == nil {
 		return
 	}
 	for _, dev := range r.devices {
-		if p := r.pow.OperatingPoint(dev.ID); p != dev.StateIndex() {
+		if p := r.adm.OperatingPoint(dev.ID); p != dev.StateIndex() {
 			from := dev.StateIndex()
 			if err := dev.SetState(p); err != nil {
 				// A mirror with fewer states than the reference ladder is a
@@ -709,8 +705,8 @@ func taskDrawW(t *Task, dev *hw.Device) energy.Watts {
 }
 
 // place tries to start n on its best-scoring device now. Capacity comes
-// from the call's readCapacity snapshot; TryAcquire stays the authority, so
-// a capacity change racing with the snapshot is caught at admission.
+// from the call's readCapacity snapshot; Claim stays the authority, so a
+// capacity change racing with the snapshot is caught at admission.
 func (r *Runtime) place(n *node) outcome {
 	t := &n.task
 	best := -1
@@ -730,30 +726,26 @@ func (r *Runtime) place(n *node) outcome {
 		return skipped // no device free for this task right now
 	}
 	dev := r.devices[best]
-	if r.adm != nil && !r.admit(dev.ID, t.Cores) {
-		if r.held[dev.ID]+t.Cores <= r.capacity[best] {
-			// Only sibling jobs' grants stand in the way. End the round
-			// here so RunContext suspends the job at this instant instead
-			// of stepping on (see suspend).
-			r.stalled = grant{dev.ID, t.Cores}
-			return stalled
-		}
-		// The device shrank under this job's own grants: leave the task
-		// queued until they come back.
-		r.blocked = true
-		return skipped
-	}
 	watts := energy.Watts(0)
-	if r.pow != nil {
+	if r.adm != nil {
 		watts = taskDrawW(t, dev)
-		if !r.pow.TryDraw(dev.ID, watts) {
-			// The placement fits the core budget but not the watt budget:
-			// give the cores back and park. A PackAndThrottle governor may
-			// have stepped the device down, so the next attempt re-scores
-			// at the cheaper point.
-			if r.adm != nil {
-				r.adm.Release(dev.ID, t.Cores)
+		switch r.claim(dev.ID, t.Cores, watts) {
+		case power.NoCores:
+			if r.held[dev.ID].cores+t.Cores <= r.capacity[best] {
+				// Only sibling jobs' grants stand in the way. End the
+				// round here so RunContext suspends the job at this
+				// instant instead of stepping on (see suspend).
+				r.stalled = grant{dev.ID, t.Cores}
+				return stalled
 			}
+			// The device shrank under this job's own grants: leave the
+			// task queued until they come back.
+			r.blocked = true
+			return skipped
+		case power.NoWatts:
+			// The placement fits the core budget but not the watt budget:
+			// park. A PackAndThrottle governor may have stepped the device
+			// down, so the next attempt re-scores at the cheaper point.
 			r.emitPower(obs.PowerRefused, n, dev, watts)
 			r.blocked = true
 			r.applyOperatingPoints()
@@ -767,20 +759,25 @@ func (r *Runtime) place(n *node) outcome {
 	return placed
 }
 
-// admit wins fleet capacity for cores on dev, spending the grant suspend
-// reserved for this placement first.
-func (r *Runtime) admit(dev string, cores int) bool {
-	if r.reserve == (grant{dev, cores}) {
-		r.reserve = grant{}
-		return true
+// claim wins fleet cores and watts for a placement on dev. The cores
+// suspend reserved for this placement are spent first, and returned if the
+// watts are refused.
+func (r *Runtime) claim(dev string, cores int, watts energy.Watts) power.Verdict {
+	if r.reserve != (grant{dev, cores}) {
+		return r.adm.Claim(dev, cores, watts)
 	}
-	return r.adm.TryAcquire(dev, cores)
+	r.reserve = grant{}
+	v := r.adm.Claim(dev, 0, watts)
+	if v != power.Granted {
+		r.adm.Release(dev, cores, 0)
+	}
+	return v
 }
 
 // dropReserve returns a fleet grant suspend reserved but no placement spent.
 func (r *Runtime) dropReserve() {
 	if r.reserve.dev != "" {
-		r.adm.Release(r.reserve.dev, r.reserve.cores)
+		r.adm.Release(r.reserve.dev, r.reserve.cores, 0)
 		r.reserve = grant{}
 	}
 }
@@ -790,18 +787,19 @@ func (r *Runtime) dropReserve() {
 // start the task later on the job's clock than an uncontended run does,
 // by an amount set by goroutine interleaving; resuming at the same instant
 // keeps every job's schedule the one it has alone. While parked the job
-// holds no core grant (its running tasks pause with its clock), so parked
-// jobs never wait on one another, and it resumes once those grants plus
-// the stalled placement fit the fleet in one step.
+// holds no core grant (its running tasks pause with its clock; their watts
+// stay claimed), so parked jobs never wait on one another, and it resumes
+// once those grants plus the stalled placement fit the fleet in one step.
 func (r *Runtime) suspend(ctx context.Context) error {
 	want := make(map[string]int, len(r.held)+1)
-	for id, n := range r.held {
-		if n > 0 {
-			want[id] = n
-			r.adm.Release(id, n)
+	for id, h := range r.held {
+		if h.cores > 0 {
+			want[id] = h.cores
+			r.adm.Release(id, h.cores, 0)
+			h.cores = 0
+			r.held[id] = h
 		}
 	}
-	clear(r.held)
 	st := r.stalled
 	for {
 		changed := r.adm.Changed()
@@ -830,28 +828,35 @@ func (r *Runtime) suspend(ctx context.Context) error {
 		}
 	}
 	for id, n := range want {
-		r.held[id] += n
+		h := r.held[id]
+		h.cores += n
+		r.held[id] = h
 	}
 	r.reserve = st
 	return nil
 }
 
-// emitPower reports a watt-ledger admission outcome for running n on dev.
+// emitPower reports a watt-budget admission outcome for running n on dev.
+// Only a finite cap can refuse a draw, so an uncapped ledger's grants go
+// unreported; TaskStarted carries the draw either way.
 func (r *Runtime) emitPower(k obs.Kind, n *node, dev *hw.Device, watts energy.Watts) {
+	if !r.capped {
+		return
+	}
 	r.emit(obs.Event{At: r.eng.Now(), Kind: k, Task: n.task.Name, Device: dev.ID, Value: float64(watts)})
 }
 
 // launch builds one execution of n on dev: the device meter is charged,
 // the completion event is scheduled (stretched by any silent slowdown),
-// and the held-grant maps advance. The caller has already won global
+// and the held grants advance. The caller has already won global
 // admission for the cores and watts.
 func (r *Runtime) launch(n *node, dev *hw.Device, watts energy.Watts, hedge bool) *exec {
 	t := &n.task
 	if r.adm != nil {
-		r.held[dev.ID] += t.Cores
-	}
-	if r.pow != nil {
-		r.heldW[dev.ID] += watts
+		h := r.held[dev.ID]
+		h.cores += t.Cores
+		h.watts += watts
+		r.held[dev.ID] = h
 	}
 	now := r.eng.Now()
 	factor := r.deviceSlowdown(dev.ID)
@@ -875,8 +880,8 @@ func (r *Runtime) launch(n *node, dev *hw.Device, watts energy.Watts, hedge bool
 }
 
 // start runs n on dev as the primary execution. The caller has already won
-// global admission for the task's cores (and watts of draw) when shared
-// ledgers are installed.
+// global admission for the task's cores and watts of draw when a shared
+// ledger is installed.
 func (r *Runtime) start(n *node, dev *hw.Device, watts energy.Watts) {
 	t := &n.task
 	if err := dev.Acquire(t.Cores); err != nil {
@@ -902,12 +907,11 @@ func (r *Runtime) start(n *node, dev *hw.Device, watts energy.Watts) {
 func (r *Runtime) releaseExec(ex *exec) {
 	ex.dev.Release(ex.cores)
 	if r.adm != nil {
-		r.held[ex.dev.ID] -= ex.cores
-		r.adm.Release(ex.dev.ID, ex.cores)
-	}
-	if r.pow != nil {
-		r.heldW[ex.dev.ID] -= ex.watts
-		r.pow.ReleaseDraw(ex.dev.ID, ex.watts)
+		h := r.held[ex.dev.ID]
+		h.cores -= ex.cores
+		h.watts -= ex.watts
+		r.held[ex.dev.ID] = h
+		r.adm.Release(ex.dev.ID, ex.cores, ex.watts)
 	}
 }
 
@@ -978,19 +982,16 @@ func (r *Runtime) straggler(n *node, ex *exec) {
 		return
 	}
 	dev := r.devices[best]
-	if r.adm != nil && !r.adm.TryAcquire(dev.ID, n.task.Cores) {
-		rearm(dev.ID, "cores")
-		return
-	}
 	watts := energy.Watts(0)
-	if r.pow != nil {
+	if r.adm != nil {
 		watts = taskDrawW(&n.task, dev)
-		if !r.pow.TryDraw(dev.ID, watts) {
+		switch r.adm.Claim(dev.ID, n.task.Cores, watts) {
+		case power.NoCores:
+			rearm(dev.ID, "cores")
+			return
+		case power.NoWatts:
 			// Hedges pay their way under the power cap: a replica that does
 			// not fit the watt budget is denied, never force-admitted.
-			if r.adm != nil {
-				r.adm.Release(dev.ID, n.task.Cores)
-			}
 			r.emitPower(obs.PowerRefused, n, dev, watts)
 			rearm(dev.ID, "watts")
 			return
@@ -999,10 +1000,7 @@ func (r *Runtime) straggler(n *node, ex *exec) {
 	}
 	if err := dev.Acquire(n.task.Cores); err != nil {
 		if r.adm != nil {
-			r.adm.Release(dev.ID, n.task.Cores)
-		}
-		if r.pow != nil {
-			r.pow.ReleaseDraw(dev.ID, watts)
+			r.adm.Release(dev.ID, n.task.Cores, watts)
 		}
 		rearm(dev.ID, "device")
 		return
@@ -1385,16 +1383,12 @@ func (r *Runtime) RunContext(ctx context.Context) (*Result, error) {
 		if r.failErr != nil {
 			return abort(r.failErr)
 		}
-		// Grab the change channels before dispatching: a release that races
-		// with a failed TryAcquire/TryDraw below closes these very channels,
-		// so the park cannot miss the wakeup. A nil channel blocks forever
-		// in the select, which is exactly right for an absent ledger.
-		var changed, powChanged <-chan struct{}
+		// Grab the change channel before dispatching: a release that races
+		// with a refused Claim below closes this very channel, so the park
+		// cannot miss the wakeup.
+		var changed <-chan struct{}
 		if r.adm != nil {
 			changed = r.adm.Changed()
-		}
-		if r.pow != nil {
-			powChanged = r.pow.Changed()
 		}
 		r.blocked = false
 		r.stalled = grant{}
@@ -1417,10 +1411,9 @@ func (r *Runtime) RunContext(ctx context.Context) (*Result, error) {
 		if r.inDAG == 0 {
 			break
 		}
-		if r.blocked && (r.adm != nil || r.pow != nil) {
+		if r.blocked && r.adm != nil {
 			select {
 			case <-changed:
-			case <-powChanged:
 			case <-ctx.Done():
 				return abort(ctx.Err())
 			}
@@ -1472,20 +1465,10 @@ func (r *Runtime) stuckErr(n *node) error {
 // strand fleet capacity or watt budget.
 func (r *Runtime) releaseHeld() {
 	r.dropReserve()
-	if r.adm != nil {
-		for id, n := range r.held {
-			if n > 0 {
-				r.adm.Release(id, n)
-			}
-			delete(r.held, id)
+	for id, h := range r.held {
+		if h.cores > 0 || h.watts > 0 {
+			r.adm.Release(id, h.cores, h.watts)
 		}
-	}
-	if r.pow != nil {
-		for id, w := range r.heldW {
-			if w > 0 {
-				r.pow.ReleaseDraw(id, w)
-			}
-			delete(r.heldW, id)
-		}
+		delete(r.held, id)
 	}
 }

@@ -574,14 +574,11 @@ func (s *System) Stats() SessionStats {
 	}
 }
 
-// Fleet exposes the shared admission ledger (capacity, in-use, peak and
-// loss state per device).
-func (s *System) Fleet() *engine.Fleet { return s.eng.Fleet() }
-
-// Power exposes the shared watt ledger (cap, draw, peak-draw witness,
-// governor operating points). Always non-nil; uncapped without
+// Fleet exposes the shared fleet ledger: per device the capacity, in-use
+// and peak cores, draw, governor operating point and loss state; across
+// the fleet the watt cap and the peak-draw witness. Uncapped without
 // WithPowerCap.
-func (s *System) Power() *power.Ledger { return s.eng.Power() }
+func (s *System) Fleet() *power.Ledger { return s.eng.Fleet() }
 
 // Events returns the session's bounded event feed (buffer
 // obs.DefaultBuffer): every runtime event published after the first call
@@ -874,7 +871,7 @@ func (j *Job) submitLocked(t Task) error {
 			j.secureIO += ioBytes
 			j.mu.Unlock()
 			j.enclave.RunSecure(func() {
-				if blob, err := j.enclave.Seal(make([]byte, min64(ioBytes, 1<<16))); err == nil {
+				if blob, err := j.enclave.Seal(make([]byte, min(ioBytes, 1<<16))); err == nil {
 					_, _ = j.enclave.Unseal(blob)
 				}
 				if inner != nil {
@@ -1168,18 +1165,4 @@ type Report struct {
 	AvgPowerW float64
 	// Energy is the per-device breakdown.
 	Energy *energy.Report
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
 }

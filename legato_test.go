@@ -160,3 +160,21 @@ func TestPolicyChangesPlacement(t *testing.T) {
 		t.Fatalf("energy policy (%v J) not below time policy (%v J)", eco, fast)
 	}
 }
+
+// The fleet ledger lists devices in fleet order, the order of
+// System.Devices, on every call.
+func TestFleetDevicesInFleetOrder(t *testing.T) {
+	sys, _ := newJob(t)
+	var want []string
+	for _, d := range sys.Devices() {
+		want = append(want, d.ID)
+	}
+	if len(want) < 3 {
+		t.Fatalf("fleet of %d devices cannot show an order", len(want))
+	}
+	for i := 0; i < 20; i++ {
+		if got := sys.Fleet().Devices(); strings.Join(got, ",") != strings.Join(want, ",") {
+			t.Fatalf("call %d: fleet devices %v, want %v", i, got, want)
+		}
+	}
+}
