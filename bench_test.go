@@ -57,11 +57,11 @@ func BenchmarkFig6LargeProblem(b *testing.B) {
 	}
 }
 
-// BenchmarkFig7HEATSTradeoff regenerates the HEATS α sweep (Fig. 7
+// BenchmarkFig7HEATSTradeoff regenerates the HEATS policy sweep (Fig. 7
 // behaviour, [10]).
 func BenchmarkFig7HEATSTradeoff(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.HEATS([]float64{0, 0.25, 0.5, 0.75, 1}, 6)
+		res, err := experiments.HEATS(6)
 		if err != nil {
 			b.Fatal(err)
 		}

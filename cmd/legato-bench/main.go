@@ -132,12 +132,12 @@ func main() {
 
 	section("E5 (Fig. 7): HEATS energy/performance trade-off")
 	rec.start()
-	heats, err := experiments.HEATS([]float64{0, 0.25, 0.5, 0.75, 1}, 6)
+	heats, err := experiments.HEATS(6)
 	if err != nil {
 		log.Fatal(err)
 	}
 	lastHEATS := heats.Rows[len(heats.Rows)-1]
-	rec.add("heats", len(heats.Rows), lastHEATS.TotalEnergyJ, 0)
+	rec.add("heats", len(heats.Rows), lastHEATS.PlatformEnergyJ, 0)
 	fmt.Print(heats.Table())
 
 	section("E6 (Sec. VI): Smart Mirror")

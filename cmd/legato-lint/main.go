@@ -1,5 +1,5 @@
 // legato-lint is a zero-dependency linter for the resilience-critical
-// packages, with two passes:
+// packages, with three passes:
 //
 //   - errcheck-style: flags bare expression-statement calls whose callee
 //     is defined in the scanned package and returns an error as its last
@@ -23,9 +23,11 @@
 //
 // With no arguments it scans the runtime paths (internal/faults,
 // internal/engine, internal/taskrt, internal/power, internal/obs,
-// internal/trace, internal/monitor, internal/sim). Test files are
-// skipped; an ignored error in a test is an assertion choice, not a
-// recovery bug, and tests may legitimately time out on the wall clock.
+// internal/trace, internal/monitor, internal/sim) and internal/experiments,
+// where every experiment's engine session is built and shut down. Test
+// files are skipped; an ignored error in a test is an assertion choice,
+// not a recovery bug, and tests may legitimately time out on the wall
+// clock.
 package main
 
 import (
@@ -41,6 +43,7 @@ import (
 var defaultDirs = []string{
 	"internal/faults", "internal/engine", "internal/taskrt", "internal/power",
 	"internal/obs", "internal/trace", "internal/monitor", "internal/sim",
+	"internal/experiments",
 }
 
 // finding is one lint violation.

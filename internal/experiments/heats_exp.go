@@ -1,79 +1,119 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
+	"slices"
 	"strings"
 
-	"legato/internal/cluster"
-	"legato/internal/heats"
+	"legato/internal/engine"
 	"legato/internal/hw"
-	"legato/internal/monitor"
 	"legato/internal/sim"
+	"legato/internal/taskrt"
 )
 
-// HEATSRow is one α point of the trade-off sweep (Fig. 7 behaviour / [10]).
+// heatsPolicies orders the E5 sweep from performance-first to energy-first.
+var heatsPolicies = []taskrt.Policy{taskrt.MinTime, taskrt.MinEDP, taskrt.MinEnergy}
+
+// HEATSRow is one placement policy of the trade-off sweep (Fig. 7
+// behaviour / [10]).
 type HEATSRow struct {
-	Alpha        float64
-	MakespanSec  float64
-	TaskEnergyJ  float64
-	TotalEnergyJ float64
-	Migrations   int
+	Policy      taskrt.Policy
+	MakespanSec float64
+	// TaskEnergyJ sums the dynamic energy of the batch's tasks.
+	TaskEnergyJ float64
+	// PlatformEnergyJ adds the fleet's idle draw over the makespan.
+	PlatformEnergyJ float64
+	// Placements counts tasks per device, in fleet order (heatsFleetIDs).
+	Placements []int
 }
 
-// HEATSResult is the α sweep.
+// HEATSResult is the policy sweep.
 type HEATSResult struct {
 	Rows []HEATSRow
 }
 
+// heatsFleetIDs names the mixed x86+ARM fleet E5 schedules onto.
+var heatsFleetIDs = []string{"x86-0", "x86-1", "arm-0", "arm-1"}
+
+// heatsFleet builds 2 Xeon-D + 2 ARMv8 server nodes on the given clock.
+func heatsFleet(se *sim.Engine) ([]*hw.Device, error) {
+	devices := make([]*hw.Device, len(heatsFleetIDs))
+	for i, id := range heatsFleetIDs {
+		spec := hw.XeonD()
+		if i >= 2 {
+			spec = hw.ARMv8Server()
+		}
+		devices[i] = hw.NewDevice(se, id, spec)
+	}
+	return devices, nil
+}
+
 // HEATS runs the heterogeneity/energy-aware scheduling experiment: a batch
-// of profiled tasks on a mixed x86+ARM cluster, sweeping the customer's
-// energy/performance weight α.
-func HEATS(alphas []float64, tasks int) (*HEATSResult, error) {
+// of `tasks` independent 200 Gops, 4-core tasks as one engine job on a
+// mixed x86+ARM fleet, once under each placement policy, from
+// performance-first (MinTime) to energy-first (MinEnergy).
+func HEATS(tasks int) (*HEATSResult, error) {
 	res := &HEATSResult{}
-	for _, alpha := range alphas {
-		eng := sim.NewEngine()
-		cl := cluster.New(eng)
-		for i := 0; i < 2; i++ {
-			cl.AddNode(fmt.Sprintf("x86-%d", i), hw.XeonD())
-		}
-		for i := 0; i < 2; i++ {
-			cl.AddNode(fmt.Sprintf("arm-%d", i), hw.ARMv8Server())
-		}
-		mon := monitor.New(eng, cl)
-		proto := map[string]*cluster.Task{
-			"batch": {Kind: "batch", CPU: 4, Gops: 200},
-		}
-		model := heats.ProfileCluster(cl, proto)
-		sched := heats.New(eng, cl, mon, model, heats.Config{Alpha: alpha})
-		batch := make([]*cluster.Task, tasks)
-		for i := range batch {
-			batch[i] = &cluster.Task{
-				Name: fmt.Sprintf("task-%d", i), Kind: "batch",
-				CPU: 4, MemBytes: 1 << 28, Gops: 200,
-			}
-		}
-		sched.Submit(batch...)
-		end, err := sched.Run()
+	for _, p := range heatsPolicies {
+		row, err := heatsRun(p, tasks)
 		if err != nil {
 			return nil, err
 		}
-		taskE := 0.0
-		for _, t := range batch {
-			taskE += t.EnergyJ
-		}
-		res.Rows = append(res.Rows, HEATSRow{
-			Alpha:        alpha,
-			MakespanSec:  sim.ToSeconds(end),
-			TaskEnergyJ:  taskE,
-			TotalEnergyJ: cl.TotalEnergy(),
-			Migrations:   sched.Migrations,
-		})
+		res.Rows = append(res.Rows, row)
 	}
 	return res, nil
 }
 
-// EnergySavingPercent compares the last α row (energy-first) against the
-// first (performance-first).
+// heatsRun executes the batch under one policy.
+func heatsRun(p taskrt.Policy, tasks int) (HEATSRow, error) {
+	e, err := engine.New(engine.Config{Workers: 1, Policy: p, NewPlatform: heatsFleet})
+	if err != nil {
+		return HEATSRow{}, err
+	}
+	ctx := context.Background()
+	out, runErr := heatsBatch(ctx, e, tasks)
+	if err := e.Shutdown(ctx); err != nil {
+		return HEATSRow{}, err
+	}
+	if runErr != nil {
+		return HEATSRow{}, runErr
+	}
+	st := e.Stats()
+	row := HEATSRow{
+		Policy:          p,
+		MakespanSec:     sim.ToSeconds(out.Makespan),
+		TaskEnergyJ:     float64(out.EnergyJ),
+		PlatformEnergyJ: st.PlatformEnergyJ,
+		Placements:      make([]int, len(heatsFleetIDs)),
+	}
+	for _, r := range out.Records {
+		row.Placements[slices.Index(heatsFleetIDs, r.Device)]++
+	}
+	return row, nil
+}
+
+// heatsBatch submits the batch as one job and waits for it.
+func heatsBatch(ctx context.Context, e *engine.Engine, tasks int) (*taskrt.Result, error) {
+	j, err := e.NewJob("batch")
+	if err != nil {
+		return nil, err
+	}
+	for i := 0; i < tasks; i++ {
+		if err := j.Runtime().Submit(taskrt.Task{
+			Name: fmt.Sprintf("task-%d", i), Gops: 200, Cores: 4,
+		}); err != nil {
+			return nil, err
+		}
+	}
+	if err := e.Submit(ctx, j); err != nil {
+		return nil, err
+	}
+	return j.Wait(ctx)
+}
+
+// EnergySavingPercent compares the task energy of the last row
+// (energy-first) against the first (performance-first).
 func (r *HEATSResult) EnergySavingPercent() float64 {
 	if len(r.Rows) < 2 {
 		return 0
@@ -88,12 +128,16 @@ func (r *HEATSResult) EnergySavingPercent() float64 {
 // Table renders the sweep.
 func (r *HEATSResult) Table() string {
 	var sb strings.Builder
-	sb.WriteString("Fig. 7 / [10] — HEATS energy-performance trade-off (α sweep)\n")
-	fmt.Fprintf(&sb, "%6s %12s %14s %14s %11s\n",
-		"alpha", "makespan s", "task E (J)", "total E (J)", "migrations")
+	sb.WriteString("Fig. 7 / [10] — HEATS energy-performance trade-off (taskrt policy sweep)\n")
+	fmt.Fprintf(&sb, "%-10s %12s %12s %16s   %s\n",
+		"policy", "makespan s", "task E (J)", "platform E (J)", "tasks on "+strings.Join(heatsFleetIDs, "/"))
 	for _, row := range r.Rows {
-		fmt.Fprintf(&sb, "%6.2f %12.2f %14.1f %14.1f %11d\n",
-			row.Alpha, row.MakespanSec, row.TaskEnergyJ, row.TotalEnergyJ, row.Migrations)
+		counts := make([]string, len(row.Placements))
+		for i, n := range row.Placements {
+			counts[i] = fmt.Sprint(n)
+		}
+		fmt.Fprintf(&sb, "%-10s %12.2f %12.1f %16.1f   %s\n",
+			row.Policy, row.MakespanSec, row.TaskEnergyJ, row.PlatformEnergyJ, strings.Join(counts, "/"))
 	}
 	fmt.Fprintf(&sb, "energy-first saves %.1f%% task energy vs performance-first\n",
 		r.EnergySavingPercent())

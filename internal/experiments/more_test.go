@@ -1,26 +1,55 @@
 package experiments
 
 import (
+	"math"
+	"slices"
 	"strings"
 	"testing"
+
+	"legato/internal/taskrt"
 )
 
 func TestHEATSExperiment(t *testing.T) {
-	res, err := HEATS([]float64{0, 0.5, 1}, 6)
+	res, err := HEATS(6)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Rows) != 3 {
+	// Per policy: tasks on x86-0/x86-1/arm-0/arm-1, makespan, task energy.
+	// Energy-first fills both ARM nodes, then places the two tasks still
+	// queued on x86-0 rather than waiting for ARM.
+	want := []struct {
+		policy     taskrt.Policy
+		placements []int
+		makespan   float64
+		taskJ      float64
+	}{
+		{taskrt.MinTime, []int{4, 2, 0, 0}, 2.00, 195.0},
+		{taskrt.MinEDP, []int{4, 2, 0, 0}, 2.00, 195.0},
+		{taskrt.MinEnergy, []int{2, 0, 2, 2}, 2.78, 165.0},
+	}
+	if len(res.Rows) != len(want) {
 		t.Fatalf("rows: %d", len(res.Rows))
 	}
-	if res.EnergySavingPercent() <= 0 {
-		t.Fatalf("energy-first saved nothing: %+v", res.Rows)
+	const idleW = 2*25 + 2*6 // 2 Xeon-D + 2 ARMv8 idle floor
+	for i, w := range want {
+		row := res.Rows[i]
+		if row.Policy != w.policy || !slices.Equal(row.Placements, w.placements) {
+			t.Errorf("row %d: %v placed %v, want %v placed %v",
+				i, row.Policy, row.Placements, w.policy, w.placements)
+		}
+		if math.Abs(row.MakespanSec-w.makespan) > 0.005 || math.Abs(row.TaskEnergyJ-w.taskJ) > 0.05 {
+			t.Errorf("%v: makespan %.3f s, task %.2f J; want %.2f s, %.1f J",
+				row.Policy, row.MakespanSec, row.TaskEnergyJ, w.makespan, w.taskJ)
+		}
+		if platform := row.TaskEnergyJ + idleW*row.MakespanSec; math.Abs(row.PlatformEnergyJ-platform) > 0.1 {
+			t.Errorf("%v: platform %.2f J, want task + idle over makespan = %.2f J",
+				row.Policy, row.PlatformEnergyJ, platform)
+		}
 	}
-	// Trade-off shape: energy-first slower than performance-first.
-	if res.Rows[2].MakespanSec <= res.Rows[0].MakespanSec {
-		t.Fatalf("no performance cost for energy: %+v", res.Rows)
+	if s := res.EnergySavingPercent(); math.Abs(s-15.4) > 0.05 {
+		t.Errorf("energy-first saves %.2f%%, want 15.4%%", s)
 	}
-	if !strings.Contains(res.Table(), "alpha") {
+	if !strings.Contains(res.Table(), "saves 15.4%") {
 		t.Fatal("table broken")
 	}
 }

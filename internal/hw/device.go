@@ -6,8 +6,8 @@
 //
 // Everything is a behavioural model: devices expose capacity, a
 // work→duration mapping and a utilisation→power mapping, which is exactly
-// the surface the runtimes (taskrt, xitao), the scheduler (heats) and the
-// use cases (mirror) consume.
+// the surface the runtimes (taskrt, xitao) and the use cases (mirror)
+// consume.
 package hw
 
 import (

@@ -1,7 +1,7 @@
 // Package mathx provides the small dense linear-algebra and statistics
 // kernels used across the LEGaTO reproduction: matrices for the Kalman
-// filter, least-squares fitting for the HEATS performance/energy models,
-// and summary statistics for experiment reporting.
+// filter, least-squares fitting, and summary statistics for experiment
+// reporting.
 //
 // The package is deliberately minimal: row-major dense matrices with the
 // handful of operations the rest of the toolset needs, implemented with

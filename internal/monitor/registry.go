@@ -1,3 +1,7 @@
+// Package monitor holds the counter registry of a session: the job engine
+// folds each job's lifecycle events into per-job and per-device metrics,
+// the fault injector adds its fault counts, and the facade, the
+// experiments and the Prometheus exporter read them back.
 package monitor
 
 import (
@@ -8,9 +12,8 @@ import (
 )
 
 // Registry is a thread-safe counter store for the concurrent job engine:
-// per-scope metric accumulators in the spirit of the HEATS telemetry
-// module, but fed by the engine's fold over each job's lifecycle events
-// instead of polling. Scopes follow a "kind/name" convention —
+// per-scope metric accumulators fed by the engine's fold over each job's
+// lifecycle events. Scopes follow a "kind/name" convention —
 // "job/<name>" for per-job counters
 // (tasks-queued, tasks-running, tasks-completed, energy-J, makespan-s) and
 // "device/<id>" for per-device counters (tasks-completed, energy-J,

@@ -691,7 +691,6 @@ type Job struct {
 	data      map[string]*taskrt.Data
 	replicas  int
 	submitted int
-	secureIO  int64 // bytes sealed/unsealed
 	started   bool
 
 	waitOnce sync.Once
@@ -867,9 +866,6 @@ func (j *Job) submitLocked(t Task) error {
 		}
 		inner := fn
 		fn = func() {
-			j.mu.Lock()
-			j.secureIO += ioBytes
-			j.mu.Unlock()
 			j.enclave.RunSecure(func() {
 				if blob, err := j.enclave.Seal(make([]byte, min(ioBytes, 1<<16))); err == nil {
 					_, _ = j.enclave.Unseal(blob)
