@@ -3,9 +3,9 @@
 
 GO ?= go
 
-.PHONY: ci vet lint build test race examples bench-module bench bench-short bench-taskrt run-bench clean
+.PHONY: ci vet lint build test race fuzz examples bench-module bench bench-short bench-taskrt run-bench clean
 
-ci: vet lint build race examples bench-module bench-short
+ci: vet lint build race fuzz examples bench-module bench-short
 
 vet:
 	$(GO) vet ./...
@@ -24,6 +24,11 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# A short native-fuzzing budget: the session-dump encoder against the
+# encoding/json oracle, plus the decode round trip.
+fuzz:
+	$(GO) test -run '^$$' -fuzz '^FuzzSessionDumpEncode$$' -fuzztime 10s ./internal/obs
 
 # Build and run every example program; a non-zero exit fails the step.
 # examples/observe writes its artifacts (gitignored) to the working directory.

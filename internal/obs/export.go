@@ -3,7 +3,6 @@ package obs
 import (
 	"encoding/json"
 	"fmt"
-	"io"
 	"sort"
 	"strconv"
 	"strings"
@@ -414,36 +413,4 @@ func DeviceUtilization(spans []trace.Span) (busy map[string]sim.Time, makespan s
 		}
 	}
 	return busy, makespan
-}
-
-// ---------------------------------------------------------------------------
-// Session dump (the legato-trace interchange format)
-// ---------------------------------------------------------------------------
-
-// SessionDump is the self-contained export of one session: every merged
-// tracer span and counter, the full registry snapshot, and (when the
-// session recorded one) the ordered event log. legato-trace loads this
-// and converts to any exporter format.
-type SessionDump struct {
-	Name     string                        `json:"name,omitempty"`
-	Spans    []trace.Span                  `json:"spans"`
-	Counters map[string]float64            `json:"counters,omitempty"`
-	Metrics  map[string]map[string]float64 `json:"metrics,omitempty"`
-	Events   []Event                       `json:"events,omitempty"`
-}
-
-// Encode writes the dump as indented JSON.
-func (d *SessionDump) Encode(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", " ")
-	return enc.Encode(d)
-}
-
-// DecodeSession reads a dump written by Encode.
-func DecodeSession(r io.Reader) (*SessionDump, error) {
-	var d SessionDump
-	if err := json.NewDecoder(r).Decode(&d); err != nil {
-		return nil, fmt.Errorf("obs: decoding session dump: %w", err)
-	}
-	return &d, nil
 }

@@ -22,6 +22,7 @@ package obs
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -126,12 +127,20 @@ func (k Kind) String() string {
 // readable and stable across taxonomy growth.
 func (k Kind) MarshalText() ([]byte, error) { return []byte(k.String()), nil }
 
-// UnmarshalText parses a kind name produced by MarshalText.
+// UnmarshalText parses a kind name produced by MarshalText, including the
+// "kind(N)" form String gives a kind outside the taxonomy, so every dump
+// that encodes also decodes.
 func (k *Kind) UnmarshalText(text []byte) error {
 	name := string(text)
 	for i, n := range kindNames {
 		if n == name {
 			*k = Kind(i)
+			return nil
+		}
+	}
+	if num, ok := strings.CutPrefix(name, "kind("); ok {
+		if n, err := strconv.ParseUint(strings.TrimSuffix(num, ")"), 10, 8); err == nil && Kind(n).String() == name {
+			*k = Kind(n)
 			return nil
 		}
 	}

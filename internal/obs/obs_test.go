@@ -26,8 +26,17 @@ func TestKindNamesRoundTrip(t *testing.T) {
 		}
 	}
 	var k Kind
-	if err := k.UnmarshalText([]byte("no-such-kind")); err == nil {
-		t.Fatal("unknown kind name must fail to parse")
+	for _, bad := range []string{"no-such-kind", "kind(3)", "kind(022)", "kind(256)", "kind(-1)", "kind(30"} {
+		if err := k.UnmarshalText([]byte(bad)); err == nil {
+			t.Fatalf("%q must fail to parse", bad)
+		}
+	}
+	// A kind outside the taxonomy renders as kind(N) and parses back.
+	for _, out := range []Kind{HedgeDenied + 1, 255} {
+		var back Kind
+		if err := back.UnmarshalText([]byte(out.String())); err != nil || back != out {
+			t.Fatalf("round trip %q: got %v, %v", out.String(), back, err)
+		}
 	}
 }
 

@@ -491,8 +491,8 @@ func NewSystem(opts ...Option) (*System, error) {
 // capacity the admission ledger enforces).
 func (s *System) Devices() []*hw.Device { return s.fleet }
 
-// Tracer exposes the session trace; every completed job's spans and
-// counters are merged into it.
+// Tracer exposes the session trace; the spans and counters of every
+// completed or failed job are merged into it once Wait (or Run) returns.
 func (s *System) Tracer() *trace.Tracer { return s.tracer }
 
 // Monitor exposes the per-job and per-device counter registry.
@@ -627,7 +627,10 @@ func (s *System) EventLog() []Event {
 // event log when armed — the interchange format the legato-trace CLI
 // loads, summarises and converts (Chrome trace_event, Paraver,
 // Prometheus text). Export after the jobs of interest completed: only
-// merged (finished) job traces are included.
+// merged (completed or failed, and waited for) job traces are included.
+// The dump streams to w in chunks through obs.SessionDump.Encode, a
+// reflection-free encoder whose bytes match encoding/json's indented
+// form; a writer error stops the stream and is returned wrapped.
 func (s *System) ExportSession(w io.Writer) error {
 	dump := obs.SessionDump{
 		Name:     "legato-session",
@@ -693,6 +696,9 @@ type Job struct {
 	submitted int
 	started   bool
 
+	// waitOnce merges the job's trace into the session (and, on success,
+	// builds the report) at the first Wait that sees it completed or
+	// failed.
 	waitOnce sync.Once
 	report   *Report
 }
@@ -982,13 +988,19 @@ func (j *Job) Run(ctx context.Context) (*Report, error) {
 // wait, not the job) and returns its report. The report is only ever
 // assembled from a terminal result, and a cancelled job yields a typed
 // error matching both ErrJobCancelled and the underlying context error —
-// never a nil report with a nil error.
+// never a nil report with a nil error. The first Wait to see the job
+// completed or failed merges its trace into the session tracer.
 func (j *Job) Wait(ctx context.Context) (*Report, error) {
 	res, err := j.ej.Wait(ctx)
 	if err != nil {
-		if j.ej.State() == engine.Cancelled {
+		switch j.ej.State() {
+		case engine.Cancelled:
 			// The job itself was cancelled (not just this wait abandoned).
 			return nil, fmt.Errorf("legato: job %q cancelled: %w", j.name, errors.Join(ErrJobCancelled, err))
+		case engine.Failed:
+			// A failed job's trace (its #retry and #failed spans) joins the
+			// session like a completed job's, but counts no completed job.
+			j.waitOnce.Do(func() { j.sys.tracer.Merge(j.ej.Tracer()) })
 		}
 		return nil, err
 	}

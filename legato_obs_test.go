@@ -266,3 +266,33 @@ func TestExportSessionArtifacts(t *testing.T) {
 		t.Fatal("timelines carry no execution intervals")
 	}
 }
+
+// TestExportSessionMatchesEncodingJSON pins the streamed export of a
+// real capped, hedged, event-logged session to encoding/json's indented
+// encoding of the same dump, byte for byte.
+func TestExportSessionMatchesEncodingJSON(t *testing.T) {
+	sys := runObservedSession(t, observedSessionCap(t), WithEventLog())
+	defer sys.Close(context.Background())
+
+	var got, want bytes.Buffer
+	if err := sys.ExportSession(&got); err != nil {
+		t.Fatal(err)
+	}
+	enc := json.NewEncoder(&want)
+	enc.SetIndent("", " ")
+	if err := enc.Encode(obs.SessionDump{
+		Name:     "legato-session",
+		Spans:    sys.Tracer().Spans(),
+		Counters: sys.Tracer().Counters(),
+		Metrics:  sys.Monitor().Snapshot(),
+		Events:   sys.EventLog(),
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if len(sys.EventLog()) == 0 || len(sys.Tracer().Spans()) == 0 {
+		t.Fatal("the observed session recorded nothing to export")
+	}
+	if !bytes.Equal(got.Bytes(), want.Bytes()) {
+		t.Fatalf("ExportSession (%d bytes) differs from encoding/json (%d bytes)", got.Len(), want.Len())
+	}
+}

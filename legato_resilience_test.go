@@ -6,9 +6,11 @@ package legato
 // failure/checkpoint spans the tracer collects.
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -17,6 +19,7 @@ import (
 	"legato/internal/ft"
 	"legato/internal/fti"
 	"legato/internal/hw"
+	"legato/internal/obs"
 )
 
 // Every sentinel must be matchable with errors.Is through the public
@@ -255,5 +258,67 @@ func TestFailureSpansAndReportCounters(t *testing.T) {
 	if ckptSpans == 0 || rep.Checkpoints == 0 {
 		t.Fatalf("tracer ckpt spans = %d, report checkpoints = %d, want both > 0",
 			ckptSpans, rep.Checkpoints)
+	}
+}
+
+// A job that fails terminally still leaves its trace in the session: its
+// #failed span reaches Tracer and the export, merged once however often
+// the job is awaited, while the jobs counter keeps counting completions.
+func TestFailedJobTraceReachesSession(t *testing.T) {
+	sdc := ft.SDCModel{}
+	for _, c := range []hw.Class{hw.CPUx86, hw.CPUARM, hw.GPU, hw.FPGA} {
+		sdc[c] = 1
+	}
+	sys, err := NewSystem(WithPlatform(CloudPlatform), WithFaults(faults.Plan{SDC: sdc, Seed: 3}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Close(context.Background())
+	ctx := context.Background()
+
+	ok, err := sys.NewJob("ok")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ok.Task("plain").Gops(5).Submit(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ok.Run(ctx); err != nil {
+		t.Fatal(err)
+	}
+	doomed, err := sys.NewJob("doomed")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Every replica execution corrupts, so the vote never gets inputs.
+	if err := doomed.Task("voted").Gops(5).Replicated().Retry(1).Submit(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := doomed.Run(ctx); !errors.Is(err, ErrRetriesExhausted) {
+		t.Fatalf("err = %v, want ErrRetriesExhausted", err)
+	}
+	if _, err := doomed.Wait(ctx); !errors.Is(err, ErrRetriesExhausted) {
+		t.Fatalf("second wait: err = %v, want ErrRetriesExhausted", err)
+	}
+
+	var buf bytes.Buffer
+	if err := sys.ExportSession(&buf); err != nil {
+		t.Fatal(err)
+	}
+	dump, err := obs.DecodeSession(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	failed := 0
+	for _, s := range dump.Spans {
+		if s.Category == "failure" && strings.Contains(s.Name, "#failed(") {
+			failed++
+		}
+	}
+	if failed != 1 {
+		t.Fatalf("export holds %d #failed spans, want exactly 1", failed)
+	}
+	if got := dump.Counters["jobs"]; got != 1 {
+		t.Fatalf("jobs counter = %v, want 1 (the completed job only)", got)
 	}
 }
