@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: ci vet lint build test race fuzz examples bench-module bench bench-short bench-taskrt run-bench clean
+.PHONY: ci vet lint build test race fuzz examples bench-module bench bench-short bench-taskrt bench-power run-bench clean
 
 ci: vet lint build race fuzz examples bench-module bench-short
 
@@ -53,6 +53,11 @@ bench:
 # The taskrt dispatch ladder: ns/task and allocs/task at 10^2..10^4 tasks.
 bench-taskrt:
 	$(GO) test -run '^$$' -bench Dispatch -benchmem -benchtime 3x ./internal/taskrt
+
+# The fleet ledger's microbenchmarks: Claim+Release alone and contended, and
+# the lock-free reads (Epoch, Draw, Changed) a job makes every round.
+bench-power:
+	$(GO) test -run '^$$' -bench Ledger -benchmem ./internal/power
 
 # Regenerate every paper table/figure (add QUICK=1 for smaller sweeps).
 run-bench:

@@ -695,16 +695,19 @@ func (e *Engine) account(j *Job, res *taskrt.Result, err error) {
 			reg.Set(scope, "energy-total-J", float64(res.EnergyJ))
 		}
 		reg.Set(scope, "fleet-start-s", sim.ToSeconds(start))
-		reg.Set("power", "draw-W", float64(e.fleet.Draw()))
-		reg.Set("power", "peak-draw-W", float64(e.fleet.PeakDraw()))
-		reg.Set("power", "idle-W", float64(e.fleet.IdleWatts()))
-		reg.Set("power", "stalls", float64(e.fleet.WattStalls()))
-		reg.Set("power", "governor-rescales", float64(e.fleet.Rescales()))
+		// The ledger is built over e.ref, so draws follows its order.
+		draws := make([]energy.Watts, len(e.ref))
+		m := e.fleet.Read(draws)
+		reg.Set("power", "draw-W", float64(m.Draw))
+		reg.Set("power", "peak-draw-W", float64(m.PeakDraw))
+		reg.Set("power", "idle-W", float64(m.IdleWatts))
+		reg.Set("power", "stalls", float64(m.WattStalls))
+		reg.Set("power", "governor-rescales", float64(m.Rescales))
 		if e.fleet.Capped() {
 			reg.Set("power", "cap-W", float64(e.fleet.Cap()))
 		}
-		for _, d := range e.ref {
-			reg.Set("device/"+d.ID, "draw-W", float64(e.fleet.DrawOf(d.ID)))
+		for i, d := range e.ref {
+			reg.Set("device/"+d.ID, "draw-W", float64(draws[i]))
 		}
 	}
 	j.finish(res, err)
@@ -720,21 +723,22 @@ func (e *Engine) Stats() Stats {
 			s.SessionMakespan = c
 		}
 	}
-	s.AdmissionStalls = e.fleet.CoreStalls()
+	m := e.fleet.Read(nil)
+	s.AdmissionStalls = m.CoreStalls
 	if e.injector != nil {
 		s.DevicesLost = e.injector.Crashes()
 	}
 	if e.fleet.Capped() {
 		s.PowerCapW = float64(e.fleet.Cap())
 	}
-	s.PeakDrawW = float64(e.fleet.PeakDraw())
-	s.PowerStalls = e.fleet.WattStalls()
-	s.GovernorRescales = e.fleet.Rescales()
+	s.PeakDrawW = float64(m.PeakDraw)
+	s.PowerStalls = m.WattStalls
+	s.GovernorRescales = m.Rescales
 	sec := sim.ToSeconds(s.SessionMakespan)
 	// The meter reads idle floor + committed task energy + energy burned by
 	// cancelled hedge losers: speculation is not free, and the E14 gate
 	// bounds exactly this term.
-	s.PlatformEnergyJ = float64(e.fleet.IdleWatts())*sec + s.EnergyJ + s.HedgeWastedJ
+	s.PlatformEnergyJ = float64(m.IdleWatts)*sec + s.EnergyJ + s.HedgeWastedJ
 	if sec > 0 {
 		s.AvgPowerW = s.PlatformEnergyJ / sec
 	}

@@ -32,6 +32,7 @@ import (
 	"fmt"
 	"math"
 	"sync"
+	"sync/atomic"
 
 	"legato/internal/energy"
 	"legato/internal/hw"
@@ -176,9 +177,15 @@ const (
 // on one generation channel (Changed), closed by every release, fleet
 // event and governor reshape. Peak(id) ≤ Capacity(id) and PeakDraw ≤ Cap
 // are the two witnesses. Safe for concurrent use.
+//
+// Every write happens under one mutex. The reads a job makes on every
+// event are lock-free: Changed, Draw and Epoch load atomics that the
+// writers publish inside the same critical section as the change they
+// describe, so a job calls Shape, which takes the lock, only when Epoch
+// moved.
 type Ledger struct {
 	mu   sync.Mutex
-	capW energy.Watts
+	capW energy.Watts // fixed at construction, read without the lock
 	gov  Kind
 
 	fleet []*account          // fleet order: Devices and the governor's tie-break
@@ -190,7 +197,10 @@ type Ledger struct {
 	coreStalls uint64 // claims and reacquires refused for cores
 	wattStalls uint64 // claims refused for watts
 	rescales   uint64
-	gen        chan struct{} // closed and replaced on every release, fleet event or reshape
+
+	gen   atomic.Value  // chan struct{}, closed and replaced on every release, fleet event or reshape
+	epoch atomic.Uint64 // shape epoch: bumped on every capacity or operating-point change
+	draw  atomic.Uint64 // float64 bits of idleTotal + dynDraw
 }
 
 // account is one device's entry in the ledger.
@@ -220,8 +230,8 @@ func NewLedger(capW energy.Watts, devices []*hw.Device, gov Kind) *Ledger {
 		gov:   gov,
 		byID:  make(map[string]*account, len(devices)),
 		fleet: make([]*account, 0, len(devices)),
-		gen:   make(chan struct{}),
 	}
+	l.gen.Store(make(chan struct{}))
 	if capW <= 0 {
 		l.capW = math.Inf(1)
 	}
@@ -235,6 +245,7 @@ func NewLedger(capW energy.Watts, devices []*hw.Device, gov Kind) *Ledger {
 		l.idleTotal += d.Spec.IdleWatts
 	}
 	l.peakW = l.idleTotal
+	l.publishDrawLocked()
 	return l
 }
 
@@ -285,6 +296,7 @@ func (l *Ledger) Claim(deviceID string, cores int, watts energy.Watts) Verdict {
 	a.drawn = true
 	l.dynDraw += watts
 	l.peakW = max(l.peakW, l.idleTotal+l.dynDraw)
+	l.publishDrawLocked()
 	return Granted
 }
 
@@ -307,6 +319,7 @@ func (l *Ledger) Release(deviceID string, cores int, watts energy.Watts) {
 			w := min(watts, a.drawW)
 			a.drawW -= w
 			l.dynDraw -= w
+			l.publishDrawLocked()
 		}
 		if l.gov == PackAndThrottle {
 			l.unthrottleLocked()
@@ -341,11 +354,12 @@ func (l *Ledger) Reacquire(grants map[string]int) bool {
 
 // Changed returns a channel closed on the next release, fleet event or
 // governor reshape after this call. A job grabs it before claiming, so a
-// release racing with a refusal can never be missed.
+// release racing with a refusal can never be missed: the swap to a fresh
+// channel happens inside the releasing critical section, so a job that
+// loaded the fresh one takes the lock for its Claim after that release and
+// sees it. Lock-free.
 func (l *Ledger) Changed() <-chan struct{} {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.gen
+	return l.gen.Load().(chan struct{})
 }
 
 // SetCapacity rescales a healthy device's capacity mid-session (a degrade
@@ -370,6 +384,7 @@ func (l *Ledger) setCapacityLocked(a *account, cores int) {
 	a.free -= a.cores - cores
 	a.cores = cores
 	a.peak = min(a.peak, cores)
+	l.epoch.Add(1)
 }
 
 // Fail removes a device from the fleet in one step: its capacity drops to
@@ -391,6 +406,7 @@ func (l *Ledger) Fail(deviceID string) bool {
 	l.idleTotal -= a.idleW
 	l.dynDraw -= a.drawW
 	a.drawW = 0
+	l.publishDrawLocked()
 	if l.gov == PackAndThrottle {
 		l.unthrottleLocked()
 	}
@@ -414,6 +430,27 @@ func (l *Ledger) Devices() []string {
 		ids[i] = a.id
 	}
 	return ids
+}
+
+// Epoch returns the shape epoch: a counter that moves whenever a device's
+// capacity or prescribed operating point changes, and only then. Values
+// read by Shape stay current until it moves. Lock-free.
+func (l *Ledger) Epoch() uint64 { return l.epoch.Load() }
+
+// Shape fills cores[i] and points[i] with the current capacity and
+// prescribed operating point of devs[i] (zero for a device the ledger does
+// not track), in one step, and returns the epoch they belong to. Both
+// slices must be at least as long as devs.
+func (l *Ledger) Shape(devs []*hw.Device, cores, points []int) uint64 {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	for i, d := range devs {
+		cores[i], points[i] = 0, 0
+		if a := l.byID[d.ID]; a != nil {
+			cores[i], points[i] = a.cores, a.point
+		}
+	}
+	return l.epoch.Load()
 }
 
 // Capacity returns a device's current total cores (zero if unknown or
@@ -450,50 +487,28 @@ func (l *Ledger) Peak(deviceID string) int {
 
 // CoreStalls counts claims and reacquires refused for cores (the
 // contention signal).
-func (l *Ledger) CoreStalls() uint64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.coreStalls
-}
+func (l *Ledger) CoreStalls() uint64 { return l.Read(nil).CoreStalls }
 
 // WattStalls counts claims refused for watts (the cap-pressure signal).
-func (l *Ledger) WattStalls() uint64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.wattStalls
-}
+func (l *Ledger) WattStalls() uint64 { return l.Read(nil).WattStalls }
 
 // Cap returns the watt budget (+Inf when uncapped).
-func (l *Ledger) Cap() energy.Watts {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.capW
-}
+func (l *Ledger) Cap() energy.Watts { return l.capW }
 
 // Capped reports whether a finite cap is armed.
-func (l *Ledger) Capped() bool {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return !math.IsInf(l.capW, 1)
-}
+func (l *Ledger) Capped() bool { return !math.IsInf(l.capW, 1) }
 
 // Governor returns the governor kind.
 func (l *Ledger) Governor() Kind { return l.gov }
 
 // Draw returns the current modelled fleet draw: static power of healthy
-// devices plus every granted dynamic watt.
+// devices plus every granted dynamic watt. Lock-free.
 func (l *Ledger) Draw() energy.Watts {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.idleTotal + l.dynDraw
+	return math.Float64frombits(l.draw.Load())
 }
 
 // IdleWatts returns the static draw of the surviving fleet.
-func (l *Ledger) IdleWatts() energy.Watts {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.idleTotal
-}
+func (l *Ledger) IdleWatts() energy.Watts { return l.Read(nil).IdleWatts }
 
 // DrawOf returns a device's current draw (static + granted dynamic); zero
 // for a lost or unknown device.
@@ -508,18 +523,10 @@ func (l *Ledger) DrawOf(deviceID string) energy.Watts {
 
 // PeakDraw returns the high-water mark of the fleet draw — the peak-draw
 // witness: it never exceeds Cap.
-func (l *Ledger) PeakDraw() energy.Watts {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.peakW
-}
+func (l *Ledger) PeakDraw() energy.Watts { return l.Read(nil).PeakDraw }
 
 // Rescales counts governor operating-point changes.
-func (l *Ledger) Rescales() uint64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.rescales
-}
+func (l *Ledger) Rescales() uint64 { return l.Read(nil).Rescales }
 
 // OperatingPoint returns the DVFS state index the governor currently
 // prescribes for a device (0 = nominal, also for unknown devices).
@@ -542,10 +549,42 @@ func (l *Ledger) Ladder(deviceID string) Ladder {
 	return Ladder{}
 }
 
-// wakeLocked closes and replaces the generation channel.
+// Reading is one consistent view of the ledger's fleet-wide meters.
+type Reading struct {
+	Draw, PeakDraw, IdleWatts        energy.Watts
+	CoreStalls, WattStalls, Rescales uint64
+}
+
+// Read returns the fleet-wide meters under one lock acquisition. A non-nil
+// draws receives each device's DrawOf in fleet (construction) order; it
+// must be at least as long as the fleet.
+func (l *Ledger) Read(draws []energy.Watts) Reading {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if draws != nil {
+		for i, a := range l.fleet {
+			draws[i] = 0
+			if !a.lost {
+				draws[i] = a.idleW + a.drawW
+			}
+		}
+	}
+	return Reading{
+		Draw: l.idleTotal + l.dynDraw, PeakDraw: l.peakW, IdleWatts: l.idleTotal,
+		CoreStalls: l.coreStalls, WattStalls: l.wattStalls, Rescales: l.rescales,
+	}
+}
+
+// wakeLocked closes and replaces the generation channel. A chan is
+// pointer-shaped, so storing it in the atomic.Value allocates nothing.
 func (l *Ledger) wakeLocked() {
-	close(l.gen)
-	l.gen = make(chan struct{})
+	close(l.gen.Load().(chan struct{}))
+	l.gen.Store(make(chan struct{}))
+}
+
+// publishDrawLocked mirrors the fleet draw for lock-free Draw readers.
+func (l *Ledger) publishDrawLocked() {
+	l.draw.Store(math.Float64bits(l.idleTotal + l.dynDraw))
 }
 
 // throttleLocked steps a device one rung down its DVFS ladder; if the
@@ -577,6 +616,7 @@ func (l *Ledger) stepDownLocked(a *account) bool {
 	}
 	a.point++
 	l.rescales++
+	l.epoch.Add(1)
 	return true
 }
 
@@ -596,5 +636,6 @@ func (l *Ledger) unthrottleLocked() {
 	if best != nil {
 		best.point--
 		l.rescales++
+		l.epoch.Add(1)
 	}
 }

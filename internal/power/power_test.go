@@ -2,6 +2,7 @@ package power
 
 import (
 	"math"
+	"sync"
 	"testing"
 
 	"legato/internal/energy"
@@ -431,4 +432,234 @@ func TestFleetPeakWatts(t *testing.T) {
 	if got := FleetPeakWatts(devs); got != energy.Watts(75) {
 		t.Fatalf("fleet peak = %v, want 75 (50 + 25)", got)
 	}
+}
+
+// checkDraw fails unless the lock-free Draw equals the idle floor of the
+// surviving devices plus the dynamic watts granted and not yet released.
+func checkDraw(t *testing.T, l *Ledger, devs []*hw.Device, granted energy.Watts) {
+	t.Helper()
+	want := granted
+	for _, d := range devs {
+		if !l.Lost(d.ID) {
+			want += d.Spec.IdleWatts
+		}
+	}
+	if got := l.Draw(); got != want || got != l.Read(nil).Draw {
+		t.Fatalf("draw = %v (locked read %v), want %v", got, l.Read(nil).Draw, want)
+	}
+}
+
+// TestLedgerEpochTracksShape: the shape epoch moves on every capacity or
+// operating-point change and on nothing else, and Shape then returns the
+// new values; an unknown device reads as zero cores at the nominal point.
+func TestLedgerEpochTracksShape(t *testing.T) {
+	devs := testDevices(t) // cpu0: 8 cores, 2 points; fpga0: 4 cores, 1 point
+	l := NewLedger(40, devs, PackAndThrottle)
+	ghost := hw.NewDevice(sim.NewEngine(), "ghost", devs[0].Spec)
+	shapeDevs := append(append([]*hw.Device(nil), devs...), ghost)
+	epoch := l.Epoch()
+	step := func(what string, moves bool, cores, points []int) {
+		t.Helper()
+		e := l.Epoch()
+		if moved := e != epoch; moved != moves {
+			t.Fatalf("%s: epoch %d → %d, want moved=%v", what, epoch, e, moves)
+		}
+		epoch = e
+		gotCores, gotPoints := make([]int, 3), make([]int, 3)
+		if se := l.Shape(shapeDevs, gotCores, gotPoints); se != e {
+			t.Fatalf("%s: Shape epoch %d, Epoch %d", what, se, e)
+		}
+		for i, d := range shapeDevs {
+			if gotCores[i] != cores[i] || gotPoints[i] != points[i] {
+				t.Fatalf("%s: %s shape (%d cores, point %d), want (%d, %d)",
+					what, d.ID, gotCores[i], gotPoints[i], cores[i], points[i])
+			}
+			if gotCores[i] != l.Capacity(d.ID) || gotPoints[i] != l.OperatingPoint(d.ID) {
+				t.Fatalf("%s: %s Shape disagrees with Capacity/OperatingPoint", what, d.ID)
+			}
+		}
+	}
+	step("construction", false, []int{8, 4, 0}, []int{0, 0, 0})
+	checkDraw(t, l, devs, 0)
+
+	// Grants and releases that reshape nothing: the uncapped fast path.
+	if l.Claim("cpu0", 2, 10) != Granted {
+		t.Fatal("claim within both budgets refused")
+	}
+	checkDraw(t, l, devs, 10)
+	step("claim", false, []int{8, 4, 0}, []int{0, 0, 0})
+	l.Release("cpu0", 2, 10)
+	checkDraw(t, l, devs, 0)
+	step("release", false, []int{8, 4, 0}, []int{0, 0, 0})
+	if l.Claim("cpu0", 9, 0) != NoCores {
+		t.Fatal("oversubscribing claim granted")
+	}
+	step("core refusal", false, []int{8, 4, 0}, []int{0, 0, 0})
+
+	// PackAndThrottle step-down on a watt refusal, then no step at the floor.
+	if l.Claim("cpu0", 0, 24) != Granted {
+		t.Fatal("draw within cap refused")
+	}
+	checkDraw(t, l, devs, 24)
+	if l.Claim("cpu0", 0, 10) != NoWatts {
+		t.Fatal("draw over cap granted")
+	}
+	checkDraw(t, l, devs, 24)
+	step("step-down", true, []int{8, 4, 0}, []int{1, 0, 0})
+	if l.Claim("fpga0", 0, 10) != NoWatts {
+		t.Fatal("draw over cap granted")
+	}
+	step("refusal at the floor", false, []int{8, 4, 0}, []int{1, 0, 0})
+
+	// Hysteresis step-up once the release relaxes the draw.
+	l.Release("cpu0", 0, 24)
+	checkDraw(t, l, devs, 0)
+	step("step-up", true, []int{8, 4, 0}, []int{0, 0, 0})
+
+	l.SetCapacity("cpu0", 4)
+	checkDraw(t, l, devs, 0)
+	step("SetCapacity", true, []int{4, 4, 0}, []int{0, 0, 0})
+	if l.Claim("fpga0", 1, 5) != Granted {
+		t.Fatal("claim on fpga0 refused")
+	}
+	checkDraw(t, l, devs, 5)
+	if !l.Fail("fpga0") {
+		t.Fatal("Fail reported fpga0 already gone")
+	}
+	checkDraw(t, l, devs, 0)
+	step("Fail", true, []int{4, 0, 0}, []int{0, 0, 0})
+	// A late revocation of the lost grant changes neither shape nor draw.
+	l.Release("fpga0", 1, 5)
+	checkDraw(t, l, devs, 0)
+	step("late release", false, []int{4, 0, 0}, []int{0, 0, 0})
+}
+
+// TestLedgerLockFreeReadsRace runs the lock-free readers against every
+// writer at once; run it under -race. Readers check that Shape's epoch
+// never runs behind an earlier Epoch, that its values stay in range and
+// that the draw never exceeds the cap.
+func TestLedgerLockFreeReadsRace(t *testing.T) {
+	devs := testDevices(t)
+	l := NewLedger(40, devs, PackAndThrottle)
+	stop := make(chan struct{})
+	var readers, writers sync.WaitGroup
+	for r := 0; r < 2; r++ {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			cores, points := make([]int, len(devs)), make([]int, len(devs))
+			for {
+				select {
+				case <-stop:
+					return
+				case <-l.Changed():
+				default:
+				}
+				e := l.Epoch()
+				if se := l.Shape(devs, cores, points); se < e {
+					t.Errorf("Shape epoch %d behind an earlier Epoch %d", se, e)
+					return
+				}
+				if cores[0] > 8 || cores[1] > 4 || points[0] > 1 || points[1] != 0 {
+					t.Errorf("shape out of range: cores %v, points %v", cores, points)
+					return
+				}
+				if d := l.Draw(); d > l.Cap() {
+					t.Errorf("draw %v over the %v W cap", d, l.Cap())
+					return
+				}
+			}
+		}()
+	}
+	for w := 0; w < 2; w++ {
+		writers.Add(1)
+		go func() {
+			defer writers.Done()
+			for i := 0; i < 2000; i++ {
+				// 15 W idle + 2 × 15 W dynamic > 40 W: claims race into
+				// refusals, and the governor steps cpu0 down and back up.
+				if l.Claim("cpu0", 1, 15) == Granted {
+					l.Release("cpu0", 1, 15)
+				}
+			}
+		}()
+	}
+	writers.Add(1)
+	go func() {
+		defer writers.Done()
+		for i := 0; i < 500; i++ {
+			l.SetCapacity("cpu0", 6+i%3)
+		}
+		l.Fail("fpga0")
+	}()
+	writers.Wait()
+	close(stop)
+	readers.Wait()
+	checkDraw(t, l, devs, 0)
+}
+
+// benchLedger is an uncapped ledger over one device wide enough that no
+// parallel claimer is ever refused for cores.
+func benchLedger() *Ledger {
+	spec := hw.Spec{Name: "cpu", Class: hw.CPUx86, Cores: 1 << 16, GOPS: 100, IdleWatts: 10, PeakWatts: 50}
+	return NewLedger(0, []*hw.Device{hw.NewDevice(sim.NewEngine(), "cpu0", spec)}, RaceToIdle)
+}
+
+// BenchmarkLedgerClaimRelease times one granted Claim plus its Release,
+// alone and with every P claiming at once. Each Release wakes parked jobs
+// by replacing the generation channel: one allocation per op.
+func BenchmarkLedgerClaimRelease(b *testing.B) {
+	b.Run("uncontended", func(b *testing.B) {
+		l := benchLedger()
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if l.Claim("cpu0", 1, 1) != Granted {
+				b.Fatal("claim refused")
+			}
+			l.Release("cpu0", 1, 1)
+		}
+	})
+	b.Run("contended", func(b *testing.B) {
+		l := benchLedger()
+		b.ReportAllocs()
+		b.RunParallel(func(pb *testing.PB) {
+			for pb.Next() {
+				if l.Claim("cpu0", 1, 1) != Granted {
+					b.Error("claim refused")
+					return
+				}
+				l.Release("cpu0", 1, 1)
+			}
+		})
+	})
+}
+
+var (
+	sinkEpoch uint64
+	sinkDraw  energy.Watts
+	sinkGen   <-chan struct{}
+)
+
+// BenchmarkLedgerReads times the reads a job makes on every dispatch round
+// or event: the shape epoch, the fleet draw and the generation channel.
+func BenchmarkLedgerReads(b *testing.B) {
+	l := benchLedger()
+	b.Run("Epoch", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			sinkEpoch = l.Epoch()
+		}
+	})
+	b.Run("Draw", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			sinkDraw = l.Draw()
+		}
+	})
+	b.Run("Changed", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			sinkGen = l.Changed()
+		}
+	})
 }

@@ -313,3 +313,63 @@ func TestDeviceLossRequeuesOnce(t *testing.T) {
 		t.Fatalf("after the run: %d queued, %d unfinished", rt.nready, rt.inDAG)
 	}
 }
+
+// TestShapeReadsByDeviceID: the runtime reads fleet capacity and operating
+// points by device ID, whatever order its mirror lists the devices in, and
+// a mirror device the ledger does not track reads as zero cores, so no task
+// lands on it.
+func TestShapeReadsByDeviceID(t *testing.T) {
+	ref := wideDevices(sim.NewEngine())
+	// The cap covers every device at full tilt: only the forced refusal
+	// below is ever refused.
+	led := power.NewLedger(power.FleetPeakWatts(ref), ref, power.PackAndThrottle)
+	eng := sim.NewEngine()
+	mirror := []*hw.Device{
+		hw.NewDevice(eng, "gpu0", hw.JetsonTX2()),
+		hw.NewDevice(eng, "ghost", hw.XeonD()),
+		hw.NewDevice(eng, "arm1", hw.ARMv8Server()),
+		hw.NewDevice(eng, "cpu1", hw.XeonD()),
+		hw.NewDevice(eng, "arm0", hw.ARMv8Server()),
+		hw.NewDevice(eng, "cpu0", hw.XeonD()),
+	}
+	rt := New(eng, mirror, MinEDP)
+	rt.SetAdmission(led)
+	check := func(what string) {
+		t.Helper()
+		rt.readCapacity()
+		for i, d := range mirror {
+			if rt.capacity[i] != led.Capacity(d.ID) || rt.points[i] != led.OperatingPoint(d.ID) {
+				t.Fatalf("%s: %s reads (%d cores, point %d), ledger has (%d, %d)", what, d.ID,
+					rt.capacity[i], rt.points[i], led.Capacity(d.ID), led.OperatingPoint(d.ID))
+			}
+		}
+		if rt.capacity[1] != 0 {
+			t.Fatalf("%s: untracked device reads %d cores, want 0", what, rt.capacity[1])
+		}
+	}
+	check("construction")
+	led.SetCapacity("cpu1", 4)
+	check("shrink")
+	led.Fail("arm0")
+	check("loss")
+	if led.Claim("cpu0", 0, 1e6) != power.NoWatts {
+		t.Fatal("over-cap draw granted")
+	}
+	check("throttle")
+	rt.applyOperatingPoints()
+	if p := mirror[5].StateIndex(); p != 1 || p != led.OperatingPoint("cpu0") {
+		t.Fatalf("mirror cpu0 at point %d, ledger prescribes %d", p, led.OperatingPoint("cpu0"))
+	}
+	if err := wideDAG(rt, rand.New(rand.NewSource(3)), 2, 12); err != nil {
+		t.Fatal(err)
+	}
+	res, err := rt.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rec := range res.Records {
+		if rec.Device == "ghost" || rec.Device == "arm0" {
+			t.Fatalf("task %s placed on %s, which the fleet does not offer", rec.Name, rec.Device)
+		}
+	}
+}

@@ -274,15 +274,22 @@ func (r *Runtime) restock() {
 	r.aside = r.aside[:0]
 }
 
-// readCapacity refreshes r.capacity from the fleet ledger. It is the one
-// place the runtime reads fleet capacity; without a ledger the runtime owns
-// its devices whole and capacity stays each device's core count.
+// readCapacity brings r.capacity up to date with the fleet ledger. It is
+// the one place the runtime reads fleet capacity; without a ledger the
+// runtime owns its devices whole and capacity stays each device's core
+// count.
 func (r *Runtime) readCapacity() {
-	if r.adm == nil {
-		return
+	if r.adm != nil {
+		r.refreshShape()
 	}
-	for i, d := range r.devices {
-		r.capacity[i] = r.adm.Capacity(d.ID)
+}
+
+// refreshShape re-reads fleet capacity and operating points when the
+// ledger's shape epoch moved since the last read: one atomic load when it
+// did not, which is every round of an uncapped, fault-free session.
+func (r *Runtime) refreshShape() {
+	if e := r.adm.Epoch(); e != r.epoch {
+		r.epoch = r.adm.Shape(r.devices, r.capacity, r.points)
 	}
 }
 

@@ -102,24 +102,26 @@ const (
 // a claim of zero cores claims watts alone. Changed returns a channel
 // closed on the next release, fleet event or governor reshape after the
 // call; a runtime grabs it before dispatching so a release racing with a
-// refusal can never be missed. Capacity reports a device's current total
-// cores (zero for a lost device), letting runtimes tell transient
-// contention (park and wait) from permanent loss (re-place or fail with
-// ErrDeviceLost). Reacquire claims a set of core grants in one step, or
-// none, for a runtime resuming from suspension; a grant larger than its
-// device's current capacity (the device shrank while the runtime was
-// parked) is claimed as a deficit once no sibling holds that device.
-// OperatingPoint is the governor's current DVFS prescription for a device,
-// applied to the platform mirror before scoring. Capped reports whether
-// the watt budget is finite: only then can a draw be refused, so only
-// then are watt decisions reported as events.
+// refusal can never be missed. Reacquire claims a set of core grants in one
+// step, or none, for a runtime resuming from suspension; a grant larger
+// than its device's current capacity (the device shrank while the runtime
+// was parked) is claimed as a deficit once no sibling holds that device.
+// Shape fills, per device, the current total cores (zero for a lost or
+// unknown device) and the governor's current DVFS prescription, and
+// returns the epoch they belong to; Epoch moves whenever either changes.
+// Capacity lets runtimes tell transient contention (park and wait) from
+// permanent loss (re-place or fail with ErrDeviceLost); the prescription
+// is applied to the platform mirror before scoring. Changed and Epoch are
+// read on every dispatch round, so they should be cheap. Capped reports
+// whether the watt budget is finite: only then can a draw be refused, so
+// only then are watt decisions reported as events.
 type Admission interface {
 	Claim(deviceID string, cores int, watts energy.Watts) power.Verdict
 	Release(deviceID string, cores int, watts energy.Watts)
 	Reacquire(grants map[string]int) bool
 	Changed() <-chan struct{}
-	Capacity(deviceID string) int
-	OperatingPoint(deviceID string) int
+	Epoch() uint64
+	Shape(devs []*hw.Device, cores, points []int) uint64
 	Capped() bool
 }
 
@@ -303,7 +305,9 @@ type Runtime struct {
 	// Ready queue and dispatch scratch (see ready.go).
 	lanes    []*lane         // one heap of ready tasks per task shape
 	nready   int             // queued tasks
-	capacity []int           // fleet capacity per device, as of readCapacity
+	capacity []int           // fleet capacity per device, as of epoch
+	points   []int           // governor-prescribed operating point per device, as of epoch
+	epoch    uint64          // the ledger shape epoch capacity and points were read at
 	free     [classSlots]int // most free cores on one healthy device, per class
 	freeAny  int             // most free cores on any healthy device
 	aside    []*node         // dispatch call: popped, not placed, retried after each placement
@@ -362,6 +366,10 @@ func New(eng *sim.Engine, devices []*hw.Device, policy Policy) *Runtime {
 func (r *Runtime) SetAdmission(a Admission) {
 	r.adm = a
 	r.capped = a != nil && a.Capped()
+	if a != nil {
+		r.points = make([]int, len(r.devices))
+		r.epoch = a.Shape(r.devices, r.capacity, r.points)
+	}
 }
 
 // SetRetryPolicy sets the default failure attempt budget (extra executions
@@ -681,8 +689,9 @@ func (r *Runtime) applyOperatingPoints() {
 	if r.adm == nil {
 		return
 	}
-	for _, dev := range r.devices {
-		if p := r.adm.OperatingPoint(dev.ID); p != dev.StateIndex() {
+	r.refreshShape()
+	for i, dev := range r.devices {
+		if p := r.points[i]; p != dev.StateIndex() {
 			from := dev.StateIndex()
 			if err := dev.SetState(p); err != nil {
 				// A mirror with fewer states than the reference ladder is a
