@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: ci vet lint build test race fuzz examples bench-module bench bench-short bench-taskrt bench-power run-bench clean
+.PHONY: ci vet lint build test race fuzz examples bench-module bench bench-short bench-taskrt bench-power run-bench golden clean
 
 ci: vet lint build race fuzz examples bench-module bench-short
 
@@ -62,6 +62,12 @@ bench-power:
 # Regenerate every paper table/figure (add QUICK=1 for smaller sweeps).
 run-bench:
 	$(GO) run ./cmd/legato-bench $(if $(QUICK),-quick)
+
+# Rewrite the pinned `legato-bench -quick` tables
+# (cmd/legato-bench/testdata/paper-quick.golden). `make test` and `make race`
+# compare against them; list every regeneration in CHANGES.md.
+golden:
+	$(GO) test ./cmd/legato-bench -run '^TestPaperTablesGolden$$' -update
 
 clean:
 	$(GO) clean ./...

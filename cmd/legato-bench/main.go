@@ -15,6 +15,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"time"
@@ -24,10 +25,11 @@ import (
 	"legato/internal/sim"
 )
 
-func section(title string) {
-	fmt.Printf("\n========================================================================\n")
-	fmt.Printf("%s\n", title)
-	fmt.Printf("========================================================================\n")
+// rule frames each section title.
+const rule = "========================================================================"
+
+func section(w io.Writer, title string) {
+	fmt.Fprintf(w, "\n%s\n%s\n%s\n", rule, title, rule)
 }
 
 // benchRecord is the machine-readable summary of one section written by
@@ -85,161 +87,167 @@ func main() {
 	quick := flag.Bool("quick", false, "smaller sweeps for a fast smoke run")
 	jsonOut := flag.Bool("json", false, "write BENCH_<section>.json records")
 	flag.Parse()
-	rec := recorder{enabled: *jsonOut}
+	rec := &recorder{enabled: *jsonOut}
+	if err := run(os.Stdout, *quick, rec); err != nil {
+		log.Fatal(err)
+	}
+	if err := rec.flush(); err != nil {
+		log.Fatal(err)
+	}
+}
 
+// run writes every section's table to w, timing each into rec.
+func run(w io.Writer, quick bool, rec *recorder) error {
 	nodes := []int{1, 4, 8, 16}
 	sizes := []float64{16, 32}
 	frames := 600
 	jobs := 600
-	if *quick {
+	if quick {
 		nodes = []int{1, 4}
 		sizes = []float64{16}
 		frames = 200
 		jobs = 200
 	}
 
-	section("E7 (Figs. 3-4): RECS|BOX platform")
+	section(w, "E7 (Figs. 3-4): RECS|BOX platform")
 	rec.start()
 	inv, err := experiments.RECSBoxInventory()
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	rec.add("recsbox", 1, 0, 0)
-	fmt.Print(inv)
+	fmt.Fprint(w, inv)
 
-	section("E1/E2 (Fig. 5): FPGA undervolting")
+	section(w, "E1/E2 (Fig. 5): FPGA undervolting")
 	rec.start()
 	fig5, err := experiments.Fig5(1)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	rec.add("fig5_undervolt", len(fig5.Rows), 0, 0)
-	fmt.Print(fig5.Table())
+	fmt.Fprint(w, fig5.Table())
 
-	section("E3/E4 (Fig. 6): Heat2D checkpoint/restart + MTBF estimate")
+	section(w, "E3/E4 (Fig. 6): Heat2D checkpoint/restart + MTBF estimate")
 	rec.start()
 	fig6, err := experiments.Fig6(nodes, sizes)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	rec.add("fig6_checkpoint", len(nodes)*len(sizes), 0, 0)
-	fmt.Print(fig6.Table())
+	fmt.Fprint(w, fig6.Table())
 	factor, err := experiments.MTBF(fig6, sizes[0], 4)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("MTBF sustainability factor (Daly, 4h reference): %.1fx (paper: 7x)\n", factor)
+	fmt.Fprintf(w, "MTBF sustainability factor (Daly, 4h reference): %.1fx (paper: 7x)\n", factor)
 
-	section("E5 (Fig. 7): HEATS energy/performance trade-off")
+	section(w, "E5 (Fig. 7): HEATS energy/performance trade-off")
 	rec.start()
 	heats, err := experiments.HEATS(6)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	lastHEATS := heats.Rows[len(heats.Rows)-1]
 	rec.add("heats", len(heats.Rows), lastHEATS.PlatformEnergyJ, 0)
-	fmt.Print(heats.Table())
+	fmt.Fprint(w, heats.Table())
 
-	section("E6 (Sec. VI): Smart Mirror")
+	section(w, "E6 (Sec. VI): Smart Mirror")
 	rec.start()
 	mrows, err := experiments.Mirror(frames, 1)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	rec.add("mirror", frames, 0, 0)
-	fmt.Print(mirror.CompareTable(mrows))
+	fmt.Fprint(w, mirror.CompareTable(mrows))
 
-	section("E8 (Sec. III-C): NN inference under undervolting")
+	section(w, "E8 (Sec. III-C): NN inference under undervolting")
 	rec.start()
 	mlRows, baseline, err := experiments.UndervoltML(2)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	rec.add("undervolt_ml", len(mlRows), 0, 0)
-	fmt.Print(experiments.MLTable(mlRows, baseline))
+	fmt.Fprint(w, experiments.MLTable(mlRows, baseline))
 
-	section("E9 (Sec. I): selective replication")
+	section(w, "E9 (Sec. I): selective replication")
 	rec.start()
 	rep, err := experiments.Replication(jobs, 5, 3)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	rec.add("replication", jobs, 0, 0)
-	fmt.Print(experiments.ReplicationTable(rep))
+	fmt.Fprint(w, experiments.ReplicationTable(rep))
 
-	section("E10 (Sec. II-C): XiTAO elasticity")
+	section(w, "E10 (Sec. II-C): XiTAO elasticity")
 	rec.start()
 	xt, err := experiments.XiTAOElasticity(8)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	rec.add("xitao", len(xt), 0, 0)
-	fmt.Print(experiments.XiTAOTable(xt))
+	fmt.Fprint(w, experiments.XiTAOTable(xt))
 
-	section("E11: concurrent multi-job engine throughput")
+	section(w, "E11: concurrent multi-job engine throughput")
 	widths := []int{1, 2, 4, 8}
 	mjJobs := 8
-	if *quick {
+	if quick {
 		widths = []int{1, 4}
 		mjJobs = 4
 	}
 	rec.start()
 	mj, err := experiments.MultiJob(widths, mjJobs)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	rec.add("multijob", mjJobs*len(widths), mj[len(mj)-1].EnergyJ, 0)
-	fmt.Print(experiments.MultiJobTable(mj))
+	fmt.Fprint(w, experiments.MultiJobTable(mj))
 
-	section("E12: resilient session under MTBF-driven device loss")
+	section(w, "E12: resilient session under MTBF-driven device loss")
 	rsJobs, rsWorkers := 8, 8
-	if *quick {
+	if quick {
 		rsJobs, rsWorkers = 4, 4
 	}
 	rec.start()
 	rs, err := experiments.Resilient(rsJobs, rsWorkers, 1)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	rec.add("resilient", rsJobs, 0, 0)
-	fmt.Print(experiments.ResilientTable(rs))
+	fmt.Fprint(w, experiments.ResilientTable(rs))
 
-	section("E13: fleet power cap and energy-aware placement")
+	section(w, "E13: fleet power cap and energy-aware placement")
 	pcJobs, pcWorkers := 8, 8
-	if *quick {
+	if quick {
 		pcJobs, pcWorkers = 4, 4
 	}
 	rec.start()
 	pc, err := experiments.PowerCap(pcJobs, pcWorkers)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	rec.add("powercap", pcJobs, pc.CappedEnergyJ, 0)
-	fmt.Print(experiments.PowerCapTable(pc))
+	fmt.Fprint(w, experiments.PowerCapTable(pc))
 
-	section("E14: tail latency under silent degradation, hedged vs unhedged")
+	section(w, "E14: tail latency under silent degradation, hedged vs unhedged")
 	tlJobs, tlWorkers := 6, 4
-	if *quick {
+	if quick {
 		tlJobs, tlWorkers = 4, 2
 	}
 	rec.start()
 	tl, err := experiments.Tail(tlJobs, tlWorkers, 1)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	rec.add("tail", tlJobs, tl.HedgedEnergyJ, sim.ToSeconds(tl.HedgedP99))
-	fmt.Print(experiments.TailTable(tl))
+	fmt.Fprint(w, experiments.TailTable(tl))
 
-	section("Ablation: SECDED ECC mitigation for sub-guardband operation")
+	section(w, "Ablation: SECDED ECC mitigation for sub-guardband operation")
 	rec.start()
 	eccRows, err := experiments.ECCMitigation(64<<10, 4)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	rec.add("ecc", len(eccRows), 0, 0)
-	fmt.Print(experiments.ECCTable(eccRows))
-
-	if err := rec.flush(); err != nil {
-		log.Fatal(err)
-	}
+	fmt.Fprint(w, experiments.ECCTable(eccRows))
+	return nil
 }
