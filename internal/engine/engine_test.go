@@ -10,6 +10,7 @@ import (
 
 	"legato/internal/hw"
 	"legato/internal/monitor"
+	"legato/internal/obs"
 	"legato/internal/power"
 	"legato/internal/sim"
 	"legato/internal/taskrt"
@@ -218,6 +219,75 @@ func TestConcurrentJobsNeverOversubscribe(t *testing.T) {
 	st := e.Stats()
 	if st.JobsCompleted != 12 || st.TasksCompleted != 12*6 {
 		t.Fatalf("stats: %+v", st)
+	}
+}
+
+// TestConcurrentMoldableJobsNeverOversubscribe: each job molds its tasks
+// against its own platform mirror, on which the whole fleet looks free, so
+// concurrent jobs pick widths that collide on the fleet ledger and stall.
+// Admission must still keep every device within capacity and get every
+// core back.
+func TestConcurrentMoldableJobsNeverOversubscribe(t *testing.T) {
+	bus := obs.NewBus()
+	var mu sync.Mutex
+	widest := 0
+	bus.Observe(func(ev obs.Event) {
+		if ev.Kind == obs.TaskPlaced {
+			mu.Lock()
+			widest = max(widest, int(ev.Value))
+			mu.Unlock()
+		}
+	})
+	e, err := New(Config{Workers: 4, Policy: taskrt.MinTime, NewPlatform: testPlatform, Bus: bus})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = e.Shutdown(context.Background()) })
+	ctx := context.Background()
+	var jobs []*Job
+	for i := 0; i < 4; i++ {
+		// Two chains of ten moldable tasks: two ready tasks at a time,
+		// each molding to about half of a device.
+		j, err := e.NewJob(fmt.Sprintf("mold%d", i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		rt := j.Runtime()
+		for c := 0; c < 2; c++ {
+			prev := rt.Data(fmt.Sprintf("mold%d/c%d/d0", i, c), 64)
+			for k := 0; k < 10; k++ {
+				next := rt.Data(fmt.Sprintf("mold%d/c%d/d%d", i, c, k+1), 64)
+				if err := rt.Submit(taskrt.Task{
+					Name: fmt.Sprintf("mold%d/c%d/t%d", i, c, k), Gops: 40 + 20*float64(c), Cores: 1,
+					Mold: &taskrt.Moldable{MaxCores: 8, ParallelFrac: 0.9},
+					In:   []*taskrt.Data{prev}, Out: []*taskrt.Data{next},
+				}); err != nil {
+					t.Fatal(err)
+				}
+				prev = next
+			}
+		}
+		jobs = append(jobs, j)
+	}
+	for _, j := range jobs {
+		if err := e.Submit(ctx, j); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, j := range jobs {
+		if _, err := j.Wait(ctx); err != nil {
+			t.Fatalf("job %s: %v", j.Name, err)
+		}
+	}
+	for _, id := range []string{"dev/cpu", "dev/fpga"} {
+		if f := e.Fleet(); f.Peak(id) > f.Capacity(id) || f.InUse(id) != 0 {
+			t.Fatalf("%s: peak %d of %d, %d left in use", id, f.Peak(id), f.Capacity(id), f.InUse(id))
+		}
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if widest < 2 {
+		t.Fatalf("widest placement %d cores: no task molded", widest)
 	}
 }
 

@@ -1,16 +1,19 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
+	"legato/internal/engine"
 	"legato/internal/fpga"
 	"legato/internal/ft"
 	"legato/internal/hw"
 	"legato/internal/mirror"
 	"legato/internal/nn"
+	"legato/internal/obs"
 	"legato/internal/sim"
-	"legato/internal/xitao"
+	"legato/internal/taskrt"
 )
 
 // --- E6: Smart Mirror --------------------------------------------------
@@ -168,40 +171,113 @@ func MTBF(fig6 *Fig6Result, perProcGB float64, refMTBFHours float64) (factor flo
 
 // --- E10: XiTAO elasticity ablation ---------------------------------------
 
-// XiTAORow is one width policy's outcome on the mixed DAG.
+// XiTAORow is one width rule's outcome on the mixed DAG.
 type XiTAORow struct {
 	Policy      string
 	MakespanSec float64
-	Efficiency  float64
+	// Efficiency is useful core-seconds (the serial work) over allocated
+	// core-seconds (width × span): how little of the allocation Amdahl
+	// wasted, the interference-freedom metric.
+	Efficiency float64
 }
 
-// XiTAOElasticity runs the mixed workload under each width policy.
+// xitaoMix is E10's mixed DAG: a few wide, mostly parallel tasks and more
+// narrow, mostly serial ones, all ready at once.
+var xitaoMix = []struct {
+	name       string
+	count      int
+	gops, frac float64
+}{
+	{"wide", 3, 200, 0.95},
+	{"narrow", 4, 40, 0.1},
+}
+
+// XiTAOElasticity runs the mixed DAG under XiTAO's three width rules,
+// expressed as moldable-task width bounds: elastic (1..cores), fixed-wide
+// (cores..cores) and fixed-1 (1..1). Each rule is one engine job on a
+// single cores-core CPU of 10 Gops/s per core.
 func XiTAOElasticity(cores int) ([]XiTAORow, error) {
-	var rows []XiTAORow
-	for _, pol := range []xitao.WidthPolicy{xitao.Elastic, xitao.FixedWide, xitao.FixedOne} {
-		eng := sim.NewEngine()
-		rt := xitao.New(eng, cores, pol)
-		for i := 0; i < 3; i++ {
-			if err := rt.Submit(&xitao.TAO{Name: "wide", Work: 200, ParallelFrac: 0.95}); err != nil {
-				return nil, err
-			}
-		}
-		for i := 0; i < 4; i++ {
-			if err := rt.Submit(&xitao.TAO{Name: "narrow", Work: 40, ParallelFrac: 0.1}); err != nil {
-				return nil, err
-			}
-		}
-		res, err := rt.Run()
+	rules := []struct {
+		name     string
+		min, max int
+	}{
+		{"elastic", 1, cores},
+		{"fixed-wide", cores, cores},
+		{"fixed-1", 1, 1},
+	}
+	rows := make([]XiTAORow, 0, len(rules))
+	for _, rule := range rules {
+		row, err := xitaoRun(rule.name, rule.min, rule.max, cores)
 		if err != nil {
 			return nil, err
 		}
-		rows = append(rows, XiTAORow{
-			Policy:      pol.String(),
-			MakespanSec: sim.ToSeconds(res.Makespan),
-			Efficiency:  res.Efficiency,
-		})
+		rows = append(rows, row)
 	}
 	return rows, nil
+}
+
+// xitaoRun executes the mixed DAG with every task molded in [min, max]
+// cores and reads each task's width from its TaskPlaced event.
+func xitaoRun(policy string, minW, maxW, cores int) (XiTAORow, error) {
+	spec := hw.XeonD()
+	spec.Cores, spec.GOPS = cores, 10*float64(cores)
+	platform := func(se *sim.Engine) ([]*hw.Device, error) {
+		return []*hw.Device{hw.NewDevice(se, "cpu", spec)}, nil
+	}
+	bus := obs.NewBus()
+	widths := map[string]int{}
+	bus.Observe(func(ev obs.Event) {
+		if ev.Kind == obs.TaskPlaced {
+			widths[ev.Task] = int(ev.Value)
+		}
+	})
+	e, err := engine.New(engine.Config{Workers: 1, NewPlatform: platform, Bus: bus})
+	if err != nil {
+		return XiTAORow{}, err
+	}
+	ctx := context.Background()
+	res, useful, runErr := xitaoJob(ctx, e, policy, minW, maxW, spec.GOPS/float64(cores))
+	if err := e.Shutdown(ctx); err != nil {
+		return XiTAORow{}, err
+	}
+	if runErr != nil {
+		return XiTAORow{}, runErr
+	}
+	allocated := 0.0
+	for _, rec := range res.Records {
+		allocated += float64(widths[rec.Name]) * sim.ToSeconds(rec.End-rec.Start)
+	}
+	row := XiTAORow{Policy: policy, MakespanSec: sim.ToSeconds(res.Makespan)}
+	if allocated > 0 {
+		row.Efficiency = useful / allocated
+	}
+	return row, nil
+}
+
+// xitaoJob submits the mixed DAG as one job, waits for it, and returns the
+// DAG's serial work in core-seconds at perCore Gops/s.
+func xitaoJob(ctx context.Context, e *engine.Engine, policy string, minW, maxW int, perCore float64) (*taskrt.Result, float64, error) {
+	j, err := e.NewJob(policy)
+	if err != nil {
+		return nil, 0, err
+	}
+	useful := 0.0
+	for _, m := range xitaoMix {
+		for i := 0; i < m.count; i++ {
+			if err := j.Runtime().Submit(taskrt.Task{
+				Name: fmt.Sprintf("%s-%d", m.name, i), Gops: m.gops, Cores: minW,
+				Mold: &taskrt.Moldable{MaxCores: maxW, ParallelFrac: m.frac},
+			}); err != nil {
+				return nil, 0, err
+			}
+			useful += m.gops / perCore
+		}
+	}
+	if err := e.Submit(ctx, j); err != nil {
+		return nil, 0, err
+	}
+	res, err := j.Wait(ctx)
+	return res, useful, err
 }
 
 // XiTAOTable renders the ablation.

@@ -6,7 +6,7 @@
 //
 // Everything is a behavioural model: devices expose capacity, a
 // work→duration mapping and a utilisation→power mapping, which is exactly
-// the surface the runtimes (taskrt, xitao) and the use cases (mirror)
+// the surface the task runtime (taskrt) and the use cases (mirror)
 // consume.
 package hw
 

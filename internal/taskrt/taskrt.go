@@ -44,7 +44,8 @@ var (
 	// deadline under the strict deadline mode.
 	ErrDeadlineExceeded = errors.New("taskrt: task deadline exceeded")
 	// ErrInvalidTask marks a task specification rejected at Submit
-	// (negative cost, width, retry budget or deadline).
+	// (negative cost, width, retry budget or deadline, or a moldable range
+	// that is empty or has a parallel fraction outside [0,1]).
 	ErrInvalidTask = errors.New("taskrt: invalid task")
 )
 
@@ -165,8 +166,12 @@ type Task struct {
 	// Gops is the task's computational cost in giga-operations.
 	Gops float64
 	// Cores is the requested parallel width on the chosen device
-	// (default 1).
+	// (default 1); the narrowest width of a moldable task.
 	Cores int
+	// Mold makes the task moldable: its width is chosen at placement.
+	// nil keeps the fixed Cores width with linear speedup. Submit
+	// validates it, so it must not change afterwards.
+	Mold *Moldable
 	// Targets lists acceptable device classes in preference order; empty
 	// means any device.
 	Targets []hw.Class
@@ -194,6 +199,67 @@ type Task struct {
 	Deadline sim.Time
 	// Fn runs at completion time (simulated); may be nil.
 	Fn func()
+}
+
+// Moldable is the elastic width of a XiTAO-style task (paper Sec. II-C):
+// at placement the runtime picks a width in [Task.Cores, MaxCores] from the
+// chosen device's free cores, and the task runs its 1-core time divided by
+// its Amdahl speedup at that width.
+type Moldable struct {
+	// MaxCores is the widest the task may run.
+	MaxCores int
+	// ParallelFrac is the Amdahl parallel fraction in [0,1].
+	ParallelFrac float64
+}
+
+// Speedup is the Amdahl speedup at the given width.
+func (m *Moldable) Speedup(width int) float64 {
+	if width <= 1 {
+		return 1
+	}
+	p := m.ParallelFrac
+	return 1.0 / ((1 - p) + p/float64(width))
+}
+
+// elasticWidth is XiTAO's elastic rule for a moldable task on a device
+// with free cores: a share of them in proportion to the task's Gops over
+// the ready Gops (its own included), clamped to [Cores, MaxCores], then
+// trimmed while the last core adds under 50% of a core's worth of speedup.
+// Concurrent ready tasks thus share the device, and a mostly serial task
+// stays narrow even on an idle one.
+func elasticWidth(t *Task, free int, readyGops float64) int {
+	m := t.Mold
+	w := t.Cores
+	if readyGops > 0 {
+		w = int(float64(free)*t.Gops/readyGops + 0.999)
+	}
+	w = min(max(w, t.Cores), m.MaxCores, free)
+	for w > t.Cores {
+		if m.Speedup(w)/m.Speedup(w-1) >= 1.0+0.5/float64(w) {
+			break
+		}
+		w--
+	}
+	return w
+}
+
+// execTime is how long t runs on dev at the given width: the device's
+// linear model, or for a moldable task its 1-core time over the Amdahl
+// speedup. Both follow the device's operating point.
+func execTime(t *Task, dev *hw.Device, width int) sim.Time {
+	if t.Mold == nil {
+		return dev.ExecTime(t.Gops, width)
+	}
+	return sim.Time(float64(dev.ExecTime(t.Gops, 1)) / t.Mold.Speedup(width))
+}
+
+// energyFor is the dynamic energy of t on dev at the given width, before
+// undervolting: width cores' draw over execTime.
+func energyFor(t *Task, dev *hw.Device, width int) energy.Joules {
+	if t.Mold == nil {
+		return dev.EnergyFor(t.Gops, width)
+	}
+	return dev.DynamicWatts(width) * sim.ToSeconds(execTime(t, dev, width))
 }
 
 // exec is one in-flight execution of a task: the primary placement, or a
@@ -238,20 +304,21 @@ type node struct {
 
 // Record is the execution trace of one task.
 type Record struct {
-	ID       int
-	Name     string
-	Device   string
-	Class    hw.Class
-	Start    sim.Time
-	End      sim.Time
-	EnergyJ  energy.Joules
-	Critical bool
+	ID      int
+	Name    string
+	Device  string
+	Class   hw.Class
+	Start   sim.Time
+	End     sim.Time
+	EnergyJ energy.Joules
 	// Undervolt is the task's undervolt level (0 = guardband).
 	Undervolt int
 	// DrawW is the dynamic draw the execution held while running.
 	DrawW energy.Watts
 	// Attempts counts executions of the task (1 = first try succeeded).
 	Attempts int
+	// Critical copies Task.Critical (the task is replicated).
+	Critical bool
 	// Corrupted marks a silent data corruption that went undetected (the
 	// task was not replicated/critical).
 	Corrupted bool
@@ -534,6 +601,16 @@ func (r *Runtime) Submit(t Task) error {
 		return fmt.Errorf("taskrt: task %q undervolt level %d outside [0, %d]: %w",
 			t.Name, t.Undervolt, power.MaxUndervolt, ErrInvalidTask)
 	}
+	if m := t.Mold; m != nil {
+		if m.MaxCores < t.Cores {
+			return fmt.Errorf("taskrt: task %q molds up to %d cores, below its %d: %w",
+				t.Name, m.MaxCores, t.Cores, ErrInvalidTask)
+		}
+		if !(m.ParallelFrac >= 0 && m.ParallelFrac <= 1) {
+			return fmt.Errorf("taskrt: task %q parallel fraction %v outside [0,1]: %w",
+				t.Name, m.ParallelFrac, ErrInvalidTask)
+		}
+	}
 	n := &node{task: t, id: r.nextID}
 	r.nextID++
 	n.record = Record{ID: n.id, Name: t.Name, Critical: t.Critical, Undervolt: t.Undervolt}
@@ -652,32 +729,56 @@ func classMatch(t *Task, c hw.Class) bool {
 	return false
 }
 
-// score returns the policy objective for running t on dev now (lower is
-// better); ok=false if the device cannot take the task at this instant.
-func (r *Runtime) score(t *Task, dev *hw.Device) (float64, bool) {
+// score returns the policy objective for running t on device di now (lower
+// is better) and the width it was scored at; ok=false if the device cannot
+// take the task at this instant. A moldable task is scored at its elastic
+// width on the device, given the job's ready Gops.
+func (r *Runtime) score(t *Task, di int, readyGops float64) (s float64, width int, ok bool) {
+	dev := r.devices[di]
 	if !compatible(t, dev) {
-		return 0, false
+		return 0, 0, false
 	}
 	free := dev.Spec.Cores - dev.BusyCores()
 	if free < t.Cores {
-		return 0, false
+		return 0, 0, false
 	}
-	execSec := sim.ToSeconds(dev.ExecTime(t.Gops, t.Cores))
+	width = t.Cores
+	if t.Mold != nil {
+		width = elasticWidth(t, min(free, r.capacity[di]), readyGops)
+	}
+	execSec := sim.ToSeconds(execTime(t, dev, width))
 	// Fold in witnessed slowdowns: a device exposed as degraded by the
 	// straggler watchdog is scored at its observed stretch, so placement
 	// routes around it without ever reading the (hidden) fault state.
 	if f, ok := r.suspect[dev.ID]; ok {
 		execSec *= f
 	}
-	energyJ := dev.EnergyFor(t.Gops, t.Cores) * power.UndervoltPowerScale(t.Undervolt)
+	energyJ := energyFor(t, dev, width) * power.UndervoltPowerScale(t.Undervolt)
 	switch r.policy {
 	case MinEnergy:
-		return energyJ, true
+		return energyJ, width, true
 	case MinEDP:
-		return energyJ * execSec, true
+		return energyJ * execSec, width, true
 	default:
-		return execSec, true
+		return execSec, width, true
 	}
+}
+
+// readyGops is the job's ready work with n counted: the queued tasks and
+// those set aside this dispatch call. Only moldable placements read it.
+func (r *Runtime) readyGops(n *node) float64 {
+	g := n.task.Gops
+	for _, l := range r.lanes {
+		for i := range l.heap {
+			g += l.heap[i].n.task.Gops
+		}
+	}
+	for _, m := range r.aside {
+		if m != n {
+			g += m.task.Gops
+		}
+	}
+	return g
 }
 
 // applyOperatingPoints syncs the platform mirror to the governor's current
@@ -707,10 +808,11 @@ func (r *Runtime) applyOperatingPoints() {
 	}
 }
 
-// taskDrawW is the dynamic draw a task would hold on dev at its current
-// operating point, shrunk by the task's undervolt level.
-func taskDrawW(t *Task, dev *hw.Device) energy.Watts {
-	return dev.DynamicWatts(t.Cores) * power.UndervoltPowerScale(t.Undervolt)
+// taskDrawW is the dynamic draw a task would hold on dev at the given width
+// and the device's current operating point, shrunk by the task's undervolt
+// level.
+func taskDrawW(t *Task, dev *hw.Device, width int) energy.Watts {
+	return dev.DynamicWatts(width) * power.UndervoltPowerScale(t.Undervolt)
 }
 
 // place tries to start n on its best-scoring device now. Capacity comes
@@ -718,17 +820,21 @@ func taskDrawW(t *Task, dev *hw.Device) energy.Watts {
 // capacity change racing with the snapshot is caught at admission.
 func (r *Runtime) place(n *node) outcome {
 	t := &n.task
-	best := -1
+	ready := 0.0
+	if t.Mold != nil {
+		ready = r.readyGops(n)
+	}
+	best, width := -1, 0
 	bestScore := 0.0
-	for di, dev := range r.devices {
+	for di := range r.devices {
 		if r.capacity[di] < t.Cores {
 			// The fleet behind this device lost the capacity to ever fit
 			// the task (crash or degrade) — permanently unfit, not a
 			// transient stall.
 			continue
 		}
-		if s, ok := r.score(t, dev); ok && (best == -1 || s < bestScore) {
-			best, bestScore = di, s
+		if s, w, ok := r.score(t, di, ready); ok && (best == -1 || s < bestScore) {
+			best, bestScore, width = di, s, w
 		}
 	}
 	if best == -1 {
@@ -737,14 +843,14 @@ func (r *Runtime) place(n *node) outcome {
 	dev := r.devices[best]
 	watts := energy.Watts(0)
 	if r.adm != nil {
-		watts = taskDrawW(t, dev)
-		switch r.claim(dev.ID, t.Cores, watts) {
+		watts = taskDrawW(t, dev, width)
+		switch r.claim(dev.ID, width, watts) {
 		case power.NoCores:
-			if r.held[dev.ID].cores+t.Cores <= r.capacity[best] {
+			if r.held[dev.ID].cores+width <= r.capacity[best] {
 				// Only sibling jobs' grants stand in the way. End the
 				// round here so RunContext suspends the job at this
 				// instant instead of stepping on (see suspend).
-				r.stalled = grant{dev.ID, t.Cores}
+				r.stalled = grant{dev.ID, width}
 				return stalled
 			}
 			// The device shrank under this job's own grants: leave the
@@ -764,7 +870,7 @@ func (r *Runtime) place(n *node) outcome {
 	}
 	n.queued = false
 	r.nready--
-	r.start(n, dev, watts)
+	r.start(n, dev, width, watts)
 	return placed
 }
 
@@ -855,26 +961,26 @@ func (r *Runtime) emitPower(k obs.Kind, n *node, dev *hw.Device, watts energy.Wa
 	r.emit(obs.Event{At: r.eng.Now(), Kind: k, Task: n.task.Name, Device: dev.ID, Value: float64(watts)})
 }
 
-// launch builds one execution of n on dev: the device meter is charged,
-// the completion event is scheduled (stretched by any silent slowdown),
-// and the held grants advance. The caller has already won global
-// admission for the cores and watts.
-func (r *Runtime) launch(n *node, dev *hw.Device, watts energy.Watts, hedge bool) *exec {
+// launch builds one execution of n on dev at the given width: the device
+// meter is charged, the completion event is scheduled (stretched by any
+// silent slowdown), and the held grants advance. The caller has already won
+// global admission for the cores and watts.
+func (r *Runtime) launch(n *node, dev *hw.Device, width int, watts energy.Watts, hedge bool) *exec {
 	t := &n.task
 	if r.adm != nil {
 		h := r.held[dev.ID]
-		h.cores += t.Cores
+		h.cores += width
 		h.watts += watts
 		r.held[dev.ID] = h
 	}
 	now := r.eng.Now()
 	factor := r.deviceSlowdown(dev.ID)
-	expected := dev.ExecTime(t.Gops, t.Cores)
+	expected := execTime(t, dev, width)
 	actual := sim.Time(float64(expected) * factor)
 	ex := &exec{
-		dev: dev, cores: t.Cores, watts: watts,
-		draw:     taskDrawW(t, dev),
-		energy:   energy.Joules(float64(dev.EnergyFor(t.Gops, t.Cores)) * float64(power.UndervoltPowerScale(t.Undervolt)) * factor),
+		dev: dev, cores: width, watts: watts,
+		draw:     taskDrawW(t, dev, width),
+		energy:   energy.Joules(float64(energyFor(t, dev, width)) * float64(power.UndervoltPowerScale(t.Undervolt)) * factor),
 		start:    now,
 		expected: expected,
 		finish:   now + actual,
@@ -888,19 +994,19 @@ func (r *Runtime) launch(n *node, dev *hw.Device, watts energy.Watts, hedge bool
 	return ex
 }
 
-// start runs n on dev as the primary execution. The caller has already won
-// global admission for the task's cores and watts of draw when a shared
-// ledger is installed.
-func (r *Runtime) start(n *node, dev *hw.Device, watts energy.Watts) {
+// start runs n on dev at the given width as the primary execution. The
+// caller has already won global admission for those cores and the watts of
+// draw when a shared ledger is installed.
+func (r *Runtime) start(n *node, dev *hw.Device, width int, watts energy.Watts) {
 	t := &n.task
-	if err := dev.Acquire(t.Cores); err != nil {
+	if err := dev.Acquire(width); err != nil {
 		// place scored the device healthy with the cores free.
 		panic(fmt.Sprintf("taskrt: placing %s: %v", t.Name, err))
 	}
 	n.started = true
 	n.hedges = 0
-	r.emit(obs.Event{At: r.eng.Now(), Kind: obs.TaskPlaced, Task: t.Name, Device: dev.ID, Value: float64(t.Cores)})
-	n.primary = r.launch(n, dev, watts, false)
+	r.emit(obs.Event{At: r.eng.Now(), Kind: obs.TaskPlaced, Task: t.Name, Device: dev.ID, Value: float64(width)})
+	n.primary = r.launch(n, dev, width, watts, false)
 	n.record.Device = dev.ID
 	n.record.Class = dev.Spec.Class
 	n.record.Start = n.primary.start
@@ -960,8 +1066,12 @@ func (r *Runtime) straggler(n *node, ex *exec) {
 	// classes when it can and falls back to a same-class sibling only when
 	// no foreign class fits. Scoring already includes witnessed suspicion,
 	// so among foreign devices a known-degraded one loses to a clean one.
-	best, foreign := -1, false
+	best, width, foreign := -1, 0, false
 	bestScore := 0.0
+	ready := 0.0
+	if n.task.Mold != nil {
+		ready = r.readyGops(n)
+	}
 	r.readCapacity()
 	for di, dev := range r.devices {
 		if dev.ID == ex.dev.ID {
@@ -970,13 +1080,13 @@ func (r *Runtime) straggler(n *node, ex *exec) {
 		if r.capacity[di] < n.task.Cores {
 			continue
 		}
-		s, ok := r.score(&n.task, dev)
+		s, w, ok := r.score(&n.task, di, ready)
 		if !ok {
 			continue
 		}
 		df := dev.Spec.Class != ex.dev.Spec.Class
 		if best == -1 || (df && !foreign) || (df == foreign && s < bestScore) {
-			best, bestScore, foreign = di, s, df
+			best, bestScore, width, foreign = di, s, w, df
 		}
 	}
 	rearm := func(dev, cause string) {
@@ -993,8 +1103,8 @@ func (r *Runtime) straggler(n *node, ex *exec) {
 	dev := r.devices[best]
 	watts := energy.Watts(0)
 	if r.adm != nil {
-		watts = taskDrawW(&n.task, dev)
-		switch r.adm.Claim(dev.ID, n.task.Cores, watts) {
+		watts = taskDrawW(&n.task, dev, width)
+		switch r.adm.Claim(dev.ID, width, watts) {
 		case power.NoCores:
 			rearm(dev.ID, "cores")
 			return
@@ -1007,15 +1117,15 @@ func (r *Runtime) straggler(n *node, ex *exec) {
 		}
 		r.emitPower(obs.PowerAdmitted, n, dev, watts)
 	}
-	if err := dev.Acquire(n.task.Cores); err != nil {
+	if err := dev.Acquire(width); err != nil {
 		if r.adm != nil {
-			r.adm.Release(dev.ID, n.task.Cores, watts)
+			r.adm.Release(dev.ID, width, watts)
 		}
 		rearm(dev.ID, "device")
 		return
 	}
 	n.hedges++
-	n.hedge = r.launch(n, dev, watts, true)
+	n.hedge = r.launch(n, dev, width, watts, true)
 	r.emit(obs.Event{At: now, Kind: obs.HedgeLaunched, Task: n.task.Name, Device: dev.ID, Detail: "from " + ex.dev.ID})
 }
 
