@@ -181,6 +181,9 @@ type XiTAORow struct {
 	Efficiency float64
 }
 
+// xitaoCoreGOPS is the per-core throughput of E10's CPU.
+const xitaoCoreGOPS = 10
+
 // xitaoMix is E10's mixed DAG: a few wide, mostly parallel tasks and more
 // narrow, mostly serial ones, all ready at once.
 var xitaoMix = []struct {
@@ -195,7 +198,7 @@ var xitaoMix = []struct {
 // XiTAOElasticity runs the mixed DAG under XiTAO's three width rules,
 // expressed as moldable-task width bounds: elastic (1..cores), fixed-wide
 // (cores..cores) and fixed-1 (1..1). Each rule is one engine job on a
-// single cores-core CPU of 10 Gops/s per core.
+// single cores-core CPU of xitaoCoreGOPS per core.
 func XiTAOElasticity(cores int) ([]XiTAORow, error) {
 	rules := []struct {
 		name     string
@@ -220,7 +223,7 @@ func XiTAOElasticity(cores int) ([]XiTAORow, error) {
 // cores and reads each task's width from its TaskPlaced event.
 func xitaoRun(policy string, minW, maxW, cores int) (XiTAORow, error) {
 	spec := hw.XeonD()
-	spec.Cores, spec.GOPS = cores, 10*float64(cores)
+	spec.Cores, spec.GOPS = cores, xitaoCoreGOPS*float64(cores)
 	platform := func(se *sim.Engine) ([]*hw.Device, error) {
 		return []*hw.Device{hw.NewDevice(se, "cpu", spec)}, nil
 	}
@@ -236,14 +239,17 @@ func xitaoRun(policy string, minW, maxW, cores int) (XiTAORow, error) {
 		return XiTAORow{}, err
 	}
 	ctx := context.Background()
-	res, useful, runErr := xitaoJob(ctx, e, policy, minW, maxW, spec.GOPS/float64(cores))
+	res, runErr := xitaoJob(ctx, e, policy, minW, maxW)
 	if err := e.Shutdown(ctx); err != nil {
 		return XiTAORow{}, err
 	}
 	if runErr != nil {
 		return XiTAORow{}, runErr
 	}
-	allocated := 0.0
+	useful, allocated := 0.0, 0.0
+	for _, m := range xitaoMix {
+		useful += float64(m.count) * m.gops / xitaoCoreGOPS
+	}
 	for _, rec := range res.Records {
 		allocated += float64(widths[rec.Name]) * sim.ToSeconds(rec.End-rec.Start)
 	}
@@ -254,30 +260,26 @@ func xitaoRun(policy string, minW, maxW, cores int) (XiTAORow, error) {
 	return row, nil
 }
 
-// xitaoJob submits the mixed DAG as one job, waits for it, and returns the
-// DAG's serial work in core-seconds at perCore Gops/s.
-func xitaoJob(ctx context.Context, e *engine.Engine, policy string, minW, maxW int, perCore float64) (*taskrt.Result, float64, error) {
+// xitaoJob submits the mixed DAG as one job and waits for it.
+func xitaoJob(ctx context.Context, e *engine.Engine, policy string, minW, maxW int) (*taskrt.Result, error) {
 	j, err := e.NewJob(policy)
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
-	useful := 0.0
 	for _, m := range xitaoMix {
 		for i := 0; i < m.count; i++ {
 			if err := j.Runtime().Submit(taskrt.Task{
 				Name: fmt.Sprintf("%s-%d", m.name, i), Gops: m.gops, Cores: minW,
 				Mold: &taskrt.Moldable{MaxCores: maxW, ParallelFrac: m.frac},
 			}); err != nil {
-				return nil, 0, err
+				return nil, err
 			}
-			useful += m.gops / perCore
 		}
 	}
 	if err := e.Submit(ctx, j); err != nil {
-		return nil, 0, err
+		return nil, err
 	}
-	res, err := j.Wait(ctx)
-	return res, useful, err
+	return j.Wait(ctx)
 }
 
 // XiTAOTable renders the ablation.
