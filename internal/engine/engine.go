@@ -5,9 +5,10 @@
 // runtime below stays a single-clock scheduler, and this layer multiplexes
 // many of them over the hardware:
 //
-//   - every job owns a private virtual clock (sim.Engine) and a private
-//     mirror of the platform's devices, so its schedule and energy
-//     accounting are isolated and deterministic;
+//   - every job owns a private virtual clock (sim.Engine) and its own
+//     per-device run state over the one reference fleet, which every job
+//     reads and none writes, so its schedule and energy accounting are
+//     isolated and deterministic;
 //   - one fleet ledger (power.Ledger, behind taskrt.Admission) arbitrates
 //     the real device cores and the watt budget between jobs, so the union
 //     of all placements never oversubscribes a device or breaches the cap;
@@ -63,11 +64,9 @@ type Config struct {
 	QueueDepth int
 	// Policy is the placement objective used by every job's scheduler.
 	Policy taskrt.Policy
-	// NewPlatform builds a job-local mirror of the platform on the job's
-	// private clock. Mirrors must reproduce the same device IDs as Fleet.
-	NewPlatform func(*sim.Engine) ([]*hw.Device, error)
-	// Fleet lists the reference devices defining shared capacity. When
-	// nil, a throwaway mirror from NewPlatform defines it.
+	// Fleet lists the reference devices (required): the shared capacity
+	// the ledger arbitrates and the devices every job schedules over. Jobs
+	// only read them.
 	Fleet []*hw.Device
 	// Registry receives per-job and per-device counters (optional).
 	Registry *monitor.Registry
@@ -147,10 +146,9 @@ type Job struct {
 	ID   int
 	Name string
 
-	rt      *taskrt.Runtime
-	devices []*hw.Device
-	tracer  *trace.Tracer
-	eng     *Engine
+	rt     *taskrt.Runtime
+	tracer *trace.Tracer
+	eng    *Engine
 
 	mu       sync.Mutex
 	state    State
@@ -170,9 +168,6 @@ func (j *Job) Runtime() *taskrt.Runtime { return j.rt }
 // Tracer exposes the job's trace: the spans its lifecycle events fold
 // into, on the job's virtual clock.
 func (j *Job) Tracer() *trace.Tracer { return j.tracer }
-
-// Devices lists the job's platform mirror.
-func (j *Job) Devices() []*hw.Device { return j.devices }
 
 // SetTimeout sets a per-job wall-clock budget applied from the moment the
 // job is submitted; zero means no deadline. Must be called before Submit.
@@ -320,8 +315,8 @@ type Engine struct {
 // New starts an engine with its worker pool. The caller must eventually
 // call Shutdown to drain it.
 func New(cfg Config) (*Engine, error) {
-	if cfg.NewPlatform == nil {
-		return nil, fmt.Errorf("engine: Config.NewPlatform is required")
+	if len(cfg.Fleet) == 0 {
+		return nil, fmt.Errorf("engine: Config.Fleet is required")
 	}
 	if cfg.Workers <= 0 {
 		cfg.Workers = 4
@@ -330,13 +325,6 @@ func New(cfg Config) (*Engine, error) {
 		cfg.QueueDepth = 4096
 	}
 	ref := cfg.Fleet
-	if ref == nil {
-		devs, err := cfg.NewPlatform(sim.NewEngine())
-		if err != nil {
-			return nil, fmt.Errorf("engine: building reference platform: %w", err)
-		}
-		ref = devs
-	}
 	if cfg.RetryBudget <= 0 {
 		cfg.RetryBudget = 3
 	}
@@ -374,16 +362,12 @@ func (e *Engine) Fleet() *power.Ledger { return e.fleet }
 // Workers reports the pool width.
 func (e *Engine) Workers() int { return e.cfg.Workers }
 
-// NewJob creates an empty job with a private clock and platform mirror,
-// wired to the shared fleet. Submit tasks through Runtime(), then hand the
-// job to Submit.
+// NewJob creates an empty job with a private clock, scheduling over the
+// shared fleet. Submit tasks through Runtime(), then hand the job to
+// Submit.
 func (e *Engine) NewJob(name string) (*Job, error) {
 	clock := sim.NewEngine()
-	devs, err := e.cfg.NewPlatform(clock)
-	if err != nil {
-		return nil, fmt.Errorf("engine: building platform mirror for job %q: %w", name, err)
-	}
-	rt := taskrt.New(clock, devs, e.cfg.Policy)
+	rt := taskrt.New(clock, e.ref, e.cfg.Policy)
 	rt.SetAdmission(e.fleet)
 	rt.SetHedging(e.cfg.Hedge)
 	rt.SetDeadlineMode(e.cfg.DeadlineMode)
@@ -392,7 +376,7 @@ func (e *Engine) NewJob(name string) (*Job, error) {
 	e.nextID++
 	j := &Job{
 		ID: e.nextID, Name: name,
-		rt: rt, devices: devs, tracer: trace.New(clock), eng: e,
+		rt: rt, tracer: trace.New(clock), eng: e,
 		done: make(chan struct{}),
 	}
 	e.jobs = append(e.jobs, j)
@@ -524,12 +508,12 @@ func (f *RegistryFold) Apply(e obs.Event) {
 }
 
 // wireFaults replays the injector's sampled timeline on the job's private
-// clock. Each event fails (or degrades) the job's own platform mirror so
-// local placement routes around the device, and calls into the injector,
-// which applies the *global* fleet change exactly once across all jobs.
-// A job created after a device already crashed starts with that mirror
-// device failed — the graceful-degradation path: the session keeps
-// admitting jobs that fit the surviving fleet.
+// clock. Each event fails (or degrades) the device in the job's runtime so
+// local placement routes around it, and calls into the injector, which
+// applies the *global* fleet change exactly once across all jobs. A job
+// created after a device already crashed starts with that device lost,
+// silently — the graceful-degradation path: the session keeps admitting
+// jobs that fit the surviving fleet.
 func (e *Engine) wireFaults(j *Job) {
 	if e.injector == nil {
 		return
@@ -544,11 +528,7 @@ func (e *Engine) wireFaults(j *Job) {
 		switch ev.Kind {
 		case faults.Crash:
 			if e.injector.Lost(ev.Device) {
-				for _, d := range j.devices {
-					if d.ID == ev.Device {
-						d.Fail()
-					}
-				}
+				j.rt.MarkLost(ev.Device)
 				continue
 			}
 			rt := j.rt

@@ -16,17 +16,18 @@ import (
 	"legato/internal/taskrt"
 )
 
-// testPlatform mirrors a two-device platform: an 8-core CPU and a 4-region
-// FPGA, enough to exercise placement and admission.
-func testPlatform(se *sim.Engine) ([]*hw.Device, error) {
+// testPlatform is a two-device fleet: an 8-core CPU and a 4-region FPGA,
+// enough to exercise placement and admission.
+func testPlatform() []*hw.Device {
+	se := sim.NewEngine()
 	cpu := hw.Spec{Name: "cpu", Class: hw.CPUx86, Cores: 8, GOPS: 80, IdleWatts: 10, PeakWatts: 60}
 	fpga := hw.Spec{Name: "fpga", Class: hw.FPGA, Cores: 4, GOPS: 120, IdleWatts: 5, PeakWatts: 25}
-	return []*hw.Device{hw.NewDevice(se, "dev/cpu", cpu), hw.NewDevice(se, "dev/fpga", fpga)}, nil
+	return []*hw.Device{hw.NewDevice(se, "dev/cpu", cpu), hw.NewDevice(se, "dev/fpga", fpga)}
 }
 
 func newTestEngine(t testing.TB, workers int) *Engine {
 	t.Helper()
-	e, err := New(Config{Workers: workers, Policy: taskrt.MinTime, NewPlatform: testPlatform,
+	e, err := New(Config{Workers: workers, Policy: taskrt.MinTime, Fleet: testPlatform(),
 		Registry: monitor.NewRegistry()})
 	if err != nil {
 		t.Fatal(err)
@@ -66,8 +67,8 @@ type cancelOnResume struct {
 	cancel func()
 }
 
-func (c cancelOnResume) Reacquire(grants map[string]int) bool {
-	ok := c.Ledger.Reacquire(grants)
+func (c cancelOnResume) Reacquire(devs []*hw.Device, grants []int) bool {
+	ok := c.Ledger.Reacquire(devs, grants)
 	if ok {
 		c.cancel()
 	}
@@ -238,7 +239,7 @@ func TestConcurrentMoldableJobsNeverOversubscribe(t *testing.T) {
 			mu.Unlock()
 		}
 	})
-	e, err := New(Config{Workers: 4, Policy: taskrt.MinTime, NewPlatform: testPlatform, Bus: bus})
+	e, err := New(Config{Workers: 4, Policy: taskrt.MinTime, Fleet: testPlatform(), Bus: bus})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -366,7 +367,7 @@ func TestPerJobTimeout(t *testing.T) {
 }
 
 func TestShutdownDrains(t *testing.T) {
-	e, err := New(Config{Workers: 2, Policy: taskrt.MinTime, NewPlatform: testPlatform})
+	e, err := New(Config{Workers: 2, Policy: taskrt.MinTime, Fleet: testPlatform()})
 	if err != nil {
 		t.Fatal(err)
 	}

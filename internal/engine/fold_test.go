@@ -59,7 +59,7 @@ func TestTaskFailedFolds(t *testing.T) {
 // the job trace.
 func TestHedgePromotedFolds(t *testing.T) {
 	reg := monitor.NewRegistry()
-	e, err := New(Config{Workers: 1, Policy: taskrt.MinTime, NewPlatform: tailTestPlatform,
+	e, err := New(Config{Workers: 1, Policy: taskrt.MinTime, Fleet: tailTestPlatform(),
 		Registry: reg, Hedge: taskrt.HedgePolicy{Multiplier: 1.5}})
 	if err != nil {
 		t.Fatal(err)

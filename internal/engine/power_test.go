@@ -13,7 +13,7 @@ import (
 // governor, charges the idle floor, and its Fail removes both the lost
 // device's cores and its idle and granted watts.
 func TestPowerLedgerWiredToFleet(t *testing.T) {
-	e, err := New(Config{Workers: 1, Policy: taskrt.MinTime, NewPlatform: testPlatform,
+	e, err := New(Config{Workers: 1, Policy: taskrt.MinTime, Fleet: testPlatform(),
 		PowerCapW: 100, Governor: power.PackAndThrottle})
 	if err != nil {
 		t.Fatal(err)
@@ -49,7 +49,7 @@ func TestCapEnforcedUnderDeviceLoss(t *testing.T) {
 	// watt ledger to arbitrate: cpu full-width draw is 50 W dynamic + 15 W
 	// idle = 65 W > cap, so wide cpu placements must wait for headroom.
 	const capW = 60
-	e, err := New(Config{Workers: 4, Policy: taskrt.MinTime, NewPlatform: testPlatform,
+	e, err := New(Config{Workers: 4, Policy: taskrt.MinTime, Fleet: testPlatform(),
 		PowerCapW: capW, Governor: power.PackAndThrottle})
 	if err != nil {
 		t.Fatal(err)
@@ -107,13 +107,13 @@ func TestCapEnforcedUnderDeviceLoss(t *testing.T) {
 func TestInfeasibleCapRejected(t *testing.T) {
 	// testPlatform idles at 15 W.
 	for _, capW := range []float64{1, 15} {
-		_, err := New(Config{Workers: 1, Policy: taskrt.MinTime, NewPlatform: testPlatform,
+		_, err := New(Config{Workers: 1, Policy: taskrt.MinTime, Fleet: testPlatform(),
 			PowerCapW: capW})
 		if err == nil {
 			t.Fatalf("cap %v W at or below the idle floor was accepted", capW)
 		}
 	}
-	e, err := New(Config{Workers: 1, Policy: taskrt.MinTime, NewPlatform: testPlatform,
+	e, err := New(Config{Workers: 1, Policy: taskrt.MinTime, Fleet: testPlatform(),
 		PowerCapW: 16})
 	if err != nil {
 		t.Fatalf("barely-feasible cap rejected: %v", err)

@@ -86,7 +86,7 @@ func TestEngineFaultPlanEndToEnd(t *testing.T) {
 	// MTBF of one microsecond: the sampled crash lands at the very start of
 	// the session, before any placement settles.
 	plan := faults.Plan{MTBF: ft.MTBFModel{hw.FPGA: 1e-6}, MaxCrashes: 1, Seed: 1}
-	e, err := New(Config{Workers: 4, Policy: taskrt.MinTime, NewPlatform: testPlatform,
+	e, err := New(Config{Workers: 4, Policy: taskrt.MinTime, Fleet: testPlatform(),
 		Registry: reg, Faults: &plan})
 	if err != nil {
 		t.Fatal(err)
@@ -131,11 +131,12 @@ func TestEngineFaultPlanEndToEnd(t *testing.T) {
 // tailTestPlatform is the tail-tolerance pair: dev/fast is the MinTime
 // favourite (a 100-Gop 1-core task takes 4 s), dev/backup a slower device
 // of a different class (5.56 s) for replicas to land on.
-func tailTestPlatform(se *sim.Engine) ([]*hw.Device, error) {
+func tailTestPlatform() []*hw.Device {
+	se := sim.NewEngine()
 	return []*hw.Device{
 		hw.NewDevice(se, "dev/fast", hw.XeonD()),
 		hw.NewDevice(se, "dev/backup", hw.ARMv8Server()),
-	}, nil
+	}
 }
 
 // End-to-end degrade → straggler → hedge: a fault plan silently slows the
@@ -151,7 +152,7 @@ func TestDegradeStragglerHedgeEndToEnd(t *testing.T) {
 		DegradeSlowdown: 4.0,
 		Seed:            1,
 	}
-	e, err := New(Config{Workers: 2, Policy: taskrt.MinTime, NewPlatform: tailTestPlatform,
+	e, err := New(Config{Workers: 2, Policy: taskrt.MinTime, Fleet: tailTestPlatform(),
 		Registry: reg, Faults: &plan, Hedge: taskrt.HedgePolicy{Multiplier: 1.5}})
 	if err != nil {
 		t.Fatal(err)
@@ -216,7 +217,7 @@ func TestDegradeStragglerHedgeEndToEnd(t *testing.T) {
 // without a retry.
 func TestHedgeRacesHedgeDeviceLoss(t *testing.T) {
 	reg := monitor.NewRegistry()
-	e, err := New(Config{Workers: 1, Policy: taskrt.MinTime, NewPlatform: tailTestPlatform,
+	e, err := New(Config{Workers: 1, Policy: taskrt.MinTime, Fleet: tailTestPlatform(),
 		Registry: reg, Hedge: taskrt.HedgePolicy{Multiplier: 1.5}})
 	if err != nil {
 		t.Fatal(err)

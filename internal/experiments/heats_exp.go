@@ -36,8 +36,9 @@ type HEATSResult struct {
 // heatsFleetIDs names the mixed x86+ARM fleet E5 schedules onto.
 var heatsFleetIDs = []string{"x86-0", "x86-1", "arm-0", "arm-1"}
 
-// heatsFleet builds 2 Xeon-D + 2 ARMv8 server nodes on the given clock.
-func heatsFleet(se *sim.Engine) ([]*hw.Device, error) {
+// heatsFleet builds 2 Xeon-D + 2 ARMv8 server nodes.
+func heatsFleet() []*hw.Device {
+	se := sim.NewEngine()
 	devices := make([]*hw.Device, len(heatsFleetIDs))
 	for i, id := range heatsFleetIDs {
 		spec := hw.XeonD()
@@ -46,7 +47,7 @@ func heatsFleet(se *sim.Engine) ([]*hw.Device, error) {
 		}
 		devices[i] = hw.NewDevice(se, id, spec)
 	}
-	return devices, nil
+	return devices
 }
 
 // HEATS runs the heterogeneity/energy-aware scheduling experiment: a batch
@@ -67,7 +68,7 @@ func HEATS(tasks int) (*HEATSResult, error) {
 
 // heatsRun executes the batch under one policy.
 func heatsRun(p taskrt.Policy, tasks int) (HEATSRow, error) {
-	e, err := engine.New(engine.Config{Workers: 1, Policy: p, NewPlatform: heatsFleet})
+	e, err := engine.New(engine.Config{Workers: 1, Policy: p, Fleet: heatsFleet()})
 	if err != nil {
 		return HEATSRow{}, err
 	}

@@ -224,9 +224,6 @@ func XiTAOElasticity(cores int) ([]XiTAORow, error) {
 func xitaoRun(policy string, minW, maxW, cores int) (XiTAORow, error) {
 	spec := hw.XeonD()
 	spec.Cores, spec.GOPS = cores, xitaoCoreGOPS*float64(cores)
-	platform := func(se *sim.Engine) ([]*hw.Device, error) {
-		return []*hw.Device{hw.NewDevice(se, "cpu", spec)}, nil
-	}
 	bus := obs.NewBus()
 	widths := map[string]int{}
 	bus.Observe(func(ev obs.Event) {
@@ -234,7 +231,7 @@ func xitaoRun(policy string, minW, maxW, cores int) (XiTAORow, error) {
 			widths[ev.Task] = int(ev.Value)
 		}
 	})
-	e, err := engine.New(engine.Config{Workers: 1, NewPlatform: platform, Bus: bus})
+	e, err := engine.New(engine.Config{Workers: 1, Fleet: []*hw.Device{hw.NewDevice(sim.NewEngine(), "cpu", spec)}, Bus: bus})
 	if err != nil {
 		return XiTAORow{}, err
 	}

@@ -27,10 +27,10 @@ type MultiJobRow struct {
 	PeakDrawW       float64 // high-water mark of the modelled fleet draw
 }
 
-// cloudFleet builds the standard RECS|BOX device list on the given clock,
-// the same platform the public API uses for CloudPlatform.
-func cloudFleet(se *sim.Engine) ([]*hw.Device, error) {
-	box, err := hw.StandardCloudBox(se, "recs0")
+// cloudFleet builds the standard RECS|BOX device list, the same platform
+// the public API uses for CloudPlatform.
+func cloudFleet() ([]*hw.Device, error) {
+	box, err := hw.StandardCloudBox(sim.NewEngine(), "recs0")
 	if err != nil {
 		return nil, err
 	}
@@ -71,11 +71,15 @@ func multiJobGraph(rt *taskrt.Runtime, name string, chains, depth int) error {
 func MultiJob(widths []int, jobs int) ([]MultiJobRow, error) {
 	rows := make([]MultiJobRow, 0, len(widths))
 	var baseline sim.Time
+	fleet, err := cloudFleet()
+	if err != nil {
+		return nil, err
+	}
 	for _, w := range widths {
 		e, err := engine.New(engine.Config{
-			Workers:     w,
-			Policy:      taskrt.MinTime,
-			NewPlatform: cloudFleet,
+			Workers: w,
+			Policy:  taskrt.MinTime,
+			Fleet:   fleet,
 		})
 		if err != nil {
 			return nil, err

@@ -6,6 +6,7 @@ import (
 	"strings"
 
 	"legato/internal/engine"
+	"legato/internal/hw"
 	"legato/internal/power"
 	"legato/internal/sim"
 	"legato/internal/taskrt"
@@ -87,13 +88,13 @@ func powerGraph(rt *taskrt.Runtime, name string) error {
 
 // powerSession runs one session of `jobs` power-graph jobs on the cloud
 // fleet under the given policy, cap (0 = uncapped) and governor.
-func powerSession(jobs, workers int, policy taskrt.Policy, capW float64, gov power.Kind) (engine.Stats, error) {
+func powerSession(ref []*hw.Device, jobs, workers int, policy taskrt.Policy, capW float64, gov power.Kind) (engine.Stats, error) {
 	e, err := engine.New(engine.Config{
-		Workers:     workers,
-		Policy:      policy,
-		NewPlatform: cloudFleet,
-		PowerCapW:   capW,
-		Governor:    gov,
+		Workers:   workers,
+		Policy:    policy,
+		Fleet:     ref,
+		PowerCapW: capW,
+		Governor:  gov,
 	})
 	if err != nil {
 		return engine.Stats{}, err
@@ -137,35 +138,34 @@ func measuredEDP(st engine.Stats) float64 {
 // MinEnergy, MinEDP) compared on measured EDP. Every session runs on
 // private virtual clocks, so the whole study is deterministic.
 func PowerCap(jobs, workers int) (*PowerCapResult, error) {
-	refClock := sim.NewEngine()
-	ref, err := cloudFleet(refClock)
+	ref, err := cloudFleet()
 	if err != nil {
 		return nil, err
 	}
 	fleetPeak := float64(power.FleetPeakWatts(ref))
 	capW := 0.6 * fleetPeak
 
-	base, err := powerSession(jobs, workers, taskrt.MinTime, 0, power.RaceToIdle)
+	base, err := powerSession(ref, jobs, workers, taskrt.MinTime, 0, power.RaceToIdle)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: E13 baseline: %w", err)
 	}
 	if base.SessionMakespan <= 0 {
 		return nil, fmt.Errorf("experiments: E13 baseline produced no makespan")
 	}
-	capped, err := powerSession(jobs, workers, taskrt.MinTime, capW, power.PackAndThrottle)
+	capped, err := powerSession(ref, jobs, workers, taskrt.MinTime, capW, power.PackAndThrottle)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: E13 capped session: %w", err)
 	}
 
-	minTime, err := powerSession(jobs, workers, taskrt.MinTime, 0, power.RaceToIdle)
+	minTime, err := powerSession(ref, jobs, workers, taskrt.MinTime, 0, power.RaceToIdle)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: E13 MinTime sweep: %w", err)
 	}
-	minEnergy, err := powerSession(jobs, workers, taskrt.MinEnergy, 0, power.RaceToIdle)
+	minEnergy, err := powerSession(ref, jobs, workers, taskrt.MinEnergy, 0, power.RaceToIdle)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: E13 MinEnergy sweep: %w", err)
 	}
-	minEDP, err := powerSession(jobs, workers, taskrt.MinEDP, 0, power.RaceToIdle)
+	minEDP, err := powerSession(ref, jobs, workers, taskrt.MinEDP, 0, power.RaceToIdle)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: E13 MinEDP sweep: %w", err)
 	}

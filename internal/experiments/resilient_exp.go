@@ -10,6 +10,7 @@ import (
 	"legato/internal/faults"
 	"legato/internal/ft"
 	"legato/internal/fti"
+	"legato/internal/hw"
 	"legato/internal/monitor"
 	"legato/internal/power"
 	"legato/internal/sim"
@@ -85,16 +86,16 @@ func multiJobGraphSized(rt *taskrt.Runtime, name string, chains, depth int, byte
 	return nil
 }
 
-// resilientSession runs one `jobs`-job session on the cloud fleet with the
-// given fault plan (nil = fault-free) and returns the engine stats plus
+// resilientSession runs one `jobs`-job session on the cloud fleet ref with
+// the given fault plan (nil = fault-free) and returns the engine stats plus
 // per-device peak/capacity from the ledger.
-func resilientSession(jobs, workers int, plan *faults.Plan, ckptEvery int, reg *monitor.Registry) (engine.Stats, *power.Ledger, error) {
+func resilientSession(ref []*hw.Device, jobs, workers int, plan *faults.Plan, ckptEvery int, reg *monitor.Registry) (engine.Stats, *power.Ledger, error) {
 	e, err := engine.New(engine.Config{
-		Workers:     workers,
-		Policy:      taskrt.MinTime,
-		NewPlatform: cloudFleet,
-		Registry:    reg,
-		Faults:      plan,
+		Workers:  workers,
+		Policy:   taskrt.MinTime,
+		Fleet:    ref,
+		Registry: reg,
+		Faults:   plan,
 	})
 	if err != nil {
 		return engine.Stats{}, nil, err
@@ -142,8 +143,12 @@ func resilientSession(jobs, workers int, plan *faults.Plan, ckptEvery int, reg *
 // recovery work (revoked or restored tasks). The search is bounded; the
 // virtual clock makes every candidate session deterministic.
 func Resilient(jobs, workers int, seed int64) (*ResilientResult, error) {
+	ref, err := cloudFleet()
+	if err != nil {
+		return nil, err
+	}
 	baseReg := monitor.NewRegistry()
-	base, _, err := resilientSession(jobs, workers, nil, 0, baseReg)
+	base, _, err := resilientSession(ref, jobs, workers, nil, 0, baseReg)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: E12 baseline: %w", err)
 	}
@@ -164,11 +169,6 @@ func Resilient(jobs, workers int, seed int64) (*ResilientResult, error) {
 	for class := range ft.DefaultMTBFModel() {
 		model[class] = mtbfSec
 	}
-	refClock := sim.NewEngine()
-	ref, err := cloudFleet(refClock)
-	if err != nil {
-		return nil, err
-	}
 
 	const maxSeeds = 512
 	for s := seed; s < seed+maxSeeds; s++ {
@@ -184,7 +184,7 @@ func Resilient(jobs, workers int, seed int64) (*ResilientResult, error) {
 			continue
 		}
 		reg := monitor.NewRegistry()
-		st, fleet, err := resilientSession(jobs, workers, &plan, 4, reg)
+		st, fleet, err := resilientSession(ref, jobs, workers, &plan, 4, reg)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: E12 fault session (seed %d): %w", s, err)
 		}

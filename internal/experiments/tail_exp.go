@@ -65,12 +65,13 @@ type TailResult struct {
 // (18 Gops per core). The fault plan silently slows the favoured device;
 // because the slowdown is invisible to the cost model, only the straggler
 // watchdog can notice and route around it.
-func tailFleet(se *sim.Engine) ([]*hw.Device, error) {
+func tailFleet() []*hw.Device {
+	se := sim.NewEngine()
 	return []*hw.Device{
 		hw.NewDevice(se, "xeon0", hw.XeonD()),
 		hw.NewDevice(se, "arm0", hw.ARMv8Server()),
 		hw.NewDevice(se, "arm1", hw.ARMv8Server()),
-	}, nil
+	}
 }
 
 // tailPlan returns the degrade-heavy E14 fault plan: a near-immediate
@@ -91,12 +92,12 @@ func tailPlan(seed int64) faults.Plan {
 // latency including any straggling window before a hedge won).
 func tailSession(jobs, workers int, plan faults.Plan, hedge taskrt.HedgePolicy, capW float64) (engine.Stats, []sim.Time, error) {
 	e, err := engine.New(engine.Config{
-		Workers:     workers,
-		Policy:      taskrt.MinTime,
-		NewPlatform: tailFleet,
-		Faults:      &plan,
-		PowerCapW:   capW,
-		Hedge:       hedge,
+		Workers:   workers,
+		Policy:    taskrt.MinTime,
+		Fleet:     tailFleet(),
+		Faults:    &plan,
+		PowerCapW: capW,
+		Hedge:     hedge,
 	})
 	if err != nil {
 		return engine.Stats{}, nil, err
@@ -162,11 +163,7 @@ func p99(lats []sim.Time) sim.Time {
 // the work drains; each candidate session is deterministic on the virtual
 // clock.
 func Tail(jobs, workers int, seed int64) (*TailResult, error) {
-	refClock := sim.NewEngine()
-	ref, err := tailFleet(refClock)
-	if err != nil {
-		return nil, err
-	}
+	ref := tailFleet()
 	capW := 0.6 * float64(power.FleetPeakWatts(ref))
 
 	const maxSeeds = 64

@@ -89,6 +89,66 @@ func (s *Spec) nominal() DVFSState {
 	return s.States[0]
 }
 
+// State returns DVFS state i (index into States; the implicit nominal state
+// for a spec without explicit states).
+func (s *Spec) State(i int) DVFSState {
+	if len(s.States) == 0 {
+		return s.nominal()
+	}
+	return s.States[i]
+}
+
+// SpeedScale is the frequency of state i relative to nominal.
+func (s *Spec) SpeedScale(i int) float64 {
+	nom, cur := s.nominal(), s.State(i)
+	if nom.FreqGHz == 0 {
+		return 1
+	}
+	return cur.FreqGHz / nom.FreqGHz
+}
+
+// PowerScale is the dynamic-power scaling f·V² of state i relative to
+// nominal.
+func (s *Spec) PowerScale(i int) float64 {
+	nom, cur := s.nominal(), s.State(i)
+	if nom.FreqGHz == 0 || nom.Voltage == 0 {
+		return 1
+	}
+	return (cur.FreqGHz / nom.FreqGHz) * (cur.Voltage / nom.Voltage) * (cur.Voltage / nom.Voltage)
+}
+
+// DynamicWatts returns the incremental draw of keeping n cores busy at
+// state i, excluding idle power — the quantity a fleet power-cap ledger
+// charges for a placement.
+func (s *Spec) DynamicWatts(n, i int) energy.Watts {
+	if s.Cores == 0 {
+		return 0
+	}
+	perCore := (s.PeakWatts - s.IdleWatts) / float64(s.Cores)
+	return perCore * float64(n) * s.PowerScale(i)
+}
+
+// ExecTime returns the duration for `gops` giga-operations using n cores at
+// state i. Work splits perfectly across cores (the runtimes layer imposes
+// their own efficiency models on top).
+func (s *Spec) ExecTime(gops float64, n, i int) sim.Time {
+	if n <= 0 || s.Cores == 0 || s.GOPS == 0 {
+		return 0
+	}
+	perCore := s.GOPS / float64(s.Cores)
+	rate := perCore * float64(n) * s.SpeedScale(i)
+	if rate <= 0 {
+		return 0
+	}
+	return sim.Seconds(gops / rate)
+}
+
+// EnergyFor estimates the incremental (dynamic) energy of running `gops`
+// on n cores at state i, excluding idle draw.
+func (s *Spec) EnergyFor(gops float64, n, i int) energy.Joules {
+	return s.DynamicWatts(n, i) * sim.ToSeconds(s.ExecTime(gops, n, i))
+}
+
 // Device is an instantiated piece of hardware with an operating point,
 // a utilisation level and an attached power meter.
 type Device struct {
@@ -132,12 +192,7 @@ func (d *Device) Repair() {
 }
 
 // State returns the current DVFS state.
-func (d *Device) State() DVFSState {
-	if len(d.Spec.States) == 0 {
-		return d.Spec.nominal()
-	}
-	return d.Spec.States[d.stateIdx]
-}
+func (d *Device) State() DVFSState { return d.Spec.State(d.stateIdx) }
 
 // StateIndex returns the index of the current DVFS state in Spec.States
 // (0 for devices without explicit states).
@@ -156,34 +211,6 @@ func (d *Device) SetState(i int) error {
 	d.stateIdx = i
 	d.updatePower()
 	return nil
-}
-
-// freqScale is current frequency relative to nominal.
-func (d *Device) freqScale() float64 {
-	nom := d.Spec.nominal()
-	cur := d.State()
-	if nom.FreqGHz == 0 {
-		return 1
-	}
-	return cur.FreqGHz / nom.FreqGHz
-}
-
-// powerScale is dynamic-power scaling f·V² relative to nominal.
-func (d *Device) powerScale() float64 {
-	nom := d.Spec.nominal()
-	cur := d.State()
-	if nom.FreqGHz == 0 || nom.Voltage == 0 {
-		return 1
-	}
-	return (cur.FreqGHz / nom.FreqGHz) * (cur.Voltage / nom.Voltage) * (cur.Voltage / nom.Voltage)
-}
-
-// Utilization returns busy cores / total cores in [0,1].
-func (d *Device) Utilization() float64 {
-	if d.Spec.Cores == 0 {
-		return 0
-	}
-	return float64(d.busy) / float64(d.Spec.Cores)
 }
 
 // Acquire marks n cores busy; it fails if the device lacks free cores or is
@@ -210,9 +237,6 @@ func (d *Device) Release(n int) {
 	d.updatePower()
 }
 
-// BusyCores returns the current number of busy cores.
-func (d *Device) BusyCores() int { return d.busy }
-
 // updatePower recomputes the meter draw from utilisation and DVFS state.
 // Static (idle) power is independent of frequency; dynamic power scales
 // with utilisation and f·V².
@@ -220,43 +244,24 @@ func (d *Device) updatePower() {
 	if !d.healthy {
 		return
 	}
-	dynamic := (d.Spec.PeakWatts - d.Spec.IdleWatts) * d.Utilization() * d.powerScale()
+	util := 0.0
+	if d.Spec.Cores != 0 {
+		util = float64(d.busy) / float64(d.Spec.Cores)
+	}
+	dynamic := (d.Spec.PeakWatts - d.Spec.IdleWatts) * util * d.Spec.PowerScale(d.stateIdx)
 	d.meter.SetPower(d.Spec.IdleWatts + dynamic)
 }
 
 // DynamicWatts returns the incremental draw of keeping n cores busy at the
-// current DVFS state, excluding idle power — the quantity a fleet power-cap
-// ledger charges for a placement.
-func (d *Device) DynamicWatts(n int) energy.Watts {
-	if d.Spec.Cores == 0 {
-		return 0
-	}
-	perCore := (d.Spec.PeakWatts - d.Spec.IdleWatts) / float64(d.Spec.Cores)
-	return perCore * float64(n) * d.powerScale()
-}
+// current DVFS state, excluding idle power.
+func (d *Device) DynamicWatts(n int) energy.Watts { return d.Spec.DynamicWatts(n, d.stateIdx) }
 
 // ExecTime returns the duration for `gops` giga-operations using n cores at
-// the current DVFS state. Work splits perfectly across cores (the runtimes
-// layer imposes their own efficiency models on top).
-func (d *Device) ExecTime(gops float64, n int) sim.Time {
-	if n <= 0 || d.Spec.Cores == 0 || d.Spec.GOPS == 0 {
-		return 0
-	}
-	perCore := d.Spec.GOPS / float64(d.Spec.Cores)
-	rate := perCore * float64(n) * d.freqScale()
-	if rate <= 0 {
-		return 0
-	}
-	return sim.Seconds(gops / rate)
-}
+// the current DVFS state.
+func (d *Device) ExecTime(gops float64, n int) sim.Time { return d.Spec.ExecTime(gops, n, d.stateIdx) }
 
 // EnergyFor estimates the incremental (dynamic) energy of running `gops`
 // on n cores at the current state, excluding idle draw.
 func (d *Device) EnergyFor(gops float64, n int) energy.Joules {
-	t := sim.ToSeconds(d.ExecTime(gops, n))
-	if d.Spec.Cores == 0 {
-		return 0
-	}
-	perCoreDyn := (d.Spec.PeakWatts - d.Spec.IdleWatts) / float64(d.Spec.Cores)
-	return perCoreDyn * float64(n) * d.powerScale() * t
+	return d.Spec.EnergyFor(gops, n, d.stateIdx)
 }

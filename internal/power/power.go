@@ -86,25 +86,17 @@ type Ladder struct {
 }
 
 // LadderFor resolves a device's DVFS states into a ladder of operating
-// points. A spec without explicit states yields a single nominal point.
+// points, scaled by the spec's own cost model. A spec without explicit
+// states yields a single nominal point.
 func LadderFor(id string, spec hw.Spec) Ladder {
-	states := spec.States
-	if len(states) == 0 {
-		states = []hw.DVFSState{{Name: "nominal", FreqGHz: 1, Voltage: 1}}
-	}
-	nom := states[0]
-	l := Ladder{Device: id, Points: make([]Point, 0, len(states))}
-	for i, st := range states {
-		speed, pscale := 1.0, 1.0
-		if nom.FreqGHz > 0 && nom.Voltage > 0 {
-			speed = st.FreqGHz / nom.FreqGHz
-			v := st.Voltage / nom.Voltage
-			pscale = speed * v * v
-		}
+	n := max(len(spec.States), 1)
+	l := Ladder{Device: id, Points: make([]Point, 0, n)}
+	for i := 0; i < n; i++ {
+		st := spec.State(i)
 		l.Points = append(l.Points, Point{
 			State: i, Name: st.Name,
 			FreqGHz: st.FreqGHz, Voltage: st.Voltage,
-			SpeedScale: speed, PowerScale: pscale,
+			SpeedScale: spec.SpeedScale(i), PowerScale: spec.PowerScale(i),
 		})
 	}
 	return l
@@ -330,24 +322,29 @@ func (l *Ledger) Release(deviceID string, cores int, watts energy.Watts) {
 
 // Reacquire claims every core grant in one step, or none of them: a job
 // resuming from suspension takes back the grants it returned while parked
-// plus its stalled placement. A grant larger than its device's current
-// capacity (the device shrank or failed while the job was parked) waits
-// until no sibling holds that device, then is claimed as a deficit: the
-// same one SetCapacity would have left had the job kept its grants, and
-// clamped into the peak the same way.
-func (l *Ledger) Reacquire(grants map[string]int) bool {
+// plus its stalled placement. grants[i] is the cores wanted on devs[i]
+// (zero: none), as Shape indexes them. A grant larger than its device's
+// current capacity (the device shrank or failed while the job was parked)
+// waits until no sibling holds that device, then is claimed as a deficit:
+// the same one SetCapacity would have left had the job kept its grants,
+// and clamped into the peak the same way.
+func (l *Ledger) Reacquire(devs []*hw.Device, grants []int) bool {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	for id, n := range grants {
-		if a := l.byID[id]; a == nil || a.free < min(n, a.cores) {
-			l.coreStalls++
-			return false
+	for i, d := range devs {
+		if n := grants[i]; n > 0 {
+			if a := l.byID[d.ID]; a == nil || a.free < min(n, a.cores) {
+				l.coreStalls++
+				return false
+			}
 		}
 	}
-	for id, n := range grants {
-		a := l.byID[id]
-		a.free -= n
-		a.peak = max(a.peak, min(a.cores-a.free, a.cores))
+	for i, d := range devs {
+		if n := grants[i]; n > 0 {
+			a := l.byID[d.ID]
+			a.free -= n
+			a.peak = max(a.peak, min(a.cores-a.free, a.cores))
+		}
 	}
 	return true
 }

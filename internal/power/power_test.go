@@ -254,17 +254,18 @@ func TestFleetLedger(t *testing.T) {
 // TestFleetReacquire: a resuming job's grants are claimed all or none, and
 // a grant on a device that shrank below it comes back as a deficit.
 func TestFleetReacquire(t *testing.T) {
-	f := NewLedger(0, testDevices(t), RaceToIdle)
+	devs := testDevices(t) // cpu0, fpga0
+	f := NewLedger(0, devs, RaceToIdle)
 	if f.Claim("fpga0", 3, 0) != Granted {
 		t.Fatal("acquire refused")
 	}
-	if f.Reacquire(map[string]int{"cpu0": 8, "fpga0": 2}) {
+	if f.Reacquire(devs, []int{8, 2}) {
 		t.Fatal("reacquire succeeded past a busy device")
 	}
 	if f.InUse("cpu0") != 0 || f.CoreStalls() != 1 {
 		t.Fatalf("failed reacquire left cpu in use %d, stalls %d", f.InUse("cpu0"), f.CoreStalls())
 	}
-	if !f.Reacquire(map[string]int{"cpu0": 8, "fpga0": 1}) {
+	if !f.Reacquire(devs, []int{8, 1}) {
 		t.Fatal("reacquire refused with room on both devices")
 	}
 	if f.InUse("cpu0") != 8 || f.InUse("fpga0") != 4 || f.Peak("fpga0") != 4 {
@@ -272,7 +273,7 @@ func TestFleetReacquire(t *testing.T) {
 	}
 	f.Release("cpu0", 8, 0)
 	f.SetCapacity("cpu0", 2)
-	if !f.Reacquire(map[string]int{"cpu0": 5}) {
+	if !f.Reacquire(devs, []int{5, 0}) {
 		t.Fatal("grant larger than the shrunk device refused")
 	}
 	if f.InUse("cpu0") != 5 || f.Peak("cpu0") > f.Capacity("cpu0") {
@@ -291,11 +292,11 @@ func TestFleetReacquire(t *testing.T) {
 		t.Fatal("sibling acquire refused")
 	}
 	f.SetCapacity("cpu0", 4)
-	if f.Reacquire(map[string]int{"cpu0": 6}) {
+	if f.Reacquire(devs, []int{6, 0}) {
 		t.Fatalf("over-capacity grant claimed beside a sibling: %d in use of %d", f.InUse("cpu0"), f.Capacity("cpu0"))
 	}
 	f.Release("cpu0", 8, 0)
-	if !f.Reacquire(map[string]int{"cpu0": 6}) {
+	if !f.Reacquire(devs, []int{6, 0}) {
 		t.Fatal("over-capacity grant refused on a device no sibling holds")
 	}
 	if f.InUse("cpu0") != 6 || f.Peak("cpu0") != f.Capacity("cpu0") {

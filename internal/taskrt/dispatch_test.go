@@ -315,9 +315,9 @@ func TestDeviceLossRequeuesOnce(t *testing.T) {
 }
 
 // TestShapeReadsByDeviceID: the runtime reads fleet capacity and operating
-// points by device ID, whatever order its mirror lists the devices in, and
-// a mirror device the ledger does not track reads as zero cores, so no task
-// lands on it.
+// points by device ID, whatever order its own device list has, and a
+// device the ledger does not track reads as zero cores, so no task lands
+// on it.
 func TestShapeReadsByDeviceID(t *testing.T) {
 	ref := wideDevices(sim.NewEngine())
 	// The cap covers every device at full tilt: only the forced refusal
@@ -357,8 +357,8 @@ func TestShapeReadsByDeviceID(t *testing.T) {
 	}
 	check("throttle")
 	rt.applyOperatingPoints()
-	if p := mirror[5].StateIndex(); p != 1 || p != led.OperatingPoint("cpu0") {
-		t.Fatalf("mirror cpu0 at point %d, ledger prescribes %d", p, led.OperatingPoint("cpu0"))
+	if p := rt.state[5].point; p != 1 || p != led.OperatingPoint("cpu0") {
+		t.Fatalf("runtime applies point %d to cpu0, ledger prescribes %d", p, led.OperatingPoint("cpu0"))
 	}
 	if err := wideDAG(rt, rand.New(rand.NewSource(3)), 2, 12); err != nil {
 		t.Fatal(err)

@@ -293,16 +293,16 @@ func (r *Runtime) refreshShape() {
 	}
 }
 
-// measureFree records, per device class, the most cores one healthy device
-// can still grant: free on the platform mirror and within fleet capacity.
+// measureFree records, per device class, the most cores one live device
+// can still grant: not held by this run and within fleet capacity.
 func (r *Runtime) measureFree() {
 	r.free = [classSlots]int{}
 	r.freeAny = 0
 	for i, d := range r.devices {
-		if !d.Healthy() {
+		if r.state[i].lost {
 			continue
 		}
-		f := min(d.Spec.Cores-d.BusyCores(), r.capacity[i])
+		f := min(d.Spec.Cores-r.state[i].cores, r.capacity[i])
 		if c := d.Spec.Class; c >= 0 && c < classSlots {
 			r.free[c] = max(r.free[c], f)
 		}

@@ -205,7 +205,7 @@ func TestCheckpointLimitsRestores(t *testing.T) {
 
 // A fault scheduled beyond the graph's lifetime is cancelled when the last
 // task completes: the run ends at its natural makespan and the device
-// stays healthy.
+// stays alive.
 func TestFaultAfterCompletionCancelled(t *testing.T) {
 	eng := sim.NewEngine()
 	devs := twoCPUs(eng)
@@ -221,7 +221,7 @@ func TestFaultAfterCompletionCancelled(t *testing.T) {
 	if res.Makespan >= time.Hour {
 		t.Fatalf("pending fault stretched the run to %v", res.Makespan)
 	}
-	if !devs[0].Healthy() {
+	if rt.state[0].lost {
 		t.Fatal("device failed after the graph completed")
 	}
 	if res.TasksRestored != 0 || res.TasksRetried != 0 {

@@ -92,10 +92,11 @@ const (
 
 // Admission is the shared fleet ledger that arbitrates real device cores
 // and the fleet watt budget between runtimes executing concurrently on
-// independent virtual clocks (the multi-job engine). Each runtime schedules
-// against its own platform mirror, but before a task may start it must
-// claim its cores and its dynamic draw from the ledger, keyed by device ID,
-// so the union of all placements never oversubscribes a device or breaches
+// independent virtual clocks (the multi-job engine). Every runtime reads
+// the same read-only reference devices and keeps what changes during its
+// run in its own per-device state; before a task may start it must claim
+// its cores and its dynamic draw from the ledger, keyed by device ID, so
+// the union of all placements never oversubscribes a device or breaches
 // the cap. power.Ledger implements it; implementations must be safe for
 // concurrent use.
 //
@@ -103,39 +104,51 @@ const (
 // a claim of zero cores claims watts alone. Changed returns a channel
 // closed on the next release, fleet event or governor reshape after the
 // call; a runtime grabs it before dispatching so a release racing with a
-// refusal can never be missed. Reacquire claims a set of core grants in one
-// step, or none, for a runtime resuming from suspension; a grant larger
-// than its device's current capacity (the device shrank while the runtime
-// was parked) is claimed as a deficit once no sibling holds that device.
+// refusal can never be missed. Reacquire claims a set of core grants,
+// indexed like Shape's devices, in one step, or none, for a runtime
+// resuming from suspension; a grant larger than its device's current
+// capacity (the device shrank while the runtime was parked) is claimed as
+// a deficit once no sibling holds that device.
 // Shape fills, per device, the current total cores (zero for a lost or
 // unknown device) and the governor's current DVFS prescription, and
 // returns the epoch they belong to; Epoch moves whenever either changes.
 // Capacity lets runtimes tell transient contention (park and wait) from
 // permanent loss (re-place or fail with ErrDeviceLost); the prescription
-// is applied to the platform mirror before scoring. Changed and Epoch are
-// read on every dispatch round, so they should be cheap. Capped reports
+// is applied before scoring. Changed and Epoch are read on every dispatch
+// round, so they should be cheap. Capped reports
 // whether the watt budget is finite: only then can a draw be refused, so
 // only then are watt decisions reported as events.
 type Admission interface {
 	Claim(deviceID string, cores int, watts energy.Watts) power.Verdict
 	Release(deviceID string, cores int, watts energy.Watts)
-	Reacquire(grants map[string]int) bool
+	Reacquire(devs []*hw.Device, grants []int) bool
 	Changed() <-chan struct{}
 	Epoch() uint64
 	Shape(devs []*hw.Device, cores, points []int) uint64
 	Capped() bool
 }
 
-// grant is a claim on cores of one fleet device.
+// grant is a claim on cores of one device, by index into Runtime.devices;
+// zero cores is no grant.
 type grant struct {
-	dev   string
+	dev   int
 	cores int
 }
 
-// hold is what a runtime holds of one device's ledger account.
-type hold struct {
-	cores int
-	watts energy.Watts
+// devState is what one run holds and knows of one device, indexed like
+// Runtime.devices. The devices themselves are never written: they may be
+// the reference fleet every concurrent runtime reads.
+type devState struct {
+	cores int          // cores held by executions (zero while suspended)
+	watts energy.Watts // ledger watts held by executions
+	// point is the applied operating point new placements are priced at.
+	// It trails the prescribed Runtime.points until applyOperatingPoints
+	// runs, so each governor event is stamped at the instant it applies.
+	point    int
+	lost     bool     // failed on this run's clock, or before it began
+	lostAt   sim.Time // when it was lost
+	slowdown float64  // hidden execution-time stretch (1: none)
+	suspect  float64  // observed slowdown folded into scoring (0: none)
 }
 
 // Data is a named data region tasks depend on.
@@ -243,29 +256,37 @@ func elasticWidth(t *Task, free int, readyGops float64) int {
 	return w
 }
 
-// execTime is how long t runs on dev at the given width: the device's
-// linear model, or for a moldable task its 1-core time over the Amdahl
-// speedup. Both follow the device's operating point.
-func execTime(t *Task, dev *hw.Device, width int) sim.Time {
+// execTime is how long t runs on device di at the given width and the
+// device's applied operating point: the spec's linear model, or for a
+// moldable task its 1-core time over the Amdahl speedup.
+func (r *Runtime) execTime(t *Task, di, width int) sim.Time {
+	s, p := &r.devices[di].Spec, r.state[di].point
 	if t.Mold == nil {
-		return dev.ExecTime(t.Gops, width)
+		return s.ExecTime(t.Gops, width, p)
 	}
-	return sim.Time(float64(dev.ExecTime(t.Gops, 1)) / t.Mold.Speedup(width))
+	return sim.Time(float64(s.ExecTime(t.Gops, 1, p)) / t.Mold.Speedup(width))
 }
 
-// energyFor is the dynamic energy of t on dev at the given width, before
-// undervolting: width cores' draw over execTime.
-func energyFor(t *Task, dev *hw.Device, width int) energy.Joules {
+// energyFor is the dynamic energy of t on device di at the given width,
+// before undervolting: width cores' draw over execTime.
+func (r *Runtime) energyFor(t *Task, di, width int) energy.Joules {
+	s, p := &r.devices[di].Spec, r.state[di].point
 	if t.Mold == nil {
-		return dev.EnergyFor(t.Gops, width)
+		return s.EnergyFor(t.Gops, width, p)
 	}
-	return dev.DynamicWatts(width) * sim.ToSeconds(execTime(t, dev, width))
+	return s.DynamicWatts(width, p) * sim.ToSeconds(r.execTime(t, di, width))
+}
+
+// taskDrawW is the dynamic draw t would hold on device di at the given
+// width and the applied operating point, shrunk by its undervolt level.
+func (r *Runtime) taskDrawW(t *Task, di, width int) energy.Watts {
+	return r.devices[di].Spec.DynamicWatts(width, r.state[di].point) * power.UndervoltPowerScale(t.Undervolt)
 }
 
 // exec is one in-flight execution of a task: the primary placement, or a
 // speculative hedge replica racing it on a different device.
 type exec struct {
-	dev      *hw.Device
+	dev      int // index into Runtime.devices
 	cores    int
 	watts    energy.Watts // watt-ledger grant held (0 without a power ledger)
 	draw     energy.Watts // modelled dynamic draw (waste accounting)
@@ -379,10 +400,10 @@ type Runtime struct {
 	freeAny  int             // most free cores on any healthy device
 	aside    []*node         // dispatch call: popped, not placed, retried after each placement
 
+	state   []devState      // per-device run state, indexed like devices
 	adm     Admission       // nil: sole owner of its devices, no watt budget
 	capped  bool            // adm has a finite watt budget
 	sink    func(obs.Event) // lifecycle observer (nil: none)
-	held    map[string]hold // ledger grants currently held, by device ID
 	blocked bool            // a ready task lost admission this dispatch round
 	stalled grant           // placement stalled only by sibling jobs' grants
 	reserve grant           // fleet grant won by suspend for the stalled placement
@@ -398,8 +419,6 @@ type Runtime struct {
 	// Tail-tolerance state.
 	hedgePol HedgePolicy
 	dlMode   DeadlineMode
-	slowdown map[string]float64 // hidden execution-time stretch per device
-	suspect  map[string]float64 // observed slowdown folded into scoring
 
 	// Checkpoint state.
 	ckptEvery   int
@@ -411,19 +430,31 @@ type Runtime struct {
 	counts obs.Counts // lifecycle tally, folded from every emitted event
 }
 
-// New creates a runtime over the given devices.
+// New creates a runtime over the given devices. It only reads them, from
+// their DVFS state and health on, so concurrent runtimes may share them.
 func New(eng *sim.Engine, devices []*hw.Device, policy Policy) *Runtime {
 	r := &Runtime{
 		eng: eng, devices: devices, policy: policy,
 		capacity:     make([]int, len(devices)),
-		held:         make(map[string]hold),
+		state:        make([]devState, len(devices)),
 		running:      make(map[*node]struct{}),
 		retryBackoff: time.Millisecond,
 	}
 	for i, d := range devices {
 		r.capacity[i] = d.Spec.Cores
+		r.state[i] = devState{point: d.StateIndex(), lost: !d.Healthy(), slowdown: 1}
 	}
 	return r
+}
+
+// MarkLost records a device as lost before the run begins, the way a fleet
+// that already lost it presents it: placement never considers it, it draws
+// no idle power on this run's clock, and no event is emitted. Unknown IDs
+// are ignored.
+func (r *Runtime) MarkLost(id string) {
+	if i := r.deviceIndex(id); i >= 0 && !r.state[i].lost {
+		r.state[i].lost, r.state[i].lostAt = true, r.eng.Now()
+	}
 }
 
 // SetAdmission installs the shared fleet ledger. Must be called before the
@@ -484,19 +515,16 @@ func (r *Runtime) SetDeadlineMode(m DeadlineMode) { r.dlMode = m }
 // the tail-tolerance layer exists. Factors are monotone: a smaller factor
 // than the device's current one is ignored.
 func (r *Runtime) DegradeDevice(id string, factor float64) {
-	if factor <= 1 {
+	di := r.deviceIndex(id)
+	if di < 0 {
 		return
 	}
-	old := 1.0
-	if r.slowdown == nil {
-		r.slowdown = make(map[string]float64)
-	} else if f, ok := r.slowdown[id]; ok {
-		old = f
-	}
+	st := &r.state[di]
+	old := st.slowdown
 	if factor <= old {
 		return
 	}
-	r.slowdown[id] = factor
+	st.slowdown = factor
 	// Stretch the remainder of in-flight executions on the device. The
 	// watchdog events stay where they are: they were armed off the clean
 	// expected span, which is exactly the budget a straggler overruns.
@@ -507,7 +535,7 @@ func (r *Runtime) DegradeDevice(id string, factor float64) {
 			continue
 		}
 		for _, ex := range [2]*exec{n.primary, n.hedge} {
-			if ex == nil || ex.dev.ID != id {
+			if ex == nil || ex.dev != di {
 				continue
 			}
 			remaining := ex.finish - now
@@ -523,28 +551,14 @@ func (r *Runtime) DegradeDevice(id string, factor float64) {
 	}
 }
 
-// deviceSlowdown is the hidden execution-time stretch of a device.
-func (r *Runtime) deviceSlowdown(id string) float64 {
-	if f, ok := r.slowdown[id]; ok {
-		return f
-	}
-	return 1
-}
-
 // noteSuspect folds an observed slowdown into placement scoring: once a
 // straggler exposes a degraded device, future placements see its expected
 // time stretched by the largest factor witnessed so far. Only elapsed time
 // is used — the runtime learns from what it measured, not from the fault
 // plan it cannot see.
-func (r *Runtime) noteSuspect(id string, observed float64) {
-	if observed <= 1 {
-		return
-	}
-	if r.suspect == nil {
-		r.suspect = make(map[string]float64)
-	}
-	if observed > r.suspect[id] {
-		r.suspect[id] = observed
+func (r *Runtime) noteSuspect(di int, observed float64) {
+	if st := &r.state[di]; observed > 1 && observed > st.suspect {
+		st.suspect = observed
 	}
 }
 
@@ -705,15 +719,10 @@ func (r *Runtime) deadlineFire(n *node) {
 	}
 }
 
-// compatible reports whether dev can run t.
-func compatible(t *Task, dev *hw.Device) bool {
-	if !dev.Healthy() {
-		return false
-	}
-	if dev.Spec.Cores < t.Cores {
-		return false
-	}
-	return classMatch(t, dev.Spec.Class)
+// compatible reports whether device di can run t.
+func (r *Runtime) compatible(t *Task, di int) bool {
+	dev := r.devices[di]
+	return !r.state[di].lost && dev.Spec.Cores >= t.Cores && classMatch(t, dev.Spec.Class)
 }
 
 // classMatch reports whether t accepts the given device class.
@@ -734,11 +743,10 @@ func classMatch(t *Task, c hw.Class) bool {
 // take the task at this instant. A moldable task is scored at its elastic
 // width on the device, given the job's ready Gops.
 func (r *Runtime) score(t *Task, di int, readyGops float64) (s float64, width int, ok bool) {
-	dev := r.devices[di]
-	if !compatible(t, dev) {
+	if !r.compatible(t, di) {
 		return 0, 0, false
 	}
-	free := dev.Spec.Cores - dev.BusyCores()
+	free := r.devices[di].Spec.Cores - r.state[di].cores
 	if free < t.Cores {
 		return 0, 0, false
 	}
@@ -746,14 +754,14 @@ func (r *Runtime) score(t *Task, di int, readyGops float64) (s float64, width in
 	if t.Mold != nil {
 		width = elasticWidth(t, min(free, r.capacity[di]), readyGops)
 	}
-	execSec := sim.ToSeconds(execTime(t, dev, width))
+	execSec := sim.ToSeconds(r.execTime(t, di, width))
 	// Fold in witnessed slowdowns: a device exposed as degraded by the
 	// straggler watchdog is scored at its observed stretch, so placement
 	// routes around it without ever reading the (hidden) fault state.
-	if f, ok := r.suspect[dev.ID]; ok {
+	if f := r.state[di].suspect; f > 0 {
 		execSec *= f
 	}
-	energyJ := energyFor(t, dev, width) * power.UndervoltPowerScale(t.Undervolt)
+	energyJ := r.energyFor(t, di, width) * power.UndervoltPowerScale(t.Undervolt)
 	switch r.policy {
 	case MinEnergy:
 		return energyJ, width, true
@@ -781,38 +789,28 @@ func (r *Runtime) readyGops(n *node) float64 {
 	return g
 }
 
-// applyOperatingPoints syncs the platform mirror to the governor's current
-// DVFS prescription, so scoring, execution time and draw all see the
-// throttled (or restored) operating points. Tasks already executing keep
-// the span and energy they were scheduled with; only new placements are
-// reshaped — the DVFS transition model.
+// applyOperatingPoints applies the governor's current DVFS prescription,
+// so scoring, execution time and draw all see the throttled (or restored)
+// operating points. Tasks already executing keep the span and energy they
+// were scheduled with; only new placements are reshaped — the DVFS
+// transition model.
 func (r *Runtime) applyOperatingPoints() {
 	if r.adm == nil {
 		return
 	}
 	r.refreshShape()
 	for i, dev := range r.devices {
-		if p := r.points[i]; p != dev.StateIndex() {
-			from := dev.StateIndex()
-			if err := dev.SetState(p); err != nil {
-				// A mirror with fewer states than the reference ladder is a
-				// construction bug; stay at the current point.
-				continue
-			}
-			k := obs.GovernorThrottled
-			if p < from {
-				k = obs.GovernorRestored
-			}
-			r.emit(obs.Event{At: r.eng.Now(), Kind: k, Device: dev.ID, Value: float64(p)})
+		st, p := &r.state[i], r.points[i]
+		if p == st.point {
+			continue
 		}
+		k := obs.GovernorThrottled
+		if p < st.point {
+			k = obs.GovernorRestored
+		}
+		st.point = p
+		r.emit(obs.Event{At: r.eng.Now(), Kind: k, Device: dev.ID, Value: float64(p)})
 	}
-}
-
-// taskDrawW is the dynamic draw a task would hold on dev at the given width
-// and the device's current operating point, shrunk by the task's undervolt
-// level.
-func taskDrawW(t *Task, dev *hw.Device, width int) energy.Watts {
-	return dev.DynamicWatts(width) * power.UndervoltPowerScale(t.Undervolt)
 }
 
 // place tries to start n on its best-scoring device now. Capacity comes
@@ -840,17 +838,16 @@ func (r *Runtime) place(n *node) outcome {
 	if best == -1 {
 		return skipped // no device free for this task right now
 	}
-	dev := r.devices[best]
 	watts := energy.Watts(0)
 	if r.adm != nil {
-		watts = taskDrawW(t, dev, width)
-		switch r.claim(dev.ID, width, watts) {
+		watts = r.taskDrawW(t, best, width)
+		switch r.claim(best, width, watts) {
 		case power.NoCores:
-			if r.held[dev.ID].cores+width <= r.capacity[best] {
+			if r.state[best].cores+width <= r.capacity[best] {
 				// Only sibling jobs' grants stand in the way. End the
 				// round here so RunContext suspends the job at this
 				// instant instead of stepping on (see suspend).
-				r.stalled = grant{dev.ID, width}
+				r.stalled = grant{best, width}
 				return stalled
 			}
 			// The device shrank under this job's own grants: leave the
@@ -861,38 +858,39 @@ func (r *Runtime) place(n *node) outcome {
 			// The placement fits the core budget but not the watt budget:
 			// park. A PackAndThrottle governor may have stepped the device
 			// down, so the next attempt re-scores at the cheaper point.
-			r.emitPower(obs.PowerRefused, n, dev, watts)
+			r.emitPower(obs.PowerRefused, n, best, watts)
 			r.blocked = true
 			r.applyOperatingPoints()
 			return skipped
 		}
-		r.emitPower(obs.PowerAdmitted, n, dev, watts)
+		r.emitPower(obs.PowerAdmitted, n, best, watts)
 	}
 	n.queued = false
 	r.nready--
-	r.start(n, dev, width, watts)
+	r.start(n, best, width, watts)
 	return placed
 }
 
-// claim wins fleet cores and watts for a placement on dev. The cores
+// claim wins fleet cores and watts for a placement on device di. The cores
 // suspend reserved for this placement are spent first, and returned if the
 // watts are refused.
-func (r *Runtime) claim(dev string, cores int, watts energy.Watts) power.Verdict {
-	if r.reserve != (grant{dev, cores}) {
-		return r.adm.Claim(dev, cores, watts)
+func (r *Runtime) claim(di, cores int, watts energy.Watts) power.Verdict {
+	id := r.devices[di].ID
+	if r.reserve != (grant{di, cores}) {
+		return r.adm.Claim(id, cores, watts)
 	}
 	r.reserve = grant{}
-	v := r.adm.Claim(dev, 0, watts)
+	v := r.adm.Claim(id, 0, watts)
 	if v != power.Granted {
-		r.adm.Release(dev, cores, 0)
+		r.adm.Release(id, cores, 0)
 	}
 	return v
 }
 
 // dropReserve returns a fleet grant suspend reserved but no placement spent.
 func (r *Runtime) dropReserve() {
-	if r.reserve.dev != "" {
-		r.adm.Release(r.reserve.dev, r.reserve.cores, 0)
+	if g := r.reserve; g.cores > 0 {
+		r.adm.Release(r.devices[g.dev].ID, g.cores, 0)
 		r.reserve = grant{}
 	}
 }
@@ -906,34 +904,30 @@ func (r *Runtime) dropReserve() {
 // stay claimed), so parked jobs never wait on one another, and it resumes
 // once those grants plus the stalled placement fit the fleet in one step.
 func (r *Runtime) suspend(ctx context.Context) error {
-	want := make(map[string]int, len(r.held)+1)
-	for id, h := range r.held {
-		if h.cores > 0 {
-			want[id] = h.cores
-			r.adm.Release(id, h.cores, 0)
+	want := make([]int, len(r.devices))
+	for i := range r.state {
+		if h := &r.state[i]; h.cores > 0 {
+			want[i] = h.cores
+			r.adm.Release(r.devices[i].ID, h.cores, 0)
 			h.cores = 0
-			r.held[id] = h
 		}
 	}
 	st := r.stalled
+	claim := make([]int, len(want))
 	for {
 		changed := r.adm.Changed()
-		claim := want
-		if st.dev != "" {
+		copy(claim, want)
+		if st.cores > 0 {
 			r.readCapacity()
-			if want[st.dev]+st.cores > r.capacity[r.deviceIndex(st.dev)] {
+			if want[st.dev]+st.cores > r.capacity[st.dev] {
 				// A sibling applied a fault meanwhile; the next round
 				// re-places the task.
 				st = grant{}
 			} else {
-				claim = make(map[string]int, len(want)+1)
-				for id, n := range want {
-					claim[id] = n
-				}
 				claim[st.dev] += st.cores
 			}
 		}
-		if r.adm.Reacquire(claim) {
+		if r.adm.Reacquire(r.devices, claim) {
 			break
 		}
 		select {
@@ -942,45 +936,45 @@ func (r *Runtime) suspend(ctx context.Context) error {
 			return ctx.Err()
 		}
 	}
-	for id, n := range want {
-		h := r.held[id]
-		h.cores += n
-		r.held[id] = h
+	for i, n := range want {
+		r.state[i].cores += n
 	}
 	r.reserve = st
 	return nil
 }
 
-// emitPower reports a watt-budget admission outcome for running n on dev.
-// Only a finite cap can refuse a draw, so an uncapped ledger's grants go
-// unreported; TaskStarted carries the draw either way.
-func (r *Runtime) emitPower(k obs.Kind, n *node, dev *hw.Device, watts energy.Watts) {
+// emitPower reports a watt-budget admission outcome for running n on
+// device di. Only a finite cap can refuse a draw, so an uncapped ledger's
+// grants go unreported; TaskStarted carries the draw either way.
+func (r *Runtime) emitPower(k obs.Kind, n *node, di int, watts energy.Watts) {
 	if !r.capped {
 		return
 	}
-	r.emit(obs.Event{At: r.eng.Now(), Kind: k, Task: n.task.Name, Device: dev.ID, Value: float64(watts)})
+	r.emit(obs.Event{At: r.eng.Now(), Kind: k, Task: n.task.Name, Device: r.devices[di].ID, Value: float64(watts)})
 }
 
-// launch builds one execution of n on dev at the given width: the device
-// meter is charged, the completion event is scheduled (stretched by any
-// silent slowdown), and the held grants advance. The caller has already won
-// global admission for the cores and watts.
-func (r *Runtime) launch(n *node, dev *hw.Device, width int, watts energy.Watts, hedge bool) *exec {
+// launch builds one execution of n on device di at the given width: the
+// cores and watts are held, the completion event is scheduled (stretched
+// by any silent slowdown), and the straggler watchdog is armed. The caller
+// has already won global admission for the cores and watts, and scored the
+// device alive with the cores free; launch panics if it is not.
+func (r *Runtime) launch(n *node, di, width int, watts energy.Watts, hedge bool) *exec {
 	t := &n.task
-	if r.adm != nil {
-		h := r.held[dev.ID]
-		h.cores += width
-		h.watts += watts
-		r.held[dev.ID] = h
+	st := &r.state[di]
+	if dev := r.devices[di]; st.lost || st.cores+width > dev.Spec.Cores {
+		panic(fmt.Sprintf("taskrt: placing %s on %s: %d of %d cores held, lost=%v, want %d more",
+			t.Name, dev.ID, st.cores, dev.Spec.Cores, st.lost, width))
 	}
+	st.cores += width
+	st.watts += watts
 	now := r.eng.Now()
-	factor := r.deviceSlowdown(dev.ID)
-	expected := execTime(t, dev, width)
+	factor := st.slowdown
+	expected := r.execTime(t, di, width)
 	actual := sim.Time(float64(expected) * factor)
 	ex := &exec{
-		dev: dev, cores: width, watts: watts,
-		draw:     taskDrawW(t, dev, width),
-		energy:   energy.Joules(float64(energyFor(t, dev, width)) * float64(power.UndervoltPowerScale(t.Undervolt)) * factor),
+		dev: di, cores: width, watts: watts,
+		draw:     r.taskDrawW(t, di, width),
+		energy:   energy.Joules(float64(r.energyFor(t, di, width)) * float64(power.UndervoltPowerScale(t.Undervolt)) * factor),
 		start:    now,
 		expected: expected,
 		finish:   now + actual,
@@ -994,19 +988,16 @@ func (r *Runtime) launch(n *node, dev *hw.Device, width int, watts energy.Watts,
 	return ex
 }
 
-// start runs n on dev at the given width as the primary execution. The
-// caller has already won global admission for those cores and the watts of
-// draw when a shared ledger is installed.
-func (r *Runtime) start(n *node, dev *hw.Device, width int, watts energy.Watts) {
+// start runs n on device di at the given width as the primary execution.
+// The caller has already won global admission for those cores and the
+// watts of draw when a shared ledger is installed.
+func (r *Runtime) start(n *node, di, width int, watts energy.Watts) {
 	t := &n.task
-	if err := dev.Acquire(width); err != nil {
-		// place scored the device healthy with the cores free.
-		panic(fmt.Sprintf("taskrt: placing %s: %v", t.Name, err))
-	}
+	dev := r.devices[di]
 	n.started = true
 	n.hedges = 0
 	r.emit(obs.Event{At: r.eng.Now(), Kind: obs.TaskPlaced, Task: t.Name, Device: dev.ID, Value: float64(width)})
-	n.primary = r.launch(n, dev, width, watts, false)
+	n.primary = r.launch(n, di, width, watts, false)
 	n.record.Device = dev.ID
 	n.record.Class = dev.Spec.Class
 	n.record.Start = n.primary.start
@@ -1018,15 +1009,13 @@ func (r *Runtime) start(n *node, dev *hw.Device, width int, watts energy.Watts) 
 	r.emit(obs.Event{At: n.record.Start, Kind: obs.TaskStarted, Task: t.Name, Device: dev.ID, Value: float64(n.record.DrawW)})
 }
 
-// releaseExec returns one execution's device cores and ledger grants.
+// releaseExec returns one execution's cores and ledger grants.
 func (r *Runtime) releaseExec(ex *exec) {
-	ex.dev.Release(ex.cores)
+	st := &r.state[ex.dev]
+	st.cores -= ex.cores
+	st.watts -= ex.watts
 	if r.adm != nil {
-		h := r.held[ex.dev.ID]
-		h.cores -= ex.cores
-		h.watts -= ex.watts
-		r.held[ex.dev.ID] = h
-		r.adm.Release(ex.dev.ID, ex.cores, ex.watts)
+		r.adm.Release(r.devices[ex.dev].ID, ex.cores, ex.watts)
 	}
 }
 
@@ -1045,16 +1034,17 @@ func (r *Runtime) straggler(n *node, ex *exec) {
 	}
 	now := r.eng.Now()
 	elapsed := now - ex.start
+	from := r.devices[ex.dev]
 	if !ex.flagged {
 		ex.flagged = true
 		stretch := 0.0
 		if ex.expected > 0 {
 			stretch = float64(elapsed) / float64(ex.expected)
 		}
-		r.emit(obs.Event{At: now, Kind: obs.HedgeArmed, Task: n.task.Name, Device: ex.dev.ID, Value: stretch})
+		r.emit(obs.Event{At: now, Kind: obs.HedgeArmed, Task: n.task.Name, Device: from.ID, Value: stretch})
 	}
 	if ex.expected > 0 {
-		r.noteSuspect(ex.dev.ID, float64(elapsed)/float64(ex.expected))
+		r.noteSuspect(ex.dev, float64(elapsed)/float64(ex.expected))
 	}
 	if n.hedge != nil || n.hedges >= r.hedgePol.maxHedges() {
 		return
@@ -1074,7 +1064,7 @@ func (r *Runtime) straggler(n *node, ex *exec) {
 	}
 	r.readCapacity()
 	for di, dev := range r.devices {
-		if dev.ID == ex.dev.ID {
+		if di == ex.dev {
 			continue
 		}
 		if r.capacity[di] < n.task.Cores {
@@ -1084,7 +1074,7 @@ func (r *Runtime) straggler(n *node, ex *exec) {
 		if !ok {
 			continue
 		}
-		df := dev.Spec.Class != ex.dev.Spec.Class
+		df := dev.Spec.Class != from.Spec.Class
 		if best == -1 || (df && !foreign) || (df == foreign && s < bestScore) {
 			best, bestScore, width, foreign = di, s, w, df
 		}
@@ -1100,33 +1090,26 @@ func (r *Runtime) straggler(n *node, ex *exec) {
 		rearm("", "no-device")
 		return
 	}
-	dev := r.devices[best]
+	id := r.devices[best].ID
 	watts := energy.Watts(0)
 	if r.adm != nil {
-		watts = taskDrawW(&n.task, dev, width)
-		switch r.adm.Claim(dev.ID, width, watts) {
+		watts = r.taskDrawW(&n.task, best, width)
+		switch r.adm.Claim(id, width, watts) {
 		case power.NoCores:
-			rearm(dev.ID, "cores")
+			rearm(id, "cores")
 			return
 		case power.NoWatts:
 			// Hedges pay their way under the power cap: a replica that does
 			// not fit the watt budget is denied, never force-admitted.
-			r.emitPower(obs.PowerRefused, n, dev, watts)
-			rearm(dev.ID, "watts")
+			r.emitPower(obs.PowerRefused, n, best, watts)
+			rearm(id, "watts")
 			return
 		}
-		r.emitPower(obs.PowerAdmitted, n, dev, watts)
-	}
-	if err := dev.Acquire(width); err != nil {
-		if r.adm != nil {
-			r.adm.Release(dev.ID, width, watts)
-		}
-		rearm(dev.ID, "device")
-		return
+		r.emitPower(obs.PowerAdmitted, n, best, watts)
 	}
 	n.hedges++
-	n.hedge = r.launch(n, dev, width, watts, true)
-	r.emit(obs.Event{At: now, Kind: obs.HedgeLaunched, Task: n.task.Name, Device: dev.ID, Detail: "from " + ex.dev.ID})
+	n.hedge = r.launch(n, best, width, watts, true)
+	r.emit(obs.Event{At: now, Kind: obs.HedgeLaunched, Task: n.task.Name, Device: id, Detail: "from " + from.ID})
 }
 
 // complete finishes one execution of n: the winner's device and admission
@@ -1161,16 +1144,17 @@ func (r *Runtime) complete(n *node, ex *exec) {
 			// lower bound — the loser never finished) so placement and later
 			// hedges route around the device. This also teaches on losing
 			// *hedges*, which carry no watchdog of their own.
-			r.noteSuspect(loser.dev.ID, float64(now-loser.start)/float64(loser.expected))
+			r.noteSuspect(loser.dev, float64(now-loser.start)/float64(loser.expected))
 		}
-		r.emit(obs.Event{At: now, Kind: k, Task: t.Name, Device: ex.dev.ID, Value: float64(wasted)})
+		r.emit(obs.Event{At: now, Kind: k, Task: t.Name, Device: r.devices[ex.dev].ID, Value: float64(wasted)})
 	}
 	n.primary, n.hedge = nil, nil
 	// Commit the winner. Start stays the primary's launch instant so
 	// End-Start is the task's true latency including the straggling window,
 	// not just the replica's run.
-	n.record.Device = ex.dev.ID
-	n.record.Class = ex.dev.Spec.Class
+	dev := r.devices[ex.dev]
+	n.record.Device = dev.ID
+	n.record.Class = dev.Spec.Class
 	n.record.End = now
 	n.record.EnergyJ = ex.energy
 	n.record.DrawW = ex.draw
@@ -1324,18 +1308,17 @@ func (r *Runtime) emitRetried(n *node, reason string) {
 
 // FailDevice fails the named device mid-run: in-flight tasks on it are
 // revoked (their grants returned, their executions re-queued under the
-// retry budget), the mirror device is marked unhealthy so placement routes
-// around it, and completed-but-unpersisted outputs resident on the device
+// retry budget), the device is marked lost so placement routes around it,
+// and completed-but-unpersisted outputs resident on the device
 // are invalidated and scheduled for re-execution after the restore cost —
 // unless a committed checkpoint already captured them. It returns the
 // revocation and invalidation counts; failing an unknown or already-failed
 // device is a no-op.
 func (r *Runtime) FailDevice(id string) (revoked, restored int) {
 	i := r.deviceIndex(id)
-	if i < 0 || !r.devices[i].Healthy() {
+	if i < 0 || r.state[i].lost {
 		return 0, 0
 	}
-	dev := r.devices[i]
 	// Revoke in-flight executions, in deterministic submission order. A
 	// node may hold two executions (primary + hedge) on different devices;
 	// losing the hedge's device cancels just the replica, while losing the
@@ -1344,7 +1327,7 @@ func (r *Runtime) FailDevice(id string) (revoked, restored int) {
 		if _, ok := r.running[n]; !ok {
 			continue
 		}
-		if h := n.hedge; h != nil && h.dev.ID == id {
+		if h := n.hedge; h != nil && h.dev == i {
 			h.done.Cancel()
 			h.watchdog.Cancel()
 			r.releaseExec(h)
@@ -1354,7 +1337,7 @@ func (r *Runtime) FailDevice(id string) (revoked, restored int) {
 			revoked++
 		}
 		p := n.primary
-		if p == nil || p.dev.ID != id {
+		if p == nil || p.dev != i {
 			continue
 		}
 		p.done.Cancel()
@@ -1366,7 +1349,7 @@ func (r *Runtime) FailDevice(id string) (revoked, restored int) {
 			// hedge to sole execution — no retry, no attempt charged.
 			n.primary = h
 			n.hedge = nil
-			r.emit(obs.Event{At: r.eng.Now(), Kind: obs.HedgePromoted, Task: n.task.Name, Device: h.dev.ID})
+			r.emit(obs.Event{At: r.eng.Now(), Kind: obs.HedgePromoted, Task: n.task.Name, Device: r.devices[h.dev].ID})
 			continue
 		}
 		n.primary = nil
@@ -1374,7 +1357,7 @@ func (r *Runtime) FailDevice(id string) (revoked, restored int) {
 		n.started = false
 		r.retry(n, "crash")
 	}
-	dev.Fail()
+	r.state[i].lost, r.state[i].lostAt = true, r.eng.Now()
 
 	// Invalidate completed outputs that lived on the device and were never
 	// checkpointed: they are gone, so any task whose output is still needed
@@ -1467,6 +1450,10 @@ type Result struct {
 	Records  []Record
 	// EnergyJ is the summed dynamic task energy.
 	EnergyJ energy.Joules
+	// Uptime is, per device (indexed like the runtime's devices), how long
+	// it was alive on the run's clock: until its loss, or the makespan.
+	// Idle power is drawn over exactly this span.
+	Uptime []sim.Time
 	// Counts is the run's lifecycle tally, folded from its events.
 	obs.Counts
 }
@@ -1515,7 +1502,7 @@ func (r *Runtime) RunContext(ctx context.Context) (*Result, error) {
 		// A reserve left unspent means the round placed the stalled task
 		// elsewhere (the governor moved an operating point meanwhile).
 		r.dropReserve()
-		if r.stalled.dev != "" {
+		if r.stalled.cores > 0 {
 			if err := r.suspend(ctx); err != nil {
 				return abort(err)
 			}
@@ -1552,6 +1539,13 @@ func (r *Runtime) RunContext(ctx context.Context) (*Result, error) {
 		}
 		res.EnergyJ += n.record.EnergyJ
 	}
+	res.Uptime = make([]sim.Time, len(r.state))
+	for i, st := range r.state {
+		res.Uptime[i] = res.Makespan
+		if st.lost {
+			res.Uptime[i] = min(st.lostAt, res.Makespan)
+		}
+	}
 	return res, nil
 }
 
@@ -1569,7 +1563,7 @@ func (r *Runtime) stuckErr(n *node) error {
 		if d.Spec.Cores < cores || !classMatch(&n.task, d.Spec.Class) {
 			continue
 		}
-		if !d.Healthy() || r.capacity[di] < cores {
+		if r.state[di].lost || r.capacity[di] < cores {
 			lost = true
 		}
 	}
@@ -1583,11 +1577,14 @@ func (r *Runtime) stuckErr(n *node) error {
 // by in-flight tasks or reserved by suspend, so a cancelled job cannot
 // strand fleet capacity or watt budget.
 func (r *Runtime) releaseHeld() {
+	if r.adm == nil {
+		return
+	}
 	r.dropReserve()
-	for id, h := range r.held {
-		if h.cores > 0 || h.watts > 0 {
-			r.adm.Release(id, h.cores, h.watts)
+	for i := range r.state {
+		if h := &r.state[i]; h.cores > 0 || h.watts > 0 {
+			r.adm.Release(r.devices[i].ID, h.cores, h.watts)
+			h.cores, h.watts = 0, 0
 		}
-		delete(r.held, id)
 	}
 }

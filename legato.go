@@ -467,11 +467,8 @@ func NewSystem(opts ...Option) (*System, error) {
 	}
 
 	s.eng, err = engine.New(engine.Config{
-		Workers: set.workers,
-		Policy:  set.policy,
-		NewPlatform: func(je *sim.Engine) ([]*hw.Device, error) {
-			return buildPlatform(set.platform, je)
-		},
+		Workers:      set.workers,
+		Policy:       set.policy,
 		Fleet:        fleet,
 		Registry:     s.reg,
 		Bus:          s.bus,
@@ -703,8 +700,9 @@ type Job struct {
 	report   *Report
 }
 
-// NewJob creates an empty job with a private virtual clock and platform
-// mirror, sharing the fleet with every other job through admission.
+// NewJob creates an empty job with a private virtual clock, scheduling over
+// the session's one fleet, which it shares with every other job through
+// admission.
 func (s *System) NewJob(name string) (*Job, error) {
 	if name == "" {
 		return nil, fmt.Errorf("legato: job needs a name")
@@ -787,12 +785,12 @@ func (j *Job) declareLocked(names []string) []*taskrt.Data {
 	return out
 }
 
-// diverseClasses returns distinct device classes present on the job's
-// platform mirror that can serve the task, for replica diversity.
+// diverseClasses returns distinct device classes present on the fleet that
+// can serve the task, for replica diversity.
 func (j *Job) diverseClasses(t Task) []hw.Class {
 	seen := map[hw.Class]bool{}
 	var classes []hw.Class
-	for _, d := range j.ej.Devices() {
+	for _, d := range j.sys.fleet {
 		c := d.Spec.Class
 		if seen[c] {
 			continue
@@ -1028,10 +1026,21 @@ func (j *Job) buildReport(res *taskrt.Result) {
 		Counts:          res.Counts,
 		Energy:          energy.NewReport(),
 	}
-	for _, d := range j.ej.Devices() {
-		rep.Energy.Add(d.ID, d.Meter().Energy())
-		rep.PlatformEnergyJ += d.Meter().Energy()
+	// Each device draws its idle floor while alive on the job's clock, plus
+	// the energy of the executions committed on it; cancelled hedge losers
+	// burned HedgeWastedJ on top.
+	idleJ := 0.0
+	for i, d := range j.sys.fleet {
+		e := d.Spec.IdleWatts * sim.ToSeconds(res.Uptime[i])
+		idleJ += e
+		rep.Energy.Add(d.ID, e)
 	}
+	for _, rec := range res.Records {
+		if rec.Device != "" {
+			rep.Energy.Add(rec.Device, rec.EnergyJ)
+		}
+	}
+	rep.PlatformEnergyJ = idleJ + rep.TaskEnergyJ + rep.HedgeWastedJ
 	if sec := sim.ToSeconds(res.Makespan); sec > 0 {
 		rep.EDPJs = rep.TaskEnergyJ * sec
 		rep.AvgPowerW = rep.PlatformEnergyJ / sec
@@ -1156,8 +1165,9 @@ type Report struct {
 	Records  []taskrt.Record
 	// TaskEnergyJ is the dynamic energy of all task executions.
 	TaskEnergyJ float64
-	// PlatformEnergyJ integrates every device meter (idle + dynamic) of
-	// the job's platform view.
+	// PlatformEnergyJ is the job's energy on its own clock: every device's
+	// idle floor up to its loss or the makespan, plus TaskEnergyJ and
+	// HedgeWastedJ.
 	PlatformEnergyJ float64
 	// SecurityEnergyJ is the job enclave's accumulated cost.
 	SecurityEnergyJ float64
@@ -1171,6 +1181,8 @@ type Report struct {
 	EDPJs float64
 	// AvgPowerW is PlatformEnergyJ over the job makespan.
 	AvgPowerW float64
-	// Energy is the per-device breakdown.
+	// Energy is the per-device breakdown: idle floor up to the device's
+	// loss or the makespan, plus the energy of the executions committed on
+	// it (hedge waste is not attributed).
 	Energy *energy.Report
 }
