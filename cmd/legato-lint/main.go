@@ -1,5 +1,5 @@
 // legato-lint is a zero-dependency linter for the resilience-critical
-// packages, with three passes:
+// packages, with four passes:
 //
 //   - errcheck-style: flags bare expression-statement calls whose callee
 //     is defined in the scanned package and returns an error as its last
@@ -14,6 +14,13 @@
 //     event bus and metric registry (internal/obs, internal/monitor) so
 //     it stays observable, testable and silent by default; printing to
 //     stdout/stderr from library code is a debugging leftover.
+//   - map order: flags every range over a map-typed expression in the
+//     fleet-time packages (internal/taskrt, internal/engine,
+//     internal/power, internal/faults, internal/sim). Go randomises map
+//     iteration order, so a decision taken while ranging a map (a governor
+//     tie-break, the order grants are claimed or events emitted) differs
+//     run to run at the same seed. Iterate a slice instead, or sorted
+//     keys. This pass type-checks the package from source.
 //
 // The build fails on any finding.
 //
@@ -33,8 +40,10 @@ package main
 import (
 	"fmt"
 	"go/ast"
+	"go/importer"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"os"
 	"path/filepath"
 	"strings"
@@ -44,6 +53,20 @@ var defaultDirs = []string{
 	"internal/faults", "internal/engine", "internal/taskrt", "internal/power",
 	"internal/obs", "internal/trace", "internal/monitor", "internal/sim",
 	"internal/experiments",
+}
+
+// fset positions every parsed file; sources imports packages from source
+// for the map-order pass, caching each across directories.
+var (
+	fset    = token.NewFileSet()
+	sources = importer.ForCompiler(fset, "source", nil)
+)
+
+// fleetTimeDirs are the packages the map-order pass checks: the code that
+// decides what happens on the fleet clock.
+var fleetTimeDirs = map[string]bool{
+	"internal/taskrt": true, "internal/engine": true, "internal/power": true,
+	"internal/faults": true, "internal/sim": true,
 }
 
 // finding is one lint violation.
@@ -59,7 +82,7 @@ func main() {
 	}
 	var findings []finding
 	for _, dir := range dirs {
-		fs, err := lintDir(dir)
+		fs, err := lintDir(dir, fleetTimeDirs[filepath.ToSlash(filepath.Clean(dir))])
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "legato-lint: %v\n", err)
 			os.Exit(2)
@@ -76,9 +99,8 @@ func main() {
 }
 
 // lintDir parses every non-test file of one package directory and returns
-// the ignored-error findings.
-func lintDir(dir string) ([]finding, error) {
-	fset := token.NewFileSet()
+// its findings; mapOrder adds the map-order pass.
+func lintDir(dir string, mapOrder bool) ([]finding, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, err
@@ -195,6 +217,39 @@ func lintDir(dir string) ([]finding, error) {
 			}
 			findings = append(findings, finding{fset.Position(sel.Pos()),
 				fmt.Sprintf("%s.%s in runtime code (publish on the event bus or metric registry instead)", pkg.Name, name)})
+			return true
+		})
+	}
+	if mapOrder {
+		fs, err := mapRanges(dir, files)
+		if err != nil {
+			return nil, err
+		}
+		findings = append(findings, fs...)
+	}
+	return findings, nil
+}
+
+// mapRanges is the map-order pass: it type-checks the package, importing
+// its dependencies from source, and flags every range statement whose
+// operand has a map type.
+func mapRanges(dir string, files []*ast.File) ([]finding, error) {
+	info := &types.Info{Types: make(map[ast.Expr]types.TypeAndValue)}
+	conf := types.Config{Importer: sources}
+	if _, err := conf.Check(dir, fset, files, info); err != nil {
+		return nil, fmt.Errorf("type-checking %s: %w", dir, err)
+	}
+	var findings []finding
+	for _, f := range files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			rs, ok := n.(*ast.RangeStmt)
+			if !ok {
+				return true
+			}
+			if _, ok := info.Types[rs.X].Type.Underlying().(*types.Map); ok {
+				findings = append(findings, finding{fset.Position(rs.Pos()),
+					"range over a map in fleet-time code visits keys in random order (iterate a slice, or sorted keys)"})
+			}
 			return true
 		})
 	}

@@ -257,9 +257,10 @@ type Stats struct {
 	TasksCompleted int
 	// EnergyJ sums dynamic task energy across all completed jobs.
 	EnergyJ float64
-	// PlatformEnergyJ adds the static (idle) energy of the surviving fleet
-	// over the session makespan to EnergyJ — what the electricity meter
-	// would read, not just the task increments.
+	// PlatformEnergyJ adds to EnergyJ and HedgeWastedJ each device's
+	// static (idle) draw up to the session makespan, or up to its loss by
+	// the fault plan on the fleet clock when that comes first — what the
+	// electricity meter would read, not just the task increments.
 	PlatformEnergyJ float64
 	// AvgPowerW is PlatformEnergyJ over the session makespan.
 	AvgPowerW float64
@@ -309,7 +310,17 @@ type Engine struct {
 	nextID int
 	closed bool
 	lanes  []sim.Time // per-slot fleet clocks (see package doc)
+	losses []loss     // fault-plan crashes, in the order jobs crossed them
 	stats  Stats
+}
+
+// loss is a device crash of the fault plan. It happens at the plan's
+// instant on the clock of the first job to cross it, so it lands on the
+// fleet clock once that job is accounted and its fleet start is known.
+type loss struct {
+	dev string
+	job *Job     // the crossing job; nil once at is on the fleet clock
+	at  sim.Time // on job's clock while job is set, then on the fleet clock
 }
 
 // New starts an engine with its worker pool. The caller must eventually
@@ -535,7 +546,11 @@ func (e *Engine) wireFaults(j *Job) {
 			j.rt.ScheduleFault(ev.At, func() {
 				if e.injector.Crash(ev.Device) {
 					// First job across the event time: the global fault is
-					// applied now, so it is published exactly once.
+					// applied now, so it is recorded and published exactly
+					// once.
+					e.mu.Lock()
+					e.losses = append(e.losses, loss{dev: ev.Device, job: j, at: ev.At})
+					e.mu.Unlock()
 					e.publishFault(j, ev)
 				}
 				rt.FailDevice(ev.Device)
@@ -662,6 +677,11 @@ func (e *Engine) account(j *Job, res *taskrt.Result, err error) {
 	default:
 		e.stats.JobsFailed++
 	}
+	for i := range e.losses {
+		if l := &e.losses[i]; l.job == j {
+			l.job, l.at = nil, start+l.at
+		}
+	}
 	e.mu.Unlock()
 
 	j.mu.Lock()
@@ -717,12 +737,32 @@ func (e *Engine) Stats() Stats {
 	sec := sim.ToSeconds(s.SessionMakespan)
 	// The meter reads idle floor + committed task energy + energy burned by
 	// cancelled hedge losers: speculation is not free, and the E14 gate
-	// bounds exactly this term.
-	s.PlatformEnergyJ = float64(m.IdleWatts)*sec + s.EnergyJ + s.HedgeWastedJ
+	// bounds exactly this term. A device the fault plan crashed draws its
+	// idle floor only up to the crash.
+	idleW, lostJ := 0.0, 0.0
+	for _, d := range e.ref {
+		if at, ok := e.lostAt(d.ID); ok && at < s.SessionMakespan {
+			lostJ += d.Spec.IdleWatts * sim.ToSeconds(at)
+			continue
+		}
+		idleW += d.Spec.IdleWatts
+	}
+	s.PlatformEnergyJ = idleW*sec + lostJ + s.EnergyJ + s.HedgeWastedJ
 	if sec > 0 {
 		s.AvgPowerW = s.PlatformEnergyJ / sec
 	}
 	return s
+}
+
+// lostAt returns the fleet-clock instant the fault plan crashed a device,
+// once the crossing job is accounted. Call with e.mu held.
+func (e *Engine) lostAt(id string) (sim.Time, bool) {
+	for _, l := range e.losses {
+		if l.dev == id && l.job == nil {
+			return l.at, true
+		}
+	}
+	return 0, false
 }
 
 // Jobs snapshots all jobs ever created on this engine.

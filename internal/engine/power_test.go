@@ -2,9 +2,14 @@ package engine
 
 import (
 	"context"
+	"math"
 	"testing"
 
+	"legato/internal/faults"
+	"legato/internal/ft"
+	"legato/internal/hw"
 	"legato/internal/power"
+	"legato/internal/sim"
 	"legato/internal/taskrt"
 )
 
@@ -144,5 +149,68 @@ func TestUncappedSessionChargesIdle(t *testing.T) {
 	}
 	if st.AvgPowerW <= 0 {
 		t.Fatalf("avg power = %v, want > 0", st.AvgPowerW)
+	}
+}
+
+// soloJob runs one chain job alone and returns its result.
+func soloJob(t *testing.T, e *Engine, name string, depth int) *taskrt.Result {
+	t.Helper()
+	ctx := context.Background()
+	j := chainJob(t, e, name, depth, 2, nil)
+	if err := e.Submit(ctx, j); err != nil {
+		t.Fatal(err)
+	}
+	res, err := j.Wait(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+// A device failed on the ledger after the only job finished has no loss
+// instant on the fleet clock: it was alive for the whole session, so the
+// platform energy keeps charging its idle floor.
+func TestLateLedgerFailKeepsPlatformEnergy(t *testing.T) {
+	e := newTestEngine(t, 1)
+	// Four 1/3 s tasks on the FPGA: 15 W idle + 10 W dynamic over 4/3 s.
+	soloJob(t, e, "solo", 4)
+	before := e.Stats().PlatformEnergyJ
+	if math.Abs(before-100.0/3) > 1e-6 { // task spans round to the nanosecond
+		t.Fatalf("platform energy %v J, want 33.33 J", before)
+	}
+	e.Fleet().Fail("dev/fpga")
+	if after := e.Stats().PlatformEnergyJ; after != before {
+		t.Fatalf("failing the FPGA after the session moved platform energy %v -> %v J", before, after)
+	}
+}
+
+// A device the fault plan crashes draws its idle floor up to the crash on
+// the fleet clock: the plan's instant on the clock of the job that crossed
+// it, shifted by that job's fleet start.
+func TestCrashedDeviceIdleStopsAtLoss(t *testing.T) {
+	// Seed 13 crashes the FPGA 1.32 s into a job's clock: past the first
+	// job's 2/3 s makespan, inside the second job's.
+	plan := faults.Plan{MTBF: ft.MTBFModel{hw.FPGA: 1.5}, MaxCrashes: 1, Seed: 13}
+	e, err := New(Config{Workers: 1, Policy: taskrt.MinTime, Fleet: testPlatform(), Faults: &plan})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = e.Shutdown(context.Background()) }()
+	at := e.Faults().Events()[0].At
+	first := soloJob(t, e, "first", 2)
+	second := soloJob(t, e, "second", 8)
+	if at <= first.Makespan || at >= second.Makespan {
+		t.Fatalf("crash at %v does not fall inside the second job (%v, %v)", at, first.Makespan, second.Makespan)
+	}
+	st := e.Stats()
+	if st.DevicesLost != 1 || st.SessionMakespan != first.Makespan+second.Makespan {
+		t.Fatalf("lost %d devices over %v, want 1 over the two serial jobs", st.DevicesLost, st.SessionMakespan)
+	}
+	// dev/cpu idles at 10 W for the session, dev/fpga at 5 W until the
+	// crash, which the second job crossed after the first one's makespan.
+	sec := sim.ToSeconds(st.SessionMakespan)
+	want := 10*sec + 5*sim.ToSeconds(first.Makespan+at) + st.EnergyJ + st.HedgeWastedJ
+	if math.Abs(st.PlatformEnergyJ-want) > 1e-9 {
+		t.Fatalf("platform energy %v J, want %v J", st.PlatformEnergyJ, want)
 	}
 }

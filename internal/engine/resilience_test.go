@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -12,6 +13,7 @@ import (
 	"legato/internal/ft"
 	"legato/internal/hw"
 	"legato/internal/monitor"
+	"legato/internal/power"
 	"legato/internal/sim"
 	"legato/internal/taskrt"
 )
@@ -282,5 +284,66 @@ func TestHedgeRacesHedgeDeviceLoss(t *testing.T) {
 	}
 	if !e.Fleet().Lost("dev/backup") {
 		t.Fatal("fleet does not record the backup loss")
+	}
+}
+
+// The reference fleet is read-only: a capped, throttled, faulty and hedged
+// multi-worker session leaves every device exactly as it started. Under
+// -race this also pins that concurrent jobs only read the shared devices.
+func TestSessionLeavesFleetUntouched(t *testing.T) {
+	se := sim.NewEngine()
+	fleet := []*hw.Device{
+		hw.NewDevice(se, "x86", hw.XeonD()),
+		hw.NewDevice(se, "arm0", hw.ARMv8Server()),
+		hw.NewDevice(se, "arm1", hw.ARMv8Server()),
+		hw.NewDevice(se, "gpu", hw.JetsonTX2()),
+	}
+	type state struct {
+		point, busy int
+		healthy     bool
+		energy      float64
+	}
+	read := func() []state {
+		out := make([]state, len(fleet))
+		for i, d := range fleet {
+			out[i] = state{d.StateIndex(), d.BusyCores(), d.Healthy(), d.Meter().Energy()}
+		}
+		return out
+	}
+	before := read()
+
+	plan := faults.Plan{
+		MTBF: ft.MTBFModel{hw.CPUARM: 2}, MaxCrashes: 1,
+		DegradeMTBF: ft.MTBFModel{hw.CPUx86: 0.5}, DegradeTo: 0.5, DegradeSlowdown: 4,
+		Seed: 1,
+	}
+	e, err := New(Config{Workers: 4, Policy: taskrt.MinTime, Fleet: fleet,
+		PowerCapW: 0.35 * float64(power.FleetPeakWatts(fleet)), Governor: power.PackAndThrottle,
+		Faults: &plan, Hedge: taskrt.HedgePolicy{Multiplier: 1.5}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = e.Shutdown(context.Background()) }()
+	ctx := context.Background()
+	var jobs []*Job
+	for i := 0; i < 8; i++ {
+		j := wideJob(t, e, fmt.Sprintf("job%d", i), 4, 6)
+		jobs = append(jobs, j)
+		if err := e.Submit(ctx, j); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, j := range jobs {
+		if _, err := j.Wait(ctx); err != nil {
+			t.Fatalf("job %s: %v", j.Name, err)
+		}
+	}
+	st := e.Stats()
+	if st.GovernorRescales == 0 || st.DevicesLost != 1 || st.HedgesLaunched == 0 {
+		t.Fatalf("session did not throttle (%d rescales), crash (%d lost) and hedge (%d launched)",
+			st.GovernorRescales, st.DevicesLost, st.HedgesLaunched)
+	}
+	if after := read(); !slices.Equal(after, before) {
+		t.Fatalf("the session wrote the reference fleet:\nbefore %+v\nafter  %+v", before, after)
 	}
 }

@@ -237,6 +237,9 @@ func (d *Device) Release(n int) {
 	d.updatePower()
 }
 
+// BusyCores returns the current number of busy cores.
+func (d *Device) BusyCores() int { return d.busy }
+
 // updatePower recomputes the meter draw from utilisation and DVFS state.
 // Static (idle) power is independent of frequency; dynamic power scales
 // with utilisation and f·V².
