@@ -50,7 +50,7 @@ bench-short:
 bench:
 	$(GO) test -run '^$$' -bench . -benchtime 3x ./...
 
-# The taskrt dispatch ladder: ns/task and allocs/task at 10^2..10^4 tasks.
+# The taskrt dispatch ladder: ns/task and allocs/task at 10^2..10^5 tasks.
 bench-taskrt:
 	$(GO) test -run '^$$' -bench Dispatch -benchmem -benchtime 3x ./internal/taskrt
 

@@ -16,11 +16,14 @@
 //     stdout/stderr from library code is a debugging leftover.
 //   - map order: flags every range over a map-typed expression in the
 //     fleet-time packages (internal/taskrt, internal/engine,
-//     internal/power, internal/faults, internal/sim). Go randomises map
-//     iteration order, so a decision taken while ranging a map (a governor
-//     tie-break, the order grants are claimed or events emitted) differs
-//     run to run at the same seed. Iterate a slice instead, or sorted
-//     keys. This pass type-checks the package from source.
+//     internal/power, internal/faults, internal/sim) and in the pure
+//     model they read (internal/hw, the fleet every concurrent job shares,
+//     and internal/energy, whose report sums reported numbers). Go
+//     randomises map iteration order, so a decision taken while ranging a
+//     map (a governor tie-break, the order grants are claimed or events
+//     emitted) or a float sum taken that way differs run to run at the
+//     same seed. Iterate a slice instead, or sorted keys. This pass
+//     type-checks the package from source.
 //
 // The build fails on any finding.
 //
@@ -30,7 +33,8 @@
 //
 // With no arguments it scans the runtime paths (internal/faults,
 // internal/engine, internal/taskrt, internal/power, internal/obs,
-// internal/trace, internal/monitor, internal/sim) and internal/experiments,
+// internal/trace, internal/monitor, internal/sim), the hardware and energy
+// model (internal/hw, internal/energy) and internal/experiments,
 // where every experiment's engine session is built and shut down. Test
 // files are skipped; an ignored error in a test is an assertion choice,
 // not a recovery bug, and tests may legitimately time out on the wall
@@ -52,7 +56,7 @@ import (
 var defaultDirs = []string{
 	"internal/faults", "internal/engine", "internal/taskrt", "internal/power",
 	"internal/obs", "internal/trace", "internal/monitor", "internal/sim",
-	"internal/experiments",
+	"internal/hw", "internal/energy", "internal/experiments",
 }
 
 // fset positions every parsed file; sources imports packages from source
@@ -63,10 +67,11 @@ var (
 )
 
 // fleetTimeDirs are the packages the map-order pass checks: the code that
-// decides what happens on the fleet clock.
+// decides what happens on the fleet clock, and the model it reads.
 var fleetTimeDirs = map[string]bool{
 	"internal/taskrt": true, "internal/engine": true, "internal/power": true,
 	"internal/faults": true, "internal/sim": true,
+	"internal/hw": true, "internal/energy": true,
 }
 
 // finding is one lint violation.

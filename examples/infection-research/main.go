@@ -31,9 +31,9 @@ func main() {
 	for _, policy := range []taskrt.Policy{taskrt.MinTime, taskrt.MinEnergy} {
 		eng := sim.NewEngine()
 		devices := []*hw.Device{
-			hw.NewDevice(eng, "xeon0", hw.XeonD()),
-			hw.NewDevice(eng, "arm0", hw.ARMv8Server()),
-			hw.NewDevice(eng, "jetson0", hw.JetsonTX2()),
+			{ID: "xeon0", Spec: hw.XeonD()},
+			{ID: "arm0", Spec: hw.ARMv8Server()},
+			{ID: "jetson0", Spec: hw.JetsonTX2()},
 		}
 		res, err := bio.SmithWatermanWavefront(eng, devices, policy, reference, string(read), scoring, 64)
 		if err != nil {

@@ -1,6 +1,6 @@
 // Multi-job: a long-lived LEGaTO session running many independent task
 // graphs concurrently on one shared cloud fleet. Each job owns a private
-// virtual clock and platform mirror; the session's admission ledger keeps
+// virtual clock and reads the one read-only fleet; the session's ledger keeps
 // the union of placements feasible, so throughput scales with the worker
 // pool while no device is ever oversubscribed. One job carries a deadline
 // it cannot meet, demonstrating context-style cancellation end-to-end.

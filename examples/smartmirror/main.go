@@ -9,22 +9,19 @@ import (
 
 	"legato/internal/hw"
 	"legato/internal/mirror"
-	"legato/internal/sim"
 )
 
 func main() {
 	log.SetFlags(0)
-	eng := sim.NewEngine()
-
 	// Three deployments: the 400 W workstation and the two edge
 	// compositions named in Sec. VI ("1x CPU + 2x GPU or 1 CPU + 1 GPU +
 	// 1 FPGA SoC").
-	ws := mirror.WorkstationConfig(eng)
-	edgeGF, err := mirror.EdgeConfig(eng)
+	ws := mirror.WorkstationConfig()
+	edgeGF, err := mirror.EdgeConfig()
 	if err != nil {
 		log.Fatal(err)
 	}
-	edge2G, err := hw.MirrorEdgeCPUGPUGPU(eng, "edge-2g")
+	edge2G, err := hw.MirrorEdgeCPUGPUGPU("edge-2g")
 	if err != nil {
 		log.Fatal(err)
 	}

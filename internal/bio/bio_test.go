@@ -48,10 +48,10 @@ func TestEmptySequence(t *testing.T) {
 	}
 }
 
-func devices(eng *sim.Engine) []*hw.Device {
+func devices() []*hw.Device {
 	return []*hw.Device{
-		hw.NewDevice(eng, "cpu0", hw.XeonD()),
-		hw.NewDevice(eng, "gpu0", hw.JetsonTX2()),
+		{ID: "cpu0", Spec: hw.XeonD()},
+		{ID: "gpu0", Spec: hw.JetsonTX2()},
 	}
 }
 
@@ -62,7 +62,7 @@ func TestWavefrontMatchesSerial(t *testing.T) {
 	ref := SmithWaterman(a, b, s)
 
 	eng := sim.NewEngine()
-	res, err := SmithWatermanWavefront(eng, devices(eng), taskrt.MinTime, a, b, s, 32)
+	res, err := SmithWatermanWavefront(eng, devices(), taskrt.MinTime, a, b, s, 32)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +84,7 @@ func TestWavefrontMatchesSerial(t *testing.T) {
 
 func TestWavefrontTileValidation(t *testing.T) {
 	eng := sim.NewEngine()
-	if _, err := SmithWatermanWavefront(eng, devices(eng), taskrt.MinTime, "ACGT", "ACGT", DefaultScoring(), 0); err == nil {
+	if _, err := SmithWatermanWavefront(eng, devices(), taskrt.MinTime, "ACGT", "ACGT", DefaultScoring(), 0); err == nil {
 		t.Fatal("zero tile accepted")
 	}
 }
@@ -95,22 +95,16 @@ func TestWavefrontParallelismHelps(t *testing.T) {
 	s := DefaultScoring()
 
 	run := func(devs []*hw.Device) sim.Time {
-		eng := sim.NewEngine()
-		var bound []*hw.Device
-		for _, d := range devs {
-			bound = append(bound, hw.NewDevice(eng, d.ID, d.Spec))
-		}
-		res, err := SmithWatermanWavefront(eng, bound, taskrt.MinTime, a, b, s, 32)
+		res, err := SmithWatermanWavefront(sim.NewEngine(), devs, taskrt.MinTime, a, b, s, 32)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return res.Makespan
 	}
-	eng := sim.NewEngine()
-	one := run([]*hw.Device{hw.NewDevice(eng, "c0", oneCore())})
+	one := run([]*hw.Device{{ID: "c0", Spec: oneCore()}})
 	four := run([]*hw.Device{
-		hw.NewDevice(eng, "c0", oneCore()), hw.NewDevice(eng, "c1", oneCore()),
-		hw.NewDevice(eng, "c2", oneCore()), hw.NewDevice(eng, "c3", oneCore()),
+		{ID: "c0", Spec: oneCore()}, {ID: "c1", Spec: oneCore()},
+		{ID: "c2", Spec: oneCore()}, {ID: "c3", Spec: oneCore()},
 	})
 	if four >= one {
 		t.Fatalf("wavefront gained nothing from 4 workers: %v vs %v", four, one)

@@ -1,95 +1,9 @@
 package energy
 
 import (
-	"math"
 	"strings"
 	"testing"
-
-	"legato/internal/sim"
 )
-
-func TestMeterIntegration(t *testing.T) {
-	eng := sim.NewEngine()
-	m := NewMeter(eng, "cpu")
-	m.SetPower(100)
-	eng.Schedule(sim.Seconds(2), func() { m.SetPower(50) })
-	eng.Schedule(sim.Seconds(4), func() { m.SetPower(0) })
-	eng.Run()
-	// 100W * 2s + 50W * 2s = 300 J
-	if e := m.Energy(); math.Abs(e-300) > 1e-9 {
-		t.Fatalf("energy: got %v want 300", e)
-	}
-	if m.PeakPower() != 100 {
-		t.Fatalf("peak: got %v want 100", m.PeakPower())
-	}
-}
-
-func TestMeterAddPower(t *testing.T) {
-	eng := sim.NewEngine()
-	m := NewMeter(eng, "node")
-	m.SetPower(10)
-	m.AddPower(5)
-	if m.Power() != 15 {
-		t.Fatalf("power after add: %v", m.Power())
-	}
-	m.AddPower(-15)
-	if m.Power() != 0 {
-		t.Fatalf("power after subtract: %v", m.Power())
-	}
-}
-
-func TestMeterAddEnergy(t *testing.T) {
-	eng := sim.NewEngine()
-	m := NewMeter(eng, "x")
-	m.AddEnergy(42)
-	if m.Energy() != 42 {
-		t.Fatalf("one-shot energy: %v", m.Energy())
-	}
-}
-
-func TestMeterIdleAccruesNothing(t *testing.T) {
-	eng := sim.NewEngine()
-	m := NewMeter(eng, "idle")
-	eng.Schedule(sim.Seconds(10), func() {})
-	eng.Run()
-	if m.Energy() != 0 {
-		t.Fatalf("idle meter accrued %v J", m.Energy())
-	}
-}
-
-func TestMeterSampling(t *testing.T) {
-	eng := sim.NewEngine()
-	m := NewMeter(eng, "s")
-	m.EnableSampling()
-	m.SetPower(1)
-	eng.Schedule(sim.Seconds(1), func() { m.SetPower(2) })
-	eng.Run()
-	if n := len(m.Samples()); n != 2 {
-		t.Fatalf("samples: got %d want 2", n)
-	}
-	if m.Samples()[1].Power != 2 || m.Samples()[1].At != sim.Seconds(1) {
-		t.Fatalf("second sample wrong: %+v", m.Samples()[1])
-	}
-}
-
-func TestAggregateProbe(t *testing.T) {
-	eng := sim.NewEngine()
-	a := NewMeter(eng, "a")
-	b := NewMeter(eng, "b")
-	a.SetPower(30)
-	b.SetPower(12)
-	agg := &Aggregate{Name: "pdu0", Probes: []Probe{MeterProbe{a}, MeterProbe{b}}}
-	if agg.Read() != 42 {
-		t.Fatalf("aggregate read: %v", agg.Read())
-	}
-	if agg.ProbeName() != "pdu0" {
-		t.Fatalf("aggregate name: %v", agg.ProbeName())
-	}
-	mp := MeterProbe{a}
-	if mp.ProbeName() != "a" {
-		t.Fatalf("meter probe name: %v", mp.ProbeName())
-	}
-}
 
 func TestReport(t *testing.T) {
 	r := NewReport()
@@ -109,5 +23,22 @@ func TestReport(t *testing.T) {
 	// cpu sorts before gpu.
 	if strings.Index(s, "cpu") > strings.Index(s, "gpu") {
 		t.Fatal("report rows not sorted")
+	}
+}
+
+// TestReportTotalIsOrderFree: floating-point addition does not associate,
+// so a total summed in map order changes from call to call when the rows
+// cancel. Total must add in name order every time.
+func TestReportTotalIsOrderFree(t *testing.T) {
+	a, b, c := Joules(1e16), Joules(1), Joules(-1e16)
+	r := NewReport()
+	r.Add("b", b)
+	r.Add("c", c)
+	r.Add("a", a)
+	want := (a + b) + c // name order, at float64 precision
+	for i := 0; i < 200; i++ {
+		if got := r.Total(); got != want {
+			t.Fatalf("call %d: total %v, want the name-order sum %v", i, got, want)
+		}
 	}
 }

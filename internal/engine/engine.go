@@ -559,9 +559,9 @@ func (e *Engine) wireFaults(j *Job) {
 			rt := j.rt
 			j.rt.ScheduleFault(ev.At, func() {
 				// Apply the global capacity shrink exactly once, then the
-				// silent latency stretch on this job's own mirror — every
-				// job crossing the event time observes the slowdown, and
-				// none of their schedulers can see it coming.
+				// silent latency stretch in this job's own runtime state —
+				// every job crossing the event time observes the slowdown,
+				// and none of their schedulers can see it coming.
 				if e.injector.Degrade(ev) {
 					e.publishFault(j, ev)
 				}

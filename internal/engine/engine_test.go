@@ -12,17 +12,15 @@ import (
 	"legato/internal/monitor"
 	"legato/internal/obs"
 	"legato/internal/power"
-	"legato/internal/sim"
 	"legato/internal/taskrt"
 )
 
 // testPlatform is a two-device fleet: an 8-core CPU and a 4-region FPGA,
 // enough to exercise placement and admission.
 func testPlatform() []*hw.Device {
-	se := sim.NewEngine()
 	cpu := hw.Spec{Name: "cpu", Class: hw.CPUx86, Cores: 8, GOPS: 80, IdleWatts: 10, PeakWatts: 60}
 	fpga := hw.Spec{Name: "fpga", Class: hw.FPGA, Cores: 4, GOPS: 120, IdleWatts: 5, PeakWatts: 25}
-	return []*hw.Device{hw.NewDevice(se, "dev/cpu", cpu), hw.NewDevice(se, "dev/fpga", fpga)}
+	return []*hw.Device{{ID: "dev/cpu", Spec: cpu}, {ID: "dev/fpga", Spec: fpga}}
 }
 
 func newTestEngine(t testing.TB, workers int) *Engine {
@@ -224,8 +222,9 @@ func TestConcurrentJobsNeverOversubscribe(t *testing.T) {
 }
 
 // TestConcurrentMoldableJobsNeverOversubscribe: each job molds its tasks
-// against its own platform mirror, on which the whole fleet looks free, so
-// concurrent jobs pick widths that collide on the fleet ledger and stall.
+// against the cores its own runtime holds, so the whole fleet looks free to
+// it and concurrent jobs pick widths that collide on the fleet ledger and
+// stall.
 // Admission must still keep every device within capacity and get every
 // core back.
 func TestConcurrentMoldableJobsNeverOversubscribe(t *testing.T) {

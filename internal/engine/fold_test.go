@@ -3,11 +3,17 @@ package engine
 import (
 	"context"
 	"errors"
+	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
 
+	"legato/internal/faults"
+	"legato/internal/ft"
+	"legato/internal/hw"
 	"legato/internal/monitor"
+	"legato/internal/obs"
 	"legato/internal/sim"
 	"legato/internal/taskrt"
 	"legato/internal/trace"
@@ -109,4 +115,88 @@ func TestHedgePromotedFolds(t *testing.T) {
 	if busy := reg.Get("device/dev/backup", "busy-s"); busy != sim.ToSeconds(res.Records[0].End) {
 		t.Fatalf("dev/backup busy-s = %v, want the full %v", busy, res.Records[0].End)
 	}
+}
+
+// sessionEvents logs one seeded single-worker session that queues, runs,
+// crashes, retries, degrades and hedges: eight 4×6 chain jobs on a mixed
+// fleet under a fault plan and a 1.5× hedge policy.
+func sessionEvents(b *testing.B) []obs.Event {
+	b.Helper()
+	bus := obs.NewBus()
+	var log obs.Collector
+	bus.Observe(log.Observe)
+	plan := faults.Plan{
+		MTBF: ft.MTBFModel{hw.CPUARM: 2}, MaxCrashes: 1,
+		DegradeMTBF: ft.MTBFModel{hw.CPUx86: 0.5}, DegradeTo: 0.5, DegradeSlowdown: 4,
+		Seed: 1,
+	}
+	fleet := []*hw.Device{
+		{ID: "x86", Spec: hw.XeonD()},
+		{ID: "arm0", Spec: hw.ARMv8Server()},
+		{ID: "arm1", Spec: hw.ARMv8Server()},
+		{ID: "gpu", Spec: hw.JetsonTX2()},
+	}
+	e, err := New(Config{Workers: 1, Policy: taskrt.MinTime, Fleet: fleet, Bus: bus,
+		Faults: &plan, Hedge: taskrt.HedgePolicy{Multiplier: 1.5}})
+	if err != nil {
+		b.Fatal(err)
+	}
+	// Build every job before submitting any: a job created after another
+	// has crossed the crash starts with the device silently lost, so
+	// interleaving creation with the run would change the log.
+	var jobs []*Job
+	for i := 0; i < 8; i++ {
+		jobs = append(jobs, wideJob(b, e, fmt.Sprintf("job%d", i), 4, 6))
+	}
+	ctx := context.Background()
+	for _, j := range jobs {
+		if err := e.Submit(ctx, j); err != nil {
+			b.Fatal(err)
+		}
+	}
+	for _, j := range jobs {
+		if _, err := j.Wait(ctx); err != nil {
+			b.Fatalf("job %s: %v", j.Name, err)
+		}
+	}
+	if err := e.Shutdown(ctx); err != nil {
+		b.Fatal(err)
+	}
+	return log.Events()
+}
+
+// benchFold times folding the logged session through a fresh fold per
+// iteration; ns/event and allocs/event divide by the events folded.
+func benchFold(b *testing.B, fold func() func(obs.Event)) {
+	events := sessionEvents(b)
+	var before, after runtime.MemStats
+	b.ReportAllocs()
+	runtime.ReadMemStats(&before)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		apply := fold()
+		for _, ev := range events {
+			apply(ev)
+		}
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&after)
+	n := float64(b.N * len(events))
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/n, "ns/event")
+	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/n, "allocs/event")
+}
+
+// BenchmarkRegistryFoldApply measures the registry view's per-event cost.
+func BenchmarkRegistryFoldApply(b *testing.B) {
+	benchFold(b, func() func(obs.Event) {
+		return NewRegistryFold(monitor.NewRegistry(), "job").Apply
+	})
+}
+
+// BenchmarkSpanFoldApply measures the trace view's per-event cost, power
+// samples included.
+func BenchmarkSpanFoldApply(b *testing.B) {
+	benchFold(b, func() func(obs.Event) {
+		return obs.NewSpanFold(trace.New(sim.NewEngine()), func() float64 { return 0 }).Apply
+	})
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
 	"slices"
 	"sync"
 	"testing"
@@ -134,10 +135,9 @@ func TestEngineFaultPlanEndToEnd(t *testing.T) {
 // favourite (a 100-Gop 1-core task takes 4 s), dev/backup a slower device
 // of a different class (5.56 s) for replicas to land on.
 func tailTestPlatform() []*hw.Device {
-	se := sim.NewEngine()
 	return []*hw.Device{
-		hw.NewDevice(se, "dev/fast", hw.XeonD()),
-		hw.NewDevice(se, "dev/backup", hw.ARMv8Server()),
+		{ID: "dev/fast", Spec: hw.XeonD()},
+		{ID: "dev/backup", Spec: hw.ARMv8Server()},
 	}
 }
 
@@ -288,29 +288,21 @@ func TestHedgeRacesHedgeDeviceLoss(t *testing.T) {
 }
 
 // The reference fleet is read-only: a capped, throttled, faulty and hedged
-// multi-worker session leaves every device exactly as it started. Under
-// -race this also pins that concurrent jobs only read the shared devices.
+// multi-worker session leaves every device exactly as it started, its spec's
+// DVFS table included. Under -race this also pins that concurrent jobs only
+// read the shared devices.
 func TestSessionLeavesFleetUntouched(t *testing.T) {
-	se := sim.NewEngine()
 	fleet := []*hw.Device{
-		hw.NewDevice(se, "x86", hw.XeonD()),
-		hw.NewDevice(se, "arm0", hw.ARMv8Server()),
-		hw.NewDevice(se, "arm1", hw.ARMv8Server()),
-		hw.NewDevice(se, "gpu", hw.JetsonTX2()),
+		{ID: "x86", Spec: hw.XeonD()},
+		{ID: "arm0", Spec: hw.ARMv8Server()},
+		{ID: "arm1", Spec: hw.ARMv8Server()},
+		{ID: "gpu", Spec: hw.JetsonTX2()},
 	}
-	type state struct {
-		point, busy int
-		healthy     bool
-		energy      float64
+	before := make([]hw.Device, len(fleet))
+	for i, d := range fleet {
+		before[i] = *d
+		before[i].Spec.States = slices.Clone(d.Spec.States)
 	}
-	read := func() []state {
-		out := make([]state, len(fleet))
-		for i, d := range fleet {
-			out[i] = state{d.StateIndex(), d.BusyCores(), d.Healthy(), d.Meter().Energy()}
-		}
-		return out
-	}
-	before := read()
 
 	plan := faults.Plan{
 		MTBF: ft.MTBFModel{hw.CPUARM: 2}, MaxCrashes: 1,
@@ -343,7 +335,9 @@ func TestSessionLeavesFleetUntouched(t *testing.T) {
 		t.Fatalf("session did not throttle (%d rescales), crash (%d lost) and hedge (%d launched)",
 			st.GovernorRescales, st.DevicesLost, st.HedgesLaunched)
 	}
-	if after := read(); !slices.Equal(after, before) {
-		t.Fatalf("the session wrote the reference fleet:\nbefore %+v\nafter  %+v", before, after)
+	for i, d := range fleet {
+		if !reflect.DeepEqual(*d, before[i]) {
+			t.Fatalf("the session wrote device %s:\nbefore %+v\nafter  %+v", d.ID, before[i], *d)
+		}
 	}
 }

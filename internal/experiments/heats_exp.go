@@ -38,14 +38,13 @@ var heatsFleetIDs = []string{"x86-0", "x86-1", "arm-0", "arm-1"}
 
 // heatsFleet builds 2 Xeon-D + 2 ARMv8 server nodes.
 func heatsFleet() []*hw.Device {
-	se := sim.NewEngine()
 	devices := make([]*hw.Device, len(heatsFleetIDs))
 	for i, id := range heatsFleetIDs {
 		spec := hw.XeonD()
 		if i >= 2 {
 			spec = hw.ARMv8Server()
 		}
-		devices[i] = hw.NewDevice(se, id, spec)
+		devices[i] = &hw.Device{ID: id, Spec: spec}
 	}
 	return devices
 }

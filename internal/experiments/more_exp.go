@@ -21,12 +21,11 @@ import (
 // Mirror runs the Sec. VI comparison: workstation baseline vs optimised
 // edge server.
 func Mirror(frames int, seed int64) ([]*mirror.Result, error) {
-	eng := sim.NewEngine()
-	ws, err := mirror.Evaluate(mirror.WorkstationConfig(eng), frames, seed)
+	ws, err := mirror.Evaluate(mirror.WorkstationConfig(), frames, seed)
 	if err != nil {
 		return nil, err
 	}
-	ecfg, err := mirror.EdgeConfig(eng)
+	ecfg, err := mirror.EdgeConfig()
 	if err != nil {
 		return nil, err
 	}
@@ -231,7 +230,7 @@ func xitaoRun(policy string, minW, maxW, cores int) (XiTAORow, error) {
 			widths[ev.Task] = int(ev.Value)
 		}
 	})
-	e, err := engine.New(engine.Config{Workers: 1, Fleet: []*hw.Device{hw.NewDevice(sim.NewEngine(), "cpu", spec)}, Bus: bus})
+	e, err := engine.New(engine.Config{Workers: 1, Fleet: []*hw.Device{{ID: "cpu", Spec: spec}}, Bus: bus})
 	if err != nil {
 		return XiTAORow{}, err
 	}
@@ -295,8 +294,7 @@ func XiTAOTable(rows []XiTAORow) string {
 // RECSBoxInventory builds the standard chassis and renders its population
 // (Figs. 3-4 structural reproduction).
 func RECSBoxInventory() (string, error) {
-	eng := sim.NewEngine()
-	box, err := hw.StandardCloudBox(eng, "recs0")
+	box, err := hw.StandardCloudBox("recs0")
 	if err != nil {
 		return "", err
 	}
@@ -312,6 +310,6 @@ func RECSBoxInventory() (string, error) {
 	}
 	fmt.Fprintf(&sb, "microservers: %d/%d, carriers: %d/%d, idle chassis power %.1f W\n",
 		box.CountMicroservers(), hw.MaxMicroservers, len(box.Carriers), hw.MaxCarriers,
-		box.TotalPower())
+		box.IdlePower())
 	return sb.String(), nil
 }

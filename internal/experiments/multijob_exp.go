@@ -30,7 +30,7 @@ type MultiJobRow struct {
 // cloudFleet builds the standard RECS|BOX device list, the same platform
 // the public API uses for CloudPlatform.
 func cloudFleet() ([]*hw.Device, error) {
-	box, err := hw.StandardCloudBox(sim.NewEngine(), "recs0")
+	box, err := hw.StandardCloudBox("recs0")
 	if err != nil {
 		return nil, err
 	}

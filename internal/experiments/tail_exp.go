@@ -66,11 +66,10 @@ type TailResult struct {
 // because the slowdown is invisible to the cost model, only the straggler
 // watchdog can notice and route around it.
 func tailFleet() []*hw.Device {
-	se := sim.NewEngine()
 	return []*hw.Device{
-		hw.NewDevice(se, "xeon0", hw.XeonD()),
-		hw.NewDevice(se, "arm0", hw.ARMv8Server()),
-		hw.NewDevice(se, "arm1", hw.ARMv8Server()),
+		{ID: "xeon0", Spec: hw.XeonD()},
+		{ID: "arm0", Spec: hw.ARMv8Server()},
+		{ID: "arm1", Spec: hw.ARMv8Server()},
 	}
 }
 

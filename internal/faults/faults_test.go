@@ -13,12 +13,11 @@ import (
 
 func refFleet(t *testing.T) []*hw.Device {
 	t.Helper()
-	eng := sim.NewEngine()
 	return []*hw.Device{
-		hw.NewDevice(eng, "cpu0", hw.XeonD()),
-		hw.NewDevice(eng, "cpu1", hw.XeonD()),
-		hw.NewDevice(eng, "fpga0", hw.VirtexFPGA()),
-		hw.NewDevice(eng, "fpga1", hw.KintexFPGA()),
+		{ID: "cpu0", Spec: hw.XeonD()},
+		{ID: "cpu1", Spec: hw.XeonD()},
+		{ID: "fpga0", Spec: hw.VirtexFPGA()},
+		{ID: "fpga1", Spec: hw.KintexFPGA()},
 	}
 }
 

@@ -4,10 +4,12 @@
 // platform of paper Figs. 3-4 together with the Smart-Mirror edge server of
 // Fig. 9.
 //
-// Everything is a behavioural model: devices expose capacity, a
-// work→duration mapping and a utilisation→power mapping, which is exactly
-// the surface the task runtime (taskrt) and the use cases (mirror)
-// consume.
+// Everything is a read-only catalogue: a device is a spec (capacity, DVFS
+// points, idle and peak draw) under an identifier, and the spec's pure cost
+// functions map work and an operating point to duration, dynamic watts and
+// energy. The task runtime (taskrt), the fleet ledger (power) and the use
+// cases (mirror) keep all run state themselves, so any number of runs may
+// share one fleet.
 package hw
 
 import (
@@ -149,122 +151,10 @@ func (s *Spec) EnergyFor(gops float64, n, i int) energy.Joules {
 	return s.DynamicWatts(n, i) * sim.ToSeconds(s.ExecTime(gops, n, i))
 }
 
-// Device is an instantiated piece of hardware with an operating point,
-// a utilisation level and an attached power meter.
+// Device is one piece of installed hardware: a catalogue spec under a
+// platform-unique identifier. Devices are read-only; run state (busy cores,
+// DVFS point, loss) lives with the runtime and the fleet ledger.
 type Device struct {
 	Spec Spec
 	ID   string
-
-	eng   *sim.Engine
-	meter *energy.Meter
-
-	stateIdx int
-	busy     int // cores currently busy
-	healthy  bool
-}
-
-// NewDevice instantiates spec with an identifier; the device starts healthy,
-// idle, at the nominal DVFS state.
-func NewDevice(eng *sim.Engine, id string, spec Spec) *Device {
-	d := &Device{Spec: spec, ID: id, eng: eng, healthy: true}
-	d.meter = energy.NewMeter(eng, id)
-	d.updatePower()
-	return d
-}
-
-// Meter exposes the device power meter.
-func (d *Device) Meter() *energy.Meter { return d.meter }
-
-// Healthy reports whether the device is operational.
-func (d *Device) Healthy() bool { return d.healthy }
-
-// Fail marks the device failed: zero power, no capacity.
-func (d *Device) Fail() {
-	d.healthy = false
-	d.meter.SetPower(0)
-}
-
-// Repair restores a failed device to idle.
-func (d *Device) Repair() {
-	d.healthy = true
-	d.busy = 0
-	d.updatePower()
-}
-
-// State returns the current DVFS state.
-func (d *Device) State() DVFSState { return d.Spec.State(d.stateIdx) }
-
-// StateIndex returns the index of the current DVFS state in Spec.States
-// (0 for devices without explicit states).
-func (d *Device) StateIndex() int {
-	if len(d.Spec.States) == 0 {
-		return 0
-	}
-	return d.stateIdx
-}
-
-// SetState selects DVFS state i (index into Spec.States).
-func (d *Device) SetState(i int) error {
-	if i < 0 || i >= len(d.Spec.States) {
-		return fmt.Errorf("hw: device %s has no DVFS state %d", d.ID, i)
-	}
-	d.stateIdx = i
-	d.updatePower()
-	return nil
-}
-
-// Acquire marks n cores busy; it fails if the device lacks free cores or is
-// unhealthy.
-func (d *Device) Acquire(n int) error {
-	if !d.healthy {
-		return fmt.Errorf("hw: device %s is failed", d.ID)
-	}
-	if d.busy+n > d.Spec.Cores {
-		return fmt.Errorf("hw: device %s has %d/%d cores busy, cannot acquire %d",
-			d.ID, d.busy, d.Spec.Cores, n)
-	}
-	d.busy += n
-	d.updatePower()
-	return nil
-}
-
-// Release frees n cores.
-func (d *Device) Release(n int) {
-	if n > d.busy {
-		panic(fmt.Sprintf("hw: device %s releasing %d cores with only %d busy", d.ID, n, d.busy))
-	}
-	d.busy -= n
-	d.updatePower()
-}
-
-// BusyCores returns the current number of busy cores.
-func (d *Device) BusyCores() int { return d.busy }
-
-// updatePower recomputes the meter draw from utilisation and DVFS state.
-// Static (idle) power is independent of frequency; dynamic power scales
-// with utilisation and f·V².
-func (d *Device) updatePower() {
-	if !d.healthy {
-		return
-	}
-	util := 0.0
-	if d.Spec.Cores != 0 {
-		util = float64(d.busy) / float64(d.Spec.Cores)
-	}
-	dynamic := (d.Spec.PeakWatts - d.Spec.IdleWatts) * util * d.Spec.PowerScale(d.stateIdx)
-	d.meter.SetPower(d.Spec.IdleWatts + dynamic)
-}
-
-// DynamicWatts returns the incremental draw of keeping n cores busy at the
-// current DVFS state, excluding idle power.
-func (d *Device) DynamicWatts(n int) energy.Watts { return d.Spec.DynamicWatts(n, d.stateIdx) }
-
-// ExecTime returns the duration for `gops` giga-operations using n cores at
-// the current DVFS state.
-func (d *Device) ExecTime(gops float64, n int) sim.Time { return d.Spec.ExecTime(gops, n, d.stateIdx) }
-
-// EnergyFor estimates the incremental (dynamic) energy of running `gops`
-// on n cores at the current state, excluding idle draw.
-func (d *Device) EnergyFor(gops float64, n int) energy.Joules {
-	return d.Spec.EnergyFor(gops, n, d.stateIdx)
 }

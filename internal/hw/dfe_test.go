@@ -1,17 +1,12 @@
 package hw
 
-import (
-	"testing"
-
-	"legato/internal/sim"
-)
+import "testing"
 
 // TestDFEOnPCIeExpansionCarrier: Maxeler-class dataflow engines populate
 // the PCIe expansion carriers of the RECS|BOX (Sec. II-A: "FPGA-based
 // Dataflow Engines (DFE)").
 func TestDFEOnPCIeExpansionCarrier(t *testing.T) {
-	eng := sim.NewEngine()
-	b := NewRECSBox(eng, "r")
+	b := NewRECSBox("r")
 	px, err := b.AddCarrier(PCIeExpansionCarrier)
 	if err != nil {
 		t.Fatal(err)
@@ -51,8 +46,7 @@ func TestDFEStreamEfficiency(t *testing.T) {
 
 // TestEdgeCPUGPUGPUComposition covers the second Sec. VI edge variant.
 func TestEdgeCPUGPUGPUComposition(t *testing.T) {
-	eng := sim.NewEngine()
-	s, err := MirrorEdgeCPUGPUGPU(eng, "edge")
+	s, err := MirrorEdgeCPUGPUGPU("edge")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,10 +1,6 @@
 package hw
 
-import (
-	"fmt"
-
-	"legato/internal/sim"
-)
+import "fmt"
 
 // EdgeServer models the LEGaTO edge platform of Fig. 9: exactly three
 // modular COM-HPC microservers in a ~20x40 cm enclosure, connected
@@ -13,25 +9,13 @@ import (
 type EdgeServer struct {
 	Name    string
 	Modules []*Microserver // length ≤ 3
-
-	// H2H is the host-to-host PCIe fabric between modules.
-	H2H *sim.Pipe
-
-	eng *sim.Engine
 }
 
 // EdgeModuleSlots is the module capacity of the Fig. 9 enclosure.
 const EdgeModuleSlots = 3
 
 // NewEdgeServer creates an empty edge enclosure.
-func NewEdgeServer(eng *sim.Engine, name string) *EdgeServer {
-	return &EdgeServer{
-		Name: name,
-		eng:  eng,
-		// PCIe gen3 x8 host-to-host.
-		H2H: sim.NewPipe(eng, 7.88e9, 800*sim.Nanosecond),
-	}
-}
+func NewEdgeServer(name string) *EdgeServer { return &EdgeServer{Name: name} }
 
 // AddModule installs a microserver module; the Fig. 9 enclosure takes at
 // most three, each of CPU, GPU or FPGA class.
@@ -40,18 +24,9 @@ func (s *EdgeServer) AddModule(spec Spec) (*Microserver, error) {
 		return nil, fmt.Errorf("hw: edge server %s full (%d modules)", s.Name, EdgeModuleSlots)
 	}
 	id := fmt.Sprintf("%s/m%d/%s", s.Name, len(s.Modules), spec.Name)
-	ms := &Microserver{ID: id, Device: NewDevice(s.eng, id, spec), Site: len(s.Modules)}
+	ms := &Microserver{ID: id, Device: &Device{ID: id, Spec: spec}, Site: len(s.Modules)}
 	s.Modules = append(s.Modules, ms)
 	return ms, nil
-}
-
-// TotalPower sums the instantaneous draw of all modules.
-func (s *EdgeServer) TotalPower() float64 {
-	p := 0.0
-	for _, m := range s.Modules {
-		p += m.Device.Meter().Power()
-	}
-	return p
 }
 
 // ByClass returns the first module of the given device class, or nil.
@@ -66,8 +41,8 @@ func (s *EdgeServer) ByClass(class Class) *Microserver {
 
 // MirrorEdgeCPUGPUGPU builds the "1x CPU + 2x GPU" Smart-Mirror edge
 // configuration named in Sec. VI.
-func MirrorEdgeCPUGPUGPU(eng *sim.Engine, name string) (*EdgeServer, error) {
-	s := NewEdgeServer(eng, name)
+func MirrorEdgeCPUGPUGPU(name string) (*EdgeServer, error) {
+	s := NewEdgeServer(name)
 	for _, spec := range []Spec{ARMv8Server(), JetsonTX2(), JetsonTX2()} {
 		if _, err := s.AddModule(spec); err != nil {
 			return nil, err
@@ -78,8 +53,8 @@ func MirrorEdgeCPUGPUGPU(eng *sim.Engine, name string) (*EdgeServer, error) {
 
 // MirrorEdgeCPUGPUFPGA builds the "1 CPU + 1 GPU + 1 FPGA SoC" Smart-Mirror
 // edge configuration named in Sec. VI.
-func MirrorEdgeCPUGPUFPGA(eng *sim.Engine, name string) (*EdgeServer, error) {
-	s := NewEdgeServer(eng, name)
+func MirrorEdgeCPUGPUFPGA(name string) (*EdgeServer, error) {
+	s := NewEdgeServer(name)
 	for _, spec := range []Spec{ARMv8Server(), JetsonTX2(), FPGASoC()} {
 		if _, err := s.AddModule(spec); err != nil {
 			return nil, err
@@ -97,29 +72,20 @@ type Workstation struct {
 }
 
 // NewMirrorWorkstation instantiates the baseline workstation.
-func NewMirrorWorkstation(eng *sim.Engine, name string) *Workstation {
+func NewMirrorWorkstation(name string) *Workstation {
 	host := XeonD()
 	// Workstation host: desktop-class idle/peak envelope so that the
 	// whole-system full-load draw lands near the paper's 400 W.
 	host.IdleWatts = 45
 	host.PeakWatts = 95
 	w := &Workstation{Name: name}
-	w.Host = NewDevice(eng, name+"/host", host)
+	w.Host = &Device{ID: name + "/host", Spec: host}
 	for i := 0; i < 2; i++ {
 		spec := GTX1080()
 		// Full-board draw including memory and VRM losses.
 		spec.IdleWatts = 15
 		spec.PeakWatts = 165
-		w.GPUs = append(w.GPUs, NewDevice(eng, fmt.Sprintf("%s/gpu%d", name, i), spec))
+		w.GPUs = append(w.GPUs, &Device{ID: fmt.Sprintf("%s/gpu%d", name, i), Spec: spec})
 	}
 	return w
-}
-
-// TotalPower sums host and GPU draw.
-func (w *Workstation) TotalPower() float64 {
-	p := w.Host.Meter().Power()
-	for _, g := range w.GPUs {
-		p += g.Meter().Power()
-	}
-	return p
 }

@@ -7,133 +7,77 @@ import (
 	"legato/internal/sim"
 )
 
+// draw is a device's modelled power with n cores busy at DVFS state i:
+// the idle floor plus the spec's dynamic watts.
+func draw(s Spec, n, i int) float64 { return s.IdleWatts + s.DynamicWatts(n, i) }
+
 func TestDevicePowerModel(t *testing.T) {
-	eng := sim.NewEngine()
-	d := NewDevice(eng, "cpu0", XeonD())
-	if p := d.Meter().Power(); p != 25 {
+	s := XeonD()
+	if p := draw(s, 0, 0); p != 25 {
 		t.Fatalf("idle power: got %v want 25", p)
 	}
-	if err := d.Acquire(16); err != nil {
-		t.Fatalf("acquire: %v", err)
-	}
-	if p := d.Meter().Power(); math.Abs(p-90) > 1e-9 {
+	if p := draw(s, 16, 0); math.Abs(p-90) > 1e-9 {
 		t.Fatalf("full-load power: got %v want 90", p)
-	}
-	d.Release(16)
-	if p := d.Meter().Power(); p != 25 {
-		t.Fatalf("power after release: got %v", p)
 	}
 }
 
 func TestDevicePartialUtilization(t *testing.T) {
-	eng := sim.NewEngine()
-	d := NewDevice(eng, "cpu0", XeonD())
-	if err := d.Acquire(8); err != nil {
-		t.Fatal(err)
-	}
-	// Half the cores busy: idle + half the dynamic range.
-	want := 25 + (90-25)*0.5
-	if p := d.Meter().Power(); math.Abs(p-want) > 1e-9 {
-		t.Fatalf("half-load power: got %v want %v", p, want)
-	}
-}
-
-func TestDeviceOverAcquire(t *testing.T) {
-	eng := sim.NewEngine()
-	d := NewDevice(eng, "a", ARMv8Server())
-	if err := d.Acquire(9); err == nil {
-		t.Fatal("acquiring more cores than exist should fail")
-	}
-	if err := d.Acquire(8); err != nil {
-		t.Fatal(err)
-	}
-	if err := d.Acquire(1); err == nil {
-		t.Fatal("acquiring a busy device's extra core should fail")
+	// Half the cores busy: idle + half the dynamic range, 25 + 65/2.
+	if p := draw(XeonD(), 8, 0); math.Abs(p-57.5) > 1e-9 {
+		t.Fatalf("half-load power: got %v want 57.5", p)
 	}
 }
 
 func TestDeviceDVFSScaling(t *testing.T) {
-	eng := sim.NewEngine()
-	d := NewDevice(eng, "cpu0", XeonD())
-	nominalTime := d.ExecTime(100, 16)
-	if err := d.SetState(2); err != nil { // low: 0.8 GHz vs 2.1 GHz nominal
-		t.Fatal(err)
-	}
-	lowTime := d.ExecTime(100, 16)
+	s := XeonD()
+	nominalTime := s.ExecTime(100, 16, 0)
+	lowTime := s.ExecTime(100, 16, 2) // low: 0.8 GHz vs 2.1 GHz nominal
 	ratio := float64(lowTime) / float64(nominalTime)
 	if math.Abs(ratio-2.1/0.8) > 1e-6 {
 		t.Fatalf("DVFS slowdown: got ratio %v want %v", ratio, 2.1/0.8)
 	}
 	// Dynamic power scales as f·V²: at (0.8/2.1)·(0.75)² ≈ 0.214 of nominal.
-	if err := d.Acquire(16); err != nil {
-		t.Fatal(err)
-	}
 	scale := (0.8 / 2.1) * 0.75 * 0.75
 	want := 25 + (90-25)*scale
-	if p := d.Meter().Power(); math.Abs(p-want) > 1e-9 {
+	if p := draw(s, 16, 2); math.Abs(p-want) > 1e-9 {
 		t.Fatalf("DVFS power: got %v want %v", p, want)
 	}
 }
 
-func TestDeviceDVFSBadState(t *testing.T) {
-	eng := sim.NewEngine()
-	d := NewDevice(eng, "cpu0", XeonD())
-	if err := d.SetState(99); err == nil {
-		t.Fatal("invalid DVFS state accepted")
-	}
-}
-
-func TestDeviceFailRepair(t *testing.T) {
-	eng := sim.NewEngine()
-	d := NewDevice(eng, "g", GTX1080())
-	d.Fail()
-	if d.Healthy() {
-		t.Fatal("device still healthy after Fail")
-	}
-	if err := d.Acquire(1); err == nil {
-		t.Fatal("failed device accepted work")
-	}
-	if p := d.Meter().Power(); p != 0 {
-		t.Fatalf("failed device draws %v W", p)
-	}
-	d.Repair()
-	if !d.Healthy() || d.Meter().Power() != 12 {
-		t.Fatalf("repair did not restore idle state: healthy=%v p=%v", d.Healthy(), d.Meter().Power())
-	}
-}
-
 func TestExecTimeScalesWithCores(t *testing.T) {
-	eng := sim.NewEngine()
-	d := NewDevice(eng, "cpu", XeonD())
-	t1 := d.ExecTime(100, 1)
-	t16 := d.ExecTime(100, 16)
+	s := XeonD()
+	t1 := s.ExecTime(100, 1, 0)
+	t16 := s.ExecTime(100, 16, 0)
 	if t1 != 16*t16 {
 		t.Fatalf("core scaling: 1-core %v, 16-core %v", t1, t16)
 	}
 }
 
+// TestEnergyForMatchesMeterIntegration: the dynamic-energy estimate equals
+// the full draw integrated over the run minus the idle floor, and both
+// equal the figure worked by hand.
 func TestEnergyForMatchesMeterIntegration(t *testing.T) {
-	eng := sim.NewEngine()
-	d := NewDevice(eng, "cpu", XeonD())
-	gops := 50.0
-	estimate := d.EnergyFor(gops, 16)
-	// Run it "for real": acquire all cores for the exec time.
-	start := d.Meter().Energy()
-	if err := d.Acquire(16); err != nil {
-		t.Fatal(err)
-	}
-	eng.Schedule(d.ExecTime(gops, 16), func() { d.Release(16) })
-	eng.Run()
-	measured := d.Meter().Energy() - start
-	idle := 25 * sim.ToSeconds(d.ExecTime(gops, 16))
-	if math.Abs((measured-idle)-estimate) > 1e-9 {
-		t.Fatalf("dynamic energy: estimate %v, measured %v", estimate, measured-idle)
+	s := XeonD()
+	for _, c := range []struct {
+		state int
+		want  float64
+	}{
+		// 50 GOP on 16 cores: 0.125 s at 65 W.
+		{0, 8.125},
+		// 2.1/0.8 times longer at (0.8/2.1)·0.75² of 65 W: 65·0.5625·0.125.
+		{2, 4.5703125},
+	} {
+		estimate := s.EnergyFor(50, 16, c.state)
+		secs := sim.ToSeconds(s.ExecTime(50, 16, c.state))
+		integrated := draw(s, 16, c.state)*secs - s.IdleWatts*secs
+		if math.Abs(estimate-c.want) > 1e-9 || math.Abs(integrated-c.want) > 1e-9 {
+			t.Fatalf("state %d: estimate %v, integrated %v, want %v", c.state, estimate, integrated, c.want)
+		}
 	}
 }
 
 func TestRECSBoxTopology(t *testing.T) {
-	eng := sim.NewEngine()
-	b, err := StandardCloudBox(eng, "recs0")
+	b, err := StandardCloudBox("recs0")
 	if err != nil {
 		t.Fatalf("standard box: %v", err)
 	}
@@ -146,14 +90,15 @@ func TestRECSBoxTopology(t *testing.T) {
 	if got := len(b.Microservers()); got != 15 {
 		t.Fatalf("microserver list: %d", got)
 	}
-	if b.TotalPower() <= 0 {
-		t.Fatal("idle chassis should still draw power")
+	// 3 Xeon-D (25 W) + ARMv8 (6) + Virtex (8) + Kintex (4) + GTX1080 (12)
+	// + 4 Jetson (5) + 4 Apalis (2).
+	if p := b.IdlePower(); p != 133 {
+		t.Fatalf("idle chassis power: got %v want 133", p)
 	}
 }
 
 func TestRECSBoxCarrierCompatibility(t *testing.T) {
-	eng := sim.NewEngine()
-	b := NewRECSBox(eng, "r")
+	b := NewRECSBox("r")
 	lp, _ := b.AddCarrier(LowPowerCarrier)
 	if _, err := b.Populate(lp, XeonD()); err == nil {
 		t.Fatal("x86 COM Express must not fit a low-power carrier")
@@ -171,8 +116,7 @@ func TestRECSBoxCarrierCompatibility(t *testing.T) {
 }
 
 func TestRECSBoxCapacityLimits(t *testing.T) {
-	eng := sim.NewEngine()
-	b := NewRECSBox(eng, "r")
+	b := NewRECSBox("r")
 	for i := 0; i < MaxCarriers; i++ {
 		if _, err := b.AddCarrier(LowPowerCarrier); err != nil {
 			t.Fatalf("carrier %d: %v", i, err)
@@ -198,8 +142,7 @@ func TestRECSBoxCapacityLimits(t *testing.T) {
 }
 
 func TestCarrierFull(t *testing.T) {
-	eng := sim.NewEngine()
-	b := NewRECSBox(eng, "r")
+	b := NewRECSBox("r")
 	hp, _ := b.AddCarrier(HighPerfCarrier)
 	for i := 0; i < 3; i++ {
 		if _, err := b.Populate(hp, XeonD()); err != nil {
@@ -212,8 +155,7 @@ func TestCarrierFull(t *testing.T) {
 }
 
 func TestEdgeServerFig9(t *testing.T) {
-	eng := sim.NewEngine()
-	s, err := MirrorEdgeCPUGPUFPGA(eng, "edge0")
+	s, err := MirrorEdgeCPUGPUFPGA("edge0")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,24 +168,22 @@ func TestEdgeServerFig9(t *testing.T) {
 	if _, err := s.AddModule(JetsonTX2()); err == nil {
 		t.Fatal("edge enclosure accepted a 4th module")
 	}
-	if s.TotalPower() <= 0 {
-		t.Fatal("edge idle power should be positive")
+	idle := 0.0
+	for _, m := range s.Modules {
+		idle += m.Device.Spec.IdleWatts
+	}
+	if idle != 6+5+2 {
+		t.Fatalf("edge idle power: got %v want 13", idle)
 	}
 }
 
 func TestWorkstationPowerEnvelope(t *testing.T) {
-	eng := sim.NewEngine()
-	w := NewMirrorWorkstation(eng, "ws")
-	// Full load: host + both GPUs busy.
-	if err := w.Host.Acquire(w.Host.Spec.Cores); err != nil {
-		t.Fatal(err)
-	}
+	w := NewMirrorWorkstation("ws")
+	// Full load: host + both GPUs at peak.
+	p := w.Host.Spec.PeakWatts
 	for _, g := range w.GPUs {
-		if err := g.Acquire(g.Spec.Cores); err != nil {
-			t.Fatal(err)
-		}
+		p += g.Spec.PeakWatts
 	}
-	p := w.TotalPower()
 	// Paper Sec. VI: ~400 W for the detection pipeline on this box.
 	if p < 350 || p > 450 {
 		t.Fatalf("workstation full-load power %v W outside the 400 W envelope", p)

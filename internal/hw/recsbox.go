@@ -1,18 +1,11 @@
 package hw
 
-import (
-	"fmt"
-
-	"legato/internal/sim"
-)
+import "fmt"
 
 // The RECS|BOX platform (paper Figs. 3-4): a 3RU server whose backplane
 // hosts up to 15 carriers; carriers come in three classes (low-power with
 // up to 16 microserver sites, high-performance with up to 3 sites, and PCIe
-// expansion), for at most 144 microservers per box. Microservers are
-// interconnected by a high-speed/low-latency network (PCIe, high-speed
-// serial), a compute network (up to 40 GbE) and a dedicated management
-// network (KVM, monitoring).
+// expansion), for at most 144 microservers per box.
 
 // CarrierClass enumerates the RECS|BOX carrier types of Fig. 4.
 type CarrierClass int
@@ -113,35 +106,10 @@ func (c *Carrier) accepts(class Class) bool {
 	}
 }
 
-// NetworkKind enumerates the RECS|BOX interconnects (Fig. 4).
-type NetworkKind int
-
-const (
-	// ComputeNet is the up-to-40GbE compute network.
-	ComputeNet NetworkKind = iota
-	// MgmtNet is the management network (KVM, monitoring).
-	MgmtNet
-	// HighSpeedNet is the PCIe / high-speed-serial low-latency fabric.
-	HighSpeedNet
-)
-
-// Network is a shared interconnect with a bandwidth/latency cost model.
-type Network struct {
-	Kind NetworkKind
-	Pipe *sim.Pipe
-}
-
 // RECSBox is a populated RECS|BOX chassis.
 type RECSBox struct {
 	Name     string
 	Carriers []*Carrier
-	eng      *sim.Engine
-
-	Compute   *Network
-	Mgmt      *Network
-	HighSpeed *Network
-
-	nextID int
 }
 
 // MaxCarriers is the backplane capacity (Fig. 4: up to 15 carriers).
@@ -150,19 +118,8 @@ const MaxCarriers = 15
 // MaxMicroservers is the chassis capacity (Sec. II-A: up to 144 nodes).
 const MaxMicroservers = 144
 
-// NewRECSBox creates an empty chassis with its three networks.
-func NewRECSBox(eng *sim.Engine, name string) *RECSBox {
-	return &RECSBox{
-		Name: name,
-		eng:  eng,
-		Compute: &Network{Kind: ComputeNet,
-			Pipe: sim.NewPipe(eng, 40e9/8, 10*sim.Microsecond)}, // 40 GbE
-		Mgmt: &Network{Kind: MgmtNet,
-			Pipe: sim.NewPipe(eng, 1e9/8, 100*sim.Microsecond)}, // 1 GbE
-		HighSpeed: &Network{Kind: HighSpeedNet,
-			Pipe: sim.NewPipe(eng, 15.75e9, 500*sim.Nanosecond)}, // PCIe3 x16
-	}
-}
+// NewRECSBox creates an empty chassis.
+func NewRECSBox(name string) *RECSBox { return &RECSBox{Name: name} }
 
 // AddCarrier installs a carrier; it fails beyond backplane capacity.
 func (b *RECSBox) AddCarrier(class CarrierClass) (*Carrier, error) {
@@ -187,11 +144,10 @@ func (b *RECSBox) Populate(c *Carrier, spec Spec) (*Microserver, error) {
 		if s != nil {
 			continue
 		}
-		b.nextID++
 		id := fmt.Sprintf("%s/c%d/s%d/%s", b.Name, c.Index, site, spec.Name)
 		ms := &Microserver{
 			ID:      id,
-			Device:  NewDevice(b.eng, id, spec),
+			Device:  &Device{ID: id, Spec: spec},
 			Carrier: c,
 			Site:    site,
 		}
@@ -223,11 +179,12 @@ func (b *RECSBox) Microservers() []*Microserver {
 	return out
 }
 
-// TotalPower sums the instantaneous draw of every microserver.
-func (b *RECSBox) TotalPower() float64 {
+// IdlePower sums the idle draw of every microserver: the chassis floor
+// before any work is placed.
+func (b *RECSBox) IdlePower() float64 {
 	p := 0.0
 	for _, ms := range b.Microservers() {
-		p += ms.Device.Meter().Power()
+		p += ms.Device.Spec.IdleWatts
 	}
 	return p
 }
@@ -260,8 +217,8 @@ func (b *RECSBox) Validate() error {
 // cluster experiments: two high-performance carriers (x86 + ARM + FPGA),
 // one PCIe expansion carrier with a GPU, and one low-power carrier with a
 // mix of Jetson and Apalis modules.
-func StandardCloudBox(eng *sim.Engine, name string) (*RECSBox, error) {
-	b := NewRECSBox(eng, name)
+func StandardCloudBox(name string) (*RECSBox, error) {
+	b := NewRECSBox(name)
 
 	hp1, err := b.AddCarrier(HighPerfCarrier)
 	if err != nil {

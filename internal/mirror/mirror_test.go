@@ -3,8 +3,6 @@ package mirror
 import (
 	"math"
 	"testing"
-
-	"legato/internal/sim"
 )
 
 func TestSceneBounces(t *testing.T) {
@@ -97,8 +95,7 @@ func TestTrackerHandlesEmptyFrames(t *testing.T) {
 }
 
 func TestWorkstationMatchesPaperNumbers(t *testing.T) {
-	eng := sim.NewEngine()
-	cfg := WorkstationConfig(eng)
+	cfg := WorkstationConfig()
 	res, err := Evaluate(cfg, 400, 7)
 	if err != nil {
 		t.Fatal(err)
@@ -113,8 +110,7 @@ func TestWorkstationMatchesPaperNumbers(t *testing.T) {
 }
 
 func TestEdgeMatchesPaperTarget(t *testing.T) {
-	eng := sim.NewEngine()
-	cfg, err := EdgeConfig(eng)
+	cfg, err := EdgeConfig()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,12 +132,11 @@ func TestEdgeMatchesPaperTarget(t *testing.T) {
 }
 
 func TestEdgeEnergyPerFrameOrderOfMagnitude(t *testing.T) {
-	eng := sim.NewEngine()
-	ws, err := Evaluate(WorkstationConfig(eng), 200, 9)
+	ws, err := Evaluate(WorkstationConfig(), 200, 9)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ecfg, err := EdgeConfig(eng)
+	ecfg, err := EdgeConfig()
 	if err != nil {
 		t.Fatal(err)
 	}

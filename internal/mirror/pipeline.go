@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"legato/internal/hw"
-	"legato/internal/sim"
 )
 
 // Module is one recognition stage of the mirror pipeline (Fig. 8: face,
@@ -81,8 +80,8 @@ type Result struct {
 
 // WorkstationConfig builds the Sec. VI baseline: two GTX1080s plus an x86
 // host running the unoptimised pipeline (~400 W, ~21 FPS).
-func WorkstationConfig(eng *sim.Engine) *HardwareConfig {
-	ws := hw.NewMirrorWorkstation(eng, "workstation")
+func WorkstationConfig() *HardwareConfig {
+	ws := hw.NewMirrorWorkstation("workstation")
 	return &HardwareConfig{
 		Name:            "workstation-2xGTX1080",
 		Accels:          ws.GPUs,
@@ -95,8 +94,8 @@ func WorkstationConfig(eng *sim.Engine) *HardwareConfig {
 
 // EdgeConfig builds the optimised Fig. 9 edge server (1 CPU + 1 GPU +
 // 1 FPGA SoC) running the optimised pipeline (~50 W, ~10 FPS target).
-func EdgeConfig(eng *sim.Engine) (*HardwareConfig, error) {
-	srv, err := hw.MirrorEdgeCPUGPUFPGA(eng, "edge")
+func EdgeConfig() (*HardwareConfig, error) {
+	srv, err := hw.MirrorEdgeCPUGPUFPGA("edge")
 	if err != nil {
 		return nil, err
 	}

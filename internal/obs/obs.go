@@ -70,7 +70,7 @@ const (
 	// degrade to the fleet (published exactly once per fault).
 	FaultInjected
 	// GovernorThrottled: the power governor stepped a device down its
-	// DVFS ladder, as observed on the publishing job's platform mirror.
+	// DVFS ladder, as applied by the publishing job's runtime.
 	GovernorThrottled
 	// GovernorRestored: the governor stepped a device back toward
 	// nominal.
@@ -80,11 +80,11 @@ const (
 	// PowerRefused: the watt ledger refused a draw (cap pressure); the
 	// placement parks or the hedge is denied.
 	PowerRefused
-	// DeviceLost: a job observed a device loss on its platform mirror
-	// (revocations and restores in Detail).
+	// DeviceLost: a job's runtime observed a device loss (revocations and
+	// restores in Detail).
 	DeviceLost
 	// HedgeDenied: the straggler watchdog could not launch a replica; the
-	// cause is in Detail (no-device, cores, watts or device).
+	// cause is in Detail (no-device, cores or watts).
 	HedgeDenied
 )
 

@@ -188,3 +188,19 @@ func BenchmarkPublishDisabled(b *testing.B) {
 		bus.Publish(e)
 	}
 }
+
+// BenchmarkPublishArmed is the armed path next to it: one observer, so
+// every publish takes the bus lock and makes one call.
+func BenchmarkPublishArmed(b *testing.B) {
+	bus := NewBus()
+	n := 0
+	bus.Observe(func(Event) { n++ })
+	e := Event{Kind: TaskStarted, Job: "j", Task: "t", Device: "d"}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		bus.Publish(e)
+	}
+	if n != b.N {
+		b.Fatalf("observer saw %d of %d events", n, b.N)
+	}
+}

@@ -7,12 +7,10 @@ import (
 
 	"legato/internal/energy"
 	"legato/internal/hw"
-	"legato/internal/sim"
 )
 
 func testDevices(t *testing.T) []*hw.Device {
 	t.Helper()
-	se := sim.NewEngine()
 	specA := hw.Spec{
 		Name: "cpu", Class: hw.CPUx86, Cores: 8, GOPS: 100,
 		IdleWatts: 10, PeakWatts: 50,
@@ -26,8 +24,8 @@ func testDevices(t *testing.T) []*hw.Device {
 		IdleWatts: 5, PeakWatts: 25,
 	}
 	return []*hw.Device{
-		hw.NewDevice(se, "cpu0", specA),
-		hw.NewDevice(se, "fpga0", specB),
+		{ID: "cpu0", Spec: specA},
+		{ID: "fpga0", Spec: specB},
 	}
 }
 
@@ -456,7 +454,7 @@ func checkDraw(t *testing.T, l *Ledger, devs []*hw.Device, granted energy.Watts)
 func TestLedgerEpochTracksShape(t *testing.T) {
 	devs := testDevices(t) // cpu0: 8 cores, 2 points; fpga0: 4 cores, 1 point
 	l := NewLedger(40, devs, PackAndThrottle)
-	ghost := hw.NewDevice(sim.NewEngine(), "ghost", devs[0].Spec)
+	ghost := &hw.Device{ID: "ghost", Spec: devs[0].Spec}
 	shapeDevs := append(append([]*hw.Device(nil), devs...), ghost)
 	epoch := l.Epoch()
 	step := func(what string, moves bool, cores, points []int) {
@@ -603,7 +601,7 @@ func TestLedgerLockFreeReadsRace(t *testing.T) {
 // parallel claimer is ever refused for cores.
 func benchLedger() *Ledger {
 	spec := hw.Spec{Name: "cpu", Class: hw.CPUx86, Cores: 1 << 16, GOPS: 100, IdleWatts: 10, PeakWatts: 50}
-	return NewLedger(0, []*hw.Device{hw.NewDevice(sim.NewEngine(), "cpu0", spec)}, RaceToIdle)
+	return NewLedger(0, []*hw.Device{{ID: "cpu0", Spec: spec}}, RaceToIdle)
 }
 
 // BenchmarkLedgerClaimRelease times one granted Claim plus its Release,

@@ -24,11 +24,11 @@ var update = flag.Bool("update", false, "rewrite the golden files under testdata
 // ARM servers, and a GPU no wide-DAG task targets.
 func wideDevices(eng *sim.Engine) []*hw.Device {
 	return []*hw.Device{
-		hw.NewDevice(eng, "cpu0", hw.XeonD()),
-		hw.NewDevice(eng, "cpu1", hw.XeonD()),
-		hw.NewDevice(eng, "arm0", hw.ARMv8Server()),
-		hw.NewDevice(eng, "arm1", hw.ARMv8Server()),
-		hw.NewDevice(eng, "gpu0", hw.JetsonTX2()),
+		{ID: "cpu0", Spec: hw.XeonD()},
+		{ID: "cpu1", Spec: hw.XeonD()},
+		{ID: "arm0", Spec: hw.ARMv8Server()},
+		{ID: "arm1", Spec: hw.ARMv8Server()},
+		{ID: "gpu0", Spec: hw.JetsonTX2()},
 	}
 }
 
@@ -185,7 +185,7 @@ func TestDispatchPlacementGolden(t *testing.T) {
 // the tasks executed. Proportional dispatch keeps ns/task flat across the
 // sweep.
 func BenchmarkDispatch(b *testing.B) {
-	for _, n := range []int{100, 1000, 10000} {
+	for _, n := range []int{100, 1000, 10000, 100000} {
 		b.Run(fmt.Sprintf("tasks=%d", n), func(b *testing.B) {
 			var before, after runtime.MemStats
 			var mallocs uint64
@@ -325,12 +325,12 @@ func TestShapeReadsByDeviceID(t *testing.T) {
 	led := power.NewLedger(power.FleetPeakWatts(ref), ref, power.PackAndThrottle)
 	eng := sim.NewEngine()
 	mirror := []*hw.Device{
-		hw.NewDevice(eng, "gpu0", hw.JetsonTX2()),
-		hw.NewDevice(eng, "ghost", hw.XeonD()),
-		hw.NewDevice(eng, "arm1", hw.ARMv8Server()),
-		hw.NewDevice(eng, "cpu1", hw.XeonD()),
-		hw.NewDevice(eng, "arm0", hw.ARMv8Server()),
-		hw.NewDevice(eng, "cpu0", hw.XeonD()),
+		{ID: "gpu0", Spec: hw.JetsonTX2()},
+		{ID: "ghost", Spec: hw.XeonD()},
+		{ID: "arm1", Spec: hw.ARMv8Server()},
+		{ID: "cpu1", Spec: hw.XeonD()},
+		{ID: "arm0", Spec: hw.ARMv8Server()},
+		{ID: "cpu0", Spec: hw.XeonD()},
 	}
 	rt := New(eng, mirror, MinEDP)
 	rt.SetAdmission(led)

@@ -11,10 +11,10 @@ import (
 // devices (the runtime half of the fault-tolerance story).
 func TestFailedDeviceAvoided(t *testing.T) {
 	eng := sim.NewEngine()
-	xeon := hw.NewDevice(eng, "cpu0", hw.XeonD())
-	arm := hw.NewDevice(eng, "arm0", hw.ARMv8Server())
-	xeon.Fail()
+	xeon := &hw.Device{ID: "cpu0", Spec: hw.XeonD()}
+	arm := &hw.Device{ID: "arm0", Spec: hw.ARMv8Server()}
 	rt := New(eng, []*hw.Device{xeon, arm}, MinTime)
+	rt.MarkLost("cpu0")
 	_ = rt.Submit(Task{Name: "t", Gops: 10})
 	res, err := rt.Run()
 	if err != nil {
@@ -29,9 +29,9 @@ func TestFailedDeviceAvoided(t *testing.T) {
 // stuck task instead of hanging.
 func TestAllDevicesFailedErrors(t *testing.T) {
 	eng := sim.NewEngine()
-	d := hw.NewDevice(eng, "cpu0", hw.XeonD())
-	d.Fail()
+	d := &hw.Device{ID: "cpu0", Spec: hw.XeonD()}
 	rt := New(eng, []*hw.Device{d}, MinTime)
+	rt.MarkLost("cpu0")
 	_ = rt.Submit(Task{Name: "t", Gops: 1})
 	if _, err := rt.Run(); err == nil {
 		t.Fatal("run succeeded with every device failed")
@@ -42,7 +42,7 @@ func TestAllDevicesFailedErrors(t *testing.T) {
 // without starving the machine.
 func TestWideTaskQueuesBehindNarrow(t *testing.T) {
 	eng := sim.NewEngine()
-	dev := hw.NewDevice(eng, "cpu0", hw.XeonD()) // 16 cores
+	dev := &hw.Device{ID: "cpu0", Spec: hw.XeonD()} // 16 cores
 	rt := New(eng, []*hw.Device{dev}, MinTime)
 	var wideStart sim.Time
 	_ = rt.Submit(Task{Name: "narrow", Gops: 100, Cores: 10})
@@ -66,7 +66,7 @@ func TestWideTaskQueuesBehindNarrow(t *testing.T) {
 // nothing but still respect dependences.
 func TestZeroGopsTaskCompletesInstantly(t *testing.T) {
 	eng := sim.NewEngine()
-	dev := hw.NewDevice(eng, "cpu0", hw.XeonD())
+	dev := &hw.Device{ID: "cpu0", Spec: hw.XeonD()}
 	rt := New(eng, []*hw.Device{dev}, MinTime)
 	a := rt.Data("a", 8)
 	ran := false

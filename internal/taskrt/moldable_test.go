@@ -18,7 +18,7 @@ import (
 func moldCPU(eng *sim.Engine, id string, cores int) *hw.Device {
 	spec := hw.XeonD()
 	spec.Cores, spec.GOPS = cores, 10*float64(cores)
-	return hw.NewDevice(eng, id, spec)
+	return &hw.Device{ID: id, Spec: spec}
 }
 
 // moldRun runs tasks on one moldCPU behind a fleet ledger and returns the

@@ -17,7 +17,7 @@ func placeOne(t *testing.T, specs []hw.Spec, policy Policy, gops float64, cores 
 	clock := sim.NewEngine()
 	devs := make([]*hw.Device, 0, len(specs))
 	for i, sp := range specs {
-		devs = append(devs, hw.NewDevice(clock, fmt.Sprintf("d%d", i), sp))
+		devs = append(devs, &hw.Device{ID: fmt.Sprintf("d%d", i), Spec: sp})
 	}
 	rt := New(clock, devs, policy)
 	out := rt.Data("out", 64)
@@ -122,7 +122,7 @@ func TestUndervoltScoringAndRecord(t *testing.T) {
 	spec := hw.Spec{Name: "uv", Class: hw.FPGA, Cores: 4, GOPS: 200, IdleWatts: 4, PeakWatts: 16}
 	run := func(level int) Record {
 		clock := sim.NewEngine()
-		devs := []*hw.Device{hw.NewDevice(clock, "d0", spec)}
+		devs := []*hw.Device{{ID: "d0", Spec: spec}}
 		rt := New(clock, devs, MinEnergy)
 		out := rt.Data("out", 64)
 		if err := rt.Submit(Task{Name: "probe", Gops: 100, Cores: 1, Undervolt: level, Out: []*Data{out}}); err != nil {
@@ -149,7 +149,7 @@ func TestUndervoltScoringAndRecord(t *testing.T) {
 
 	// Out-of-range levels are rejected at submission.
 	clock := sim.NewEngine()
-	rt := New(clock, []*hw.Device{hw.NewDevice(clock, "d0", spec)}, MinEnergy)
+	rt := New(clock, []*hw.Device{{ID: "d0", Spec: spec}}, MinEnergy)
 	if err := rt.Submit(Task{Name: "bad", Gops: 1, Cores: 1, Undervolt: 99}); err == nil {
 		t.Fatal("submit accepted an out-of-range undervolt level")
 	}

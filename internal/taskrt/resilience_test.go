@@ -17,8 +17,8 @@ func twoCPUs(eng *sim.Engine) []*hw.Device {
 	slow := hw.XeonD()
 	slow.GOPS = fast.GOPS / 2
 	return []*hw.Device{
-		hw.NewDevice(eng, "cpu0", fast),
-		hw.NewDevice(eng, "cpu1", slow),
+		{ID: "cpu0", Spec: fast},
+		{ID: "cpu1", Spec: slow},
 	}
 }
 

@@ -17,8 +17,8 @@ import (
 // ~11.56 s — well before a 4×-degraded primary's ~16 s.
 func tailDevices(eng *sim.Engine) []*hw.Device {
 	return []*hw.Device{
-		hw.NewDevice(eng, "fast", hw.XeonD()),
-		hw.NewDevice(eng, "backup", hw.ARMv8Server()),
+		{ID: "fast", Spec: hw.XeonD()},
+		{ID: "backup", Spec: hw.ARMv8Server()},
 	}
 }
 

@@ -430,8 +430,9 @@ type Runtime struct {
 	counts obs.Counts // lifecycle tally, folded from every emitted event
 }
 
-// New creates a runtime over the given devices. It only reads them, from
-// their DVFS state and health on, so concurrent runtimes may share them.
+// New creates a runtime over the given devices, each at its nominal DVFS
+// point and alive. It only reads them, so concurrent runtimes may share
+// them; MarkLost starts a run with a device already lost.
 func New(eng *sim.Engine, devices []*hw.Device, policy Policy) *Runtime {
 	r := &Runtime{
 		eng: eng, devices: devices, policy: policy,
@@ -442,7 +443,7 @@ func New(eng *sim.Engine, devices []*hw.Device, policy Policy) *Runtime {
 	}
 	for i, d := range devices {
 		r.capacity[i] = d.Spec.Cores
-		r.state[i] = devState{point: d.StateIndex(), lost: !d.Healthy(), slowdown: 1}
+		r.state[i] = devState{slowdown: 1}
 	}
 	return r
 }

@@ -11,9 +11,9 @@ import (
 
 func devices(eng *sim.Engine) []*hw.Device {
 	return []*hw.Device{
-		hw.NewDevice(eng, "cpu0", hw.XeonD()),
-		hw.NewDevice(eng, "arm0", hw.ARMv8Server()),
-		hw.NewDevice(eng, "gpu0", hw.JetsonTX2()),
+		{ID: "cpu0", Spec: hw.XeonD()},
+		{ID: "arm0", Spec: hw.ARMv8Server()},
+		{ID: "gpu0", Spec: hw.JetsonTX2()},
 	}
 }
 
@@ -183,7 +183,7 @@ func TestPriorityBreaksTies(t *testing.T) {
 	// Single 1-core device forces serialisation.
 	spec := hw.ApalisARM()
 	spec.Cores = 1
-	dev := hw.NewDevice(eng, "solo", spec)
+	dev := &hw.Device{ID: "solo", Spec: spec}
 	rt := New(eng, []*hw.Device{dev}, MinTime)
 	var order []string
 	for _, c := range []struct {
@@ -205,7 +205,7 @@ func TestPriorityBreaksTies(t *testing.T) {
 
 func TestCoresRequestRespected(t *testing.T) {
 	eng := sim.NewEngine()
-	dev := hw.NewDevice(eng, "cpu", hw.XeonD()) // 16 cores
+	dev := &hw.Device{ID: "cpu", Spec: hw.XeonD()} // 16 cores
 	rt := New(eng, []*hw.Device{dev}, MinTime)
 	_ = rt.Submit(Task{Name: "wide", Gops: 160, Cores: 16})
 	res, err := rt.Run()
@@ -214,7 +214,7 @@ func TestCoresRequestRespected(t *testing.T) {
 	}
 	wide := res.Records[0].End - res.Records[0].Start
 	eng2 := sim.NewEngine()
-	dev2 := hw.NewDevice(eng2, "cpu", hw.XeonD())
+	dev2 := &hw.Device{ID: "cpu", Spec: hw.XeonD()}
 	rt2 := New(eng2, []*hw.Device{dev2}, MinTime)
 	_ = rt2.Submit(Task{Name: "narrow", Gops: 160, Cores: 1})
 	res2, err := rt2.Run()

@@ -407,13 +407,12 @@ type System struct {
 	evsub *obs.Subscription
 }
 
-// buildPlatform constructs the compute devices of a platform instance on
-// the given clock.
-func buildPlatform(kind PlatformKind, je *sim.Engine) ([]*hw.Device, error) {
+// buildPlatform constructs the compute devices of a platform instance.
+func buildPlatform(kind PlatformKind) ([]*hw.Device, error) {
 	var devices []*hw.Device
 	switch kind {
 	case EdgePlatform:
-		edge, err := hw.MirrorEdgeCPUGPUFPGA(je, "edge0")
+		edge, err := hw.MirrorEdgeCPUGPUFPGA("edge0")
 		if err != nil {
 			return nil, err
 		}
@@ -421,7 +420,7 @@ func buildPlatform(kind PlatformKind, je *sim.Engine) ([]*hw.Device, error) {
 			devices = append(devices, m.Device)
 		}
 	default:
-		box, err := hw.StandardCloudBox(je, "recs0")
+		box, err := hw.StandardCloudBox("recs0")
 		if err != nil {
 			return nil, err
 		}
@@ -448,13 +447,12 @@ func NewSystem(opts ...Option) (*System, error) {
 	}
 
 	s := &System{set: set, reg: monitor.NewRegistry()}
-	refClock := sim.NewEngine()
-	fleet, err := buildPlatform(set.platform, refClock)
+	fleet, err := buildPlatform(set.platform)
 	if err != nil {
 		return nil, err
 	}
 	s.fleet = fleet
-	s.tracer = trace.New(refClock)
+	s.tracer = trace.New(sim.NewEngine())
 	if !set.noObs {
 		s.bus = obs.NewBus()
 		for _, fn := range set.observers {
