@@ -34,8 +34,9 @@
 // With no arguments it scans the runtime paths (internal/faults,
 // internal/engine, internal/taskrt, internal/power, internal/obs,
 // internal/trace, internal/monitor, internal/sim), the hardware and energy
-// model (internal/hw, internal/energy) and internal/experiments,
-// where every experiment's engine session is built and shut down. Test
+// model (internal/hw, internal/energy), internal/experiments, where
+// every experiment's engine session is built and shut down, and
+// internal/bio, the one runtime user outside the engine. Test
 // files are skipped; an ignored error in a test is an assertion choice,
 // not a recovery bug, and tests may legitimately time out on the wall
 // clock.
@@ -56,7 +57,7 @@ import (
 var defaultDirs = []string{
 	"internal/faults", "internal/engine", "internal/taskrt", "internal/power",
 	"internal/obs", "internal/trace", "internal/monitor", "internal/sim",
-	"internal/hw", "internal/energy", "internal/experiments",
+	"internal/hw", "internal/energy", "internal/experiments", "internal/bio",
 }
 
 // fset positions every parsed file; sources imports packages from source

@@ -11,6 +11,7 @@ import (
 	"strings"
 
 	"legato/internal/hw"
+	"legato/internal/power"
 	"legato/internal/sim"
 	"legato/internal/taskrt"
 )
@@ -141,7 +142,7 @@ func SmithWatermanWavefront(eng *sim.Engine, devices []*hw.Device, policy taskrt
 	}
 	best, bi, bj := 0, 0, 0
 
-	rt := taskrt.New(eng, devices, policy)
+	rt := taskrt.New(eng, devices, policy, power.NewLedger(0, devices, power.RaceToIdle))
 	tilesI := (n + tile - 1) / tile
 	tilesJ := (m + tile - 1) / tile
 	// Tile dependence data: region (ti,tj) is written by its tile task.

@@ -378,8 +378,7 @@ func (e *Engine) Workers() int { return e.cfg.Workers }
 // Submit.
 func (e *Engine) NewJob(name string) (*Job, error) {
 	clock := sim.NewEngine()
-	rt := taskrt.New(clock, e.ref, e.cfg.Policy)
-	rt.SetAdmission(e.fleet)
+	rt := taskrt.New(clock, e.ref, e.cfg.Policy, e.fleet)
 	rt.SetHedging(e.cfg.Hedge)
 	rt.SetDeadlineMode(e.cfg.DeadlineMode)
 
@@ -394,7 +393,6 @@ func (e *Engine) NewJob(name string) (*Job, error) {
 	e.mu.Unlock()
 
 	rt.SetSink(e.sink(j))
-	e.wireFaults(j)
 	return j, nil
 }
 
@@ -521,10 +519,11 @@ func (f *RegistryFold) Apply(e obs.Event) {
 // wireFaults replays the injector's sampled timeline on the job's private
 // clock. Each event fails (or degrades) the device in the job's runtime so
 // local placement routes around it, and calls into the injector, which
-// applies the *global* fleet change exactly once across all jobs. A job
-// created after a device already crashed starts with that device lost,
-// silently — the graceful-degradation path: the session keeps admitting
-// jobs that fit the surviving fleet.
+// applies the *global* fleet change exactly once across all jobs. It runs
+// when the job starts, not when it is built: a job that starts after a
+// device already crashed starts with that device lost, silently — the
+// graceful-degradation path: the session keeps admitting jobs that fit the
+// surviving fleet.
 func (e *Engine) wireFaults(j *Job) {
 	if e.injector == nil {
 		return
@@ -647,6 +646,7 @@ func (e *Engine) runJob(j *Job) {
 	j.state = Running
 	j.mu.Unlock()
 
+	e.wireFaults(j)
 	res, err := j.rt.RunContext(ctx)
 	e.account(j, res, err)
 }

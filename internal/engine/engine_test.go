@@ -58,59 +58,37 @@ func chainJob(t testing.TB, e *Engine, name string, depth, cores int, fn func())
 	return j
 }
 
-// cancelOnResume is the fleet as a job sees it whose ctx fires the moment
-// its suspension ends.
-type cancelOnResume struct {
-	*power.Ledger
-	cancel func()
-}
-
-func (c cancelOnResume) Reacquire(devs []*hw.Device, grants []int) bool {
-	ok := c.Ledger.Reacquire(devs, grants)
-	if ok {
-		c.cancel()
-	}
-	return ok
-}
-
 // TestCancelledSuspendedJobReleasesCores: a job cancelled while suspended
-// on a sibling's grants, or just as it resumes with its stalled placement
-// reserved, leaves no core claimed on any device.
+// on a sibling's grants leaves no core claimed on any device. The runtime's
+// own TestCancelOnResumeReleasesCores covers a cancel just as it resumes.
 func TestCancelledSuspendedJobReleasesCores(t *testing.T) {
 	ctx := context.Background()
-	for _, onResume := range []bool{false, true} {
-		e := newTestEngine(t, 1)
-		f := e.Fleet()
-		// The sibling's grants fill both devices.
-		if f.Claim("dev/cpu", 8, 0) != power.Granted || f.Claim("dev/fpga", 4, 0) != power.Granted {
-			t.Fatal("sibling acquire refused")
-		}
-		stalls := f.CoreStalls()
-		j := chainJob(t, e, "j", 4, 1, nil)
-		if onResume {
-			j.Runtime().SetAdmission(cancelOnResume{f, j.Cancel})
-		}
-		if err := e.Submit(ctx, j); err != nil {
-			t.Fatal(err)
-		}
-		for f.CoreStalls() == stalls {
-			time.Sleep(10 * time.Microsecond)
-		}
-		if !onResume {
-			j.Cancel()
-		}
-		f.Release("dev/cpu", 8, 0)
-		f.Release("dev/fpga", 4, 0)
-		if _, err := j.Wait(ctx); !errors.Is(err, context.Canceled) {
-			t.Fatalf("cancel on resume %v: err = %v, want context.Canceled", onResume, err)
-		}
-		if err := e.Shutdown(ctx); err != nil {
-			t.Fatal(err)
-		}
-		for _, id := range []string{"dev/cpu", "dev/fpga"} {
-			if n := f.InUse(id); n != 0 {
-				t.Fatalf("cancel on resume %v: %d cores of %s left in use after shutdown", onResume, n, id)
-			}
+	e := newTestEngine(t, 1)
+	f := e.Fleet()
+	// The sibling's grants fill both devices.
+	if f.Claim("dev/cpu", 8, 0) != power.Granted || f.Claim("dev/fpga", 4, 0) != power.Granted {
+		t.Fatal("sibling acquire refused")
+	}
+	stalls := f.CoreStalls()
+	j := chainJob(t, e, "j", 4, 1, nil)
+	if err := e.Submit(ctx, j); err != nil {
+		t.Fatal(err)
+	}
+	for f.CoreStalls() == stalls {
+		time.Sleep(10 * time.Microsecond)
+	}
+	j.Cancel()
+	f.Release("dev/cpu", 8, 0)
+	f.Release("dev/fpga", 4, 0)
+	if _, err := j.Wait(ctx); !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if err := e.Shutdown(ctx); err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range []string{"dev/cpu", "dev/fpga"} {
+		if n := f.InUse(id); n != 0 {
+			t.Fatalf("%d cores of %s left in use after shutdown", n, id)
 		}
 	}
 }

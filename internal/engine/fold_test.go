@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -119,9 +120,10 @@ func TestHedgePromotedFolds(t *testing.T) {
 
 // sessionEvents logs one seeded single-worker session that queues, runs,
 // crashes, retries, degrades and hedges: eight 4×6 chain jobs on a mixed
-// fleet under a fault plan and a 1.5× hedge policy.
-func sessionEvents(b *testing.B) []obs.Event {
-	b.Helper()
+// fleet under a fault plan and a 1.5× hedge policy, each created and
+// submitted in turn.
+func sessionEvents(tb testing.TB) []obs.Event {
+	tb.Helper()
 	bus := obs.NewBus()
 	var log obs.Collector
 	bus.Observe(log.Observe)
@@ -139,30 +141,54 @@ func sessionEvents(b *testing.B) []obs.Event {
 	e, err := New(Config{Workers: 1, Policy: taskrt.MinTime, Fleet: fleet, Bus: bus,
 		Faults: &plan, Hedge: taskrt.HedgePolicy{Multiplier: 1.5}})
 	if err != nil {
-		b.Fatal(err)
-	}
-	// Build every job before submitting any: a job created after another
-	// has crossed the crash starts with the device silently lost, so
-	// interleaving creation with the run would change the log.
-	var jobs []*Job
-	for i := 0; i < 8; i++ {
-		jobs = append(jobs, wideJob(b, e, fmt.Sprintf("job%d", i), 4, 6))
+		tb.Fatal(err)
 	}
 	ctx := context.Background()
-	for _, j := range jobs {
+	var jobs []*Job
+	for i := 0; i < 8; i++ {
+		j := wideJob(tb, e, fmt.Sprintf("job%d", i), 4, 6)
 		if err := e.Submit(ctx, j); err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
+		jobs = append(jobs, j)
 	}
 	for _, j := range jobs {
 		if _, err := j.Wait(ctx); err != nil {
-			b.Fatalf("job %s: %v", j.Name, err)
+			tb.Fatalf("job %s: %v", j.Name, err)
 		}
 	}
 	if err := e.Shutdown(ctx); err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	return log.Events()
+}
+
+// TestSingleWorkerSessionDeterministic: with one worker, a job's event log
+// is a pure function of the seed, even when each job is created while the
+// one before it runs and crosses the plan's crash. Build-time TaskQueued
+// events interleave on the bus across jobs, so logs are compared per job
+// with Seq zeroed.
+func TestSingleWorkerSessionDeterministic(t *testing.T) {
+	perJob := func() map[string][]string {
+		logs := map[string][]string{}
+		for _, ev := range sessionEvents(t) {
+			ev.Seq = 0
+			logs[ev.Job] = append(logs[ev.Job], ev.String())
+		}
+		return logs
+	}
+	want := perJob()
+	for run := 1; run < 8; run++ {
+		got := perJob()
+		for job, log := range want {
+			if !slices.Equal(got[job], log) {
+				t.Fatalf("run %d: %s logged %d events, not the %d of run 0", run, job, len(got[job]), len(log))
+			}
+		}
+		if len(got) != len(want) {
+			t.Fatalf("run %d: %d jobs logged, want %d", run, len(got), len(want))
+		}
+	}
 }
 
 // benchFold times folding the logged session through a fresh fold per

@@ -70,9 +70,8 @@ func dispatchCase(t *testing.T, capW energy.Watts, arm func(*Runtime, *power.Led
 	t.Helper()
 	eng := sim.NewEngine()
 	devs := wideDevices(eng)
-	rt := New(eng, devs, MinEDP)
 	led := power.NewLedger(capW, devs, power.PackAndThrottle)
-	rt.SetAdmission(led)
+	rt := New(eng, devs, MinEDP, led)
 	kinds := map[obs.Kind]int{}
 	rt.SetSink(func(e obs.Event) { kinds[e.Kind]++ })
 	if arm != nil {
@@ -193,8 +192,7 @@ func BenchmarkDispatch(b *testing.B) {
 				b.StopTimer()
 				eng := sim.NewEngine()
 				devs := wideDevices(eng)
-				rt := New(eng, devs, MinEDP)
-				rt.SetAdmission(power.NewLedger(0, devs, power.RaceToIdle))
+				rt := standalone(eng, devs, MinEDP)
 				if err := wideDAG(rt, rand.New(rand.NewSource(1)), 10, n/10); err != nil {
 					b.Fatal(err)
 				}
@@ -261,9 +259,8 @@ func checkQueue(t *testing.T, rt *Runtime) {
 func TestDeviceLossRequeuesOnce(t *testing.T) {
 	eng := sim.NewEngine()
 	devs := wideDevices(eng)
-	rt := New(eng, devs, MinEDP)
 	led := power.NewLedger(0, devs, power.RaceToIdle)
-	rt.SetAdmission(led)
+	rt := New(eng, devs, MinEDP, led)
 	// A backoff near a layer's span lets a revoked task's invalidated
 	// predecessor re-run and re-release it while its backoff is pending.
 	rt.SetRetryPolicy(3, 2*time.Second)
@@ -332,11 +329,10 @@ func TestShapeReadsByDeviceID(t *testing.T) {
 		{ID: "arm0", Spec: hw.ARMv8Server()},
 		{ID: "cpu0", Spec: hw.XeonD()},
 	}
-	rt := New(eng, mirror, MinEDP)
-	rt.SetAdmission(led)
+	rt := New(eng, mirror, MinEDP, led)
 	check := func(what string) {
 		t.Helper()
-		rt.readCapacity()
+		rt.refreshShape()
 		for i, d := range mirror {
 			if rt.capacity[i] != led.Capacity(d.ID) || rt.points[i] != led.OperatingPoint(d.ID) {
 				t.Fatalf("%s: %s reads (%d cores, point %d), ledger has (%d, %d)", what, d.ID,

@@ -1,9 +1,13 @@
 package taskrt
 
 import (
+	"context"
+	"errors"
 	"testing"
+	"time"
 
 	"legato/internal/hw"
+	"legato/internal/power"
 	"legato/internal/sim"
 )
 
@@ -13,7 +17,7 @@ func TestFailedDeviceAvoided(t *testing.T) {
 	eng := sim.NewEngine()
 	xeon := &hw.Device{ID: "cpu0", Spec: hw.XeonD()}
 	arm := &hw.Device{ID: "arm0", Spec: hw.ARMv8Server()}
-	rt := New(eng, []*hw.Device{xeon, arm}, MinTime)
+	rt := standalone(eng, []*hw.Device{xeon, arm}, MinTime)
 	rt.MarkLost("cpu0")
 	_ = rt.Submit(Task{Name: "t", Gops: 10})
 	res, err := rt.Run()
@@ -30,7 +34,7 @@ func TestFailedDeviceAvoided(t *testing.T) {
 func TestAllDevicesFailedErrors(t *testing.T) {
 	eng := sim.NewEngine()
 	d := &hw.Device{ID: "cpu0", Spec: hw.XeonD()}
-	rt := New(eng, []*hw.Device{d}, MinTime)
+	rt := standalone(eng, []*hw.Device{d}, MinTime)
 	rt.MarkLost("cpu0")
 	_ = rt.Submit(Task{Name: "t", Gops: 1})
 	if _, err := rt.Run(); err == nil {
@@ -43,7 +47,7 @@ func TestAllDevicesFailedErrors(t *testing.T) {
 func TestWideTaskQueuesBehindNarrow(t *testing.T) {
 	eng := sim.NewEngine()
 	dev := &hw.Device{ID: "cpu0", Spec: hw.XeonD()} // 16 cores
-	rt := New(eng, []*hw.Device{dev}, MinTime)
+	rt := standalone(eng, []*hw.Device{dev}, MinTime)
 	var wideStart sim.Time
 	_ = rt.Submit(Task{Name: "narrow", Gops: 100, Cores: 10})
 	_ = rt.Submit(Task{Name: "wide", Gops: 10, Cores: 16,
@@ -67,7 +71,7 @@ func TestWideTaskQueuesBehindNarrow(t *testing.T) {
 func TestZeroGopsTaskCompletesInstantly(t *testing.T) {
 	eng := sim.NewEngine()
 	dev := &hw.Device{ID: "cpu0", Spec: hw.XeonD()}
-	rt := New(eng, []*hw.Device{dev}, MinTime)
+	rt := standalone(eng, []*hw.Device{dev}, MinTime)
 	a := rt.Data("a", 8)
 	ran := false
 	_ = rt.Submit(Task{Name: "w", Gops: 5, Out: []*Data{a}})
@@ -90,5 +94,61 @@ func TestZeroGopsTaskCompletesInstantly(t *testing.T) {
 	}
 	if vStart < wEnd {
 		t.Fatal("zero-cost task jumped its dependence")
+	}
+}
+
+// cancelOnResume is the fleet as a runtime sees it whose ctx fires the
+// moment its suspension ends.
+type cancelOnResume struct {
+	*power.Ledger
+	cancel func()
+}
+
+func (c cancelOnResume) Reacquire(devs []*hw.Device, grants []int) bool {
+	ok := c.Ledger.Reacquire(devs, grants)
+	if ok {
+		c.cancel()
+	}
+	return ok
+}
+
+// TestCancelOnResumeReleasesCores: a run cancelled just as it resumes from
+// suspension, with its stalled placement reserved, leaves no core claimed
+// on any device.
+func TestCancelOnResumeReleasesCores(t *testing.T) {
+	eng := sim.NewEngine()
+	devs := twoCPUs(eng)
+	led := power.NewLedger(0, devs, power.RaceToIdle)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	rt := New(eng, devs, MinTime, cancelOnResume{led, cancel})
+	if err := chain(rt, 4, 20); err != nil {
+		t.Fatal(err)
+	}
+	// A sibling's grants fill every device.
+	for _, d := range devs {
+		if led.Claim(d.ID, d.Spec.Cores, 0) != power.Granted {
+			t.Fatalf("sibling claim on %s refused", d.ID)
+		}
+	}
+	stalls := led.CoreStalls()
+	errc := make(chan error, 1)
+	go func() {
+		_, err := rt.RunContext(ctx)
+		errc <- err
+	}()
+	for led.CoreStalls() == stalls {
+		time.Sleep(10 * time.Microsecond)
+	}
+	for _, d := range devs {
+		led.Release(d.ID, d.Spec.Cores, 0)
+	}
+	if err := <-errc; !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	for _, d := range devs {
+		if n := led.InUse(d.ID); n != 0 {
+			t.Fatalf("%d cores of %s left in use after the cancelled run", n, d.ID)
+		}
 	}
 }

@@ -28,9 +28,8 @@ func moldRun(t *testing.T, cores int, tasks ...Task) (*Result, map[string]int, *
 	t.Helper()
 	eng := sim.NewEngine()
 	devs := []*hw.Device{moldCPU(eng, "cpu", cores)}
-	rt := New(eng, devs, MinTime)
 	led := power.NewLedger(0, devs, power.RaceToIdle)
-	rt.SetAdmission(led)
+	rt := New(eng, devs, MinTime, led)
 	widths := map[string]int{}
 	rt.SetSink(func(e obs.Event) {
 		if e.Kind == obs.TaskPlaced {
@@ -150,9 +149,8 @@ func TestMoldableReplacementsUsePlacedWidth(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			eng := sim.NewEngine()
 			devs := []*hw.Device{moldCPU(eng, "big", 16), moldCPU(eng, "small", 8)}
-			rt := New(eng, devs, MinTime)
 			led := power.NewLedger(0, devs, power.RaceToIdle)
-			rt.SetAdmission(led)
+			rt := New(eng, devs, MinTime, led)
 			rt.SetHedging(HedgePolicy{Multiplier: 1.5})
 			rt.SetRetryPolicy(1, time.Millisecond)
 			var placed []float64
@@ -186,7 +184,7 @@ func TestMoldableReplacementsUsePlacedWidth(t *testing.T) {
 
 func TestMoldableSubmitValidation(t *testing.T) {
 	eng := sim.NewEngine()
-	rt := New(eng, []*hw.Device{moldCPU(eng, "cpu", 8)}, MinTime)
+	rt := standalone(eng, []*hw.Device{moldCPU(eng, "cpu", 8)}, MinTime)
 	for _, task := range []Task{
 		molded("narrow-max", 10, 4, 2, 0.5),
 		molded("frac-high", 10, 1, 8, 1.5),

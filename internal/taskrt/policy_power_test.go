@@ -19,7 +19,7 @@ func placeOne(t *testing.T, specs []hw.Spec, policy Policy, gops float64, cores 
 	for i, sp := range specs {
 		devs = append(devs, &hw.Device{ID: fmt.Sprintf("d%d", i), Spec: sp})
 	}
-	rt := New(clock, devs, policy)
+	rt := standalone(clock, devs, policy)
 	out := rt.Data("out", 64)
 	if err := rt.Submit(Task{Name: "probe", Gops: gops, Cores: cores, Out: []*Data{out}}); err != nil {
 		t.Fatal(err)
@@ -123,7 +123,7 @@ func TestUndervoltScoringAndRecord(t *testing.T) {
 	run := func(level int) Record {
 		clock := sim.NewEngine()
 		devs := []*hw.Device{{ID: "d0", Spec: spec}}
-		rt := New(clock, devs, MinEnergy)
+		rt := standalone(clock, devs, MinEnergy)
 		out := rt.Data("out", 64)
 		if err := rt.Submit(Task{Name: "probe", Gops: 100, Cores: 1, Undervolt: level, Out: []*Data{out}}); err != nil {
 			t.Fatal(err)
@@ -149,7 +149,7 @@ func TestUndervoltScoringAndRecord(t *testing.T) {
 
 	// Out-of-range levels are rejected at submission.
 	clock := sim.NewEngine()
-	rt := New(clock, []*hw.Device{{ID: "d0", Spec: spec}}, MinEnergy)
+	rt := standalone(clock, []*hw.Device{{ID: "d0", Spec: spec}}, MinEnergy)
 	if err := rt.Submit(Task{Name: "bad", Gops: 1, Cores: 1, Undervolt: 99}); err == nil {
 		t.Fatal("submit accepted an out-of-range undervolt level")
 	}

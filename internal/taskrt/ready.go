@@ -195,7 +195,7 @@ func (r *Runtime) dispatch() {
 	if r.nready == 0 {
 		return
 	}
-	r.readCapacity()
+	r.refreshShape()
 	r.measureFree()
 	defer r.restock()
 	for {
@@ -274,19 +274,10 @@ func (r *Runtime) restock() {
 	r.aside = r.aside[:0]
 }
 
-// readCapacity brings r.capacity up to date with the fleet ledger. It is
-// the one place the runtime reads fleet capacity; without a ledger the
-// runtime owns its devices whole and capacity stays each device's core
-// count.
-func (r *Runtime) readCapacity() {
-	if r.adm != nil {
-		r.refreshShape()
-	}
-}
-
 // refreshShape re-reads fleet capacity and operating points when the
 // ledger's shape epoch moved since the last read: one atomic load when it
-// did not, which is every round of an uncapped, fault-free session.
+// did not, which is every round of an uncapped, fault-free session. It is
+// the one place the runtime reads the fleet's shape.
 func (r *Runtime) refreshShape() {
 	if e := r.adm.Epoch(); e != r.epoch {
 		r.epoch = r.adm.Shape(r.devices, r.capacity, r.points)

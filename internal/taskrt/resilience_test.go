@@ -41,7 +41,7 @@ func chain(rt *Runtime, n int, gops float64) error {
 func TestCrashRevokesAndRetries(t *testing.T) {
 	eng := sim.NewEngine()
 	devs := twoCPUs(eng)
-	rt := New(eng, devs, MinTime)
+	rt := standalone(eng, devs, MinTime)
 	rt.SetRetryPolicy(3, time.Millisecond)
 	if err := rt.Submit(Task{Name: "work", Gops: 100}); err != nil {
 		t.Fatal(err)
@@ -73,7 +73,7 @@ func TestCrashRevokesAndRetries(t *testing.T) {
 func TestDeviceLostAborts(t *testing.T) {
 	eng := sim.NewEngine()
 	devs := twoCPUs(eng)
-	rt := New(eng, devs, MinTime)
+	rt := standalone(eng, devs, MinTime)
 	rt.SetRetryPolicy(5, time.Millisecond)
 	if err := rt.Submit(Task{Name: "work", Gops: 100}); err != nil {
 		t.Fatal(err)
@@ -91,7 +91,7 @@ func TestDeviceLostAborts(t *testing.T) {
 func TestRetriesExhausted(t *testing.T) {
 	eng := sim.NewEngine()
 	devs := twoCPUs(eng)
-	rt := New(eng, devs, MinTime)
+	rt := standalone(eng, devs, MinTime)
 	rt.SetRetryPolicy(2, time.Millisecond)
 	rt.SetCorruptor(func(Record) bool { return true })
 	if err := rt.Submit(Task{Name: "doomed", Gops: 10, Critical: true}); err != nil {
@@ -108,7 +108,7 @@ func TestRetriesExhausted(t *testing.T) {
 func TestSDCDetectionSemantics(t *testing.T) {
 	eng := sim.NewEngine()
 	devs := twoCPUs(eng)
-	rt := New(eng, devs, MinTime)
+	rt := standalone(eng, devs, MinTime)
 	rt.SetRetryPolicy(3, time.Millisecond)
 	first := true
 	rt.SetCorruptor(func(Record) bool {
@@ -131,7 +131,7 @@ func TestSDCDetectionSemantics(t *testing.T) {
 	}
 
 	eng2 := sim.NewEngine()
-	rt2 := New(eng2, twoCPUs(eng2), MinTime)
+	rt2 := standalone(eng2, twoCPUs(eng2), MinTime)
 	first2 := true
 	rt2.SetCorruptor(func(Record) bool {
 		hit := first2
@@ -160,7 +160,7 @@ func TestCheckpointLimitsRestores(t *testing.T) {
 	run := func(ckptEvery int) (*Result, error) {
 		eng := sim.NewEngine()
 		devs := twoCPUs(eng)
-		rt := New(eng, devs, MinTime)
+		rt := standalone(eng, devs, MinTime)
 		rt.SetRetryPolicy(3, time.Millisecond)
 		if ckptEvery > 0 {
 			rt.SetCheckpoint(ckptEvery,
@@ -209,7 +209,7 @@ func TestCheckpointLimitsRestores(t *testing.T) {
 func TestFaultAfterCompletionCancelled(t *testing.T) {
 	eng := sim.NewEngine()
 	devs := twoCPUs(eng)
-	rt := New(eng, devs, MinTime)
+	rt := standalone(eng, devs, MinTime)
 	if err := chain(rt, 3, 10); err != nil {
 		t.Fatal(err)
 	}
@@ -234,7 +234,7 @@ func TestFaultAfterCompletionCancelled(t *testing.T) {
 func TestResilienceSink(t *testing.T) {
 	eng := sim.NewEngine()
 	devs := twoCPUs(eng)
-	rt := New(eng, devs, MinTime)
+	rt := standalone(eng, devs, MinTime)
 	rt.SetRetryPolicy(3, time.Millisecond)
 	rt.SetCheckpoint(1, func(int64) sim.Time { return 0 }, nil)
 	var retried, lost, begins, commits int

@@ -28,7 +28,7 @@ func tailDevices(eng *sim.Engine) []*hw.Device {
 // cancelled primary's burned energy is accounted as hedge waste.
 func TestStragglerHedgeWins(t *testing.T) {
 	eng := sim.NewEngine()
-	rt := New(eng, tailDevices(eng), MinTime)
+	rt := standalone(eng, tailDevices(eng), MinTime)
 	rt.SetHedging(HedgePolicy{Multiplier: 1.5})
 	rt.ScheduleFault(time.Millisecond, func() { rt.DegradeDevice("fast", 4) })
 	if err := rt.Submit(Task{Name: "work", Gops: 100, Cores: 1}); err != nil {
@@ -62,7 +62,7 @@ func TestStragglerHedgeWins(t *testing.T) {
 // runs the task to its stretched completion, unnoticed.
 func TestNoHedgingNoWatchdog(t *testing.T) {
 	eng := sim.NewEngine()
-	rt := New(eng, tailDevices(eng), MinTime)
+	rt := standalone(eng, tailDevices(eng), MinTime)
 	rt.ScheduleFault(time.Millisecond, func() { rt.DegradeDevice("fast", 4) })
 	if err := rt.Submit(Task{Name: "work", Gops: 100, Cores: 1}); err != nil {
 		t.Fatal(err)
@@ -89,7 +89,7 @@ func TestNoHedgingNoWatchdog(t *testing.T) {
 // is the only cost.
 func TestPrimaryBeatsHedge(t *testing.T) {
 	eng := sim.NewEngine()
-	rt := New(eng, tailDevices(eng), MinTime)
+	rt := standalone(eng, tailDevices(eng), MinTime)
 	rt.SetHedging(HedgePolicy{Multiplier: 1.5})
 	// 1.6x: finishes at ~6.4 s, just after the 6 s watchdog; the backup
 	// replica would need until ~11.56 s.
@@ -118,7 +118,7 @@ func TestPrimaryBeatsHedge(t *testing.T) {
 // replica to sole execution — no retry, no extra attempt.
 func TestHedgePromotedOnPrimaryDeviceLoss(t *testing.T) {
 	eng := sim.NewEngine()
-	rt := New(eng, tailDevices(eng), MinTime)
+	rt := standalone(eng, tailDevices(eng), MinTime)
 	rt.SetHedging(HedgePolicy{Multiplier: 1.5})
 	rt.ScheduleFault(time.Millisecond, func() { rt.DegradeDevice("fast", 4) })
 	// Watchdog fires at 6 s; kill the straggling primary's device at 8 s.
@@ -153,11 +153,10 @@ func TestHedgePromotedOnPrimaryDeviceLoss(t *testing.T) {
 func TestHedgeDeniedByPowerCap(t *testing.T) {
 	eng := sim.NewEngine()
 	devs := tailDevices(eng)
-	rt := New(eng, devs, MinTime)
 	// Idle floor 31 W; the primary's 1-core draw on fast is ~4.06 W. A
 	// 36 W cap admits the primary (35.06 W) but not the backup replica's
 	// extra 2.25 W.
-	rt.SetAdmission(power.NewLedger(36, devs, power.RaceToIdle))
+	rt := New(eng, devs, MinTime, power.NewLedger(36, devs, power.RaceToIdle))
 	rt.SetHedging(HedgePolicy{Multiplier: 1.5})
 	rt.ScheduleFault(time.Millisecond, func() { rt.DegradeDevice("fast", 4) })
 	if err := rt.Submit(Task{Name: "work", Gops: 100, Cores: 1}); err != nil {
@@ -183,7 +182,7 @@ func TestHedgeDeniedByPowerCap(t *testing.T) {
 // is still unfinished at its (virtual-clock) deadline.
 func TestDeadlineStrict(t *testing.T) {
 	eng := sim.NewEngine()
-	rt := New(eng, tailDevices(eng), MinTime)
+	rt := standalone(eng, tailDevices(eng), MinTime)
 	if err := rt.Submit(Task{Name: "late", Gops: 100, Cores: 1, Deadline: time.Second}); err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +197,7 @@ func TestDeadlineStrict(t *testing.T) {
 // released so the graph drains.
 func TestDeadlineShedUnstartedTask(t *testing.T) {
 	eng := sim.NewEngine()
-	rt := New(eng, tailDevices(eng), MinTime)
+	rt := standalone(eng, tailDevices(eng), MinTime)
 	rt.SetDeadlineMode(DeadlineShed)
 	d := rt.Data("d", 1<<10)
 	out := rt.Data("out", 1<<10)
@@ -246,7 +245,7 @@ func TestDeadlineShedUnstartedTask(t *testing.T) {
 // runs to completion.
 func TestDeadlineShedBestEffortsStartedTask(t *testing.T) {
 	eng := sim.NewEngine()
-	rt := New(eng, tailDevices(eng), MinTime)
+	rt := standalone(eng, tailDevices(eng), MinTime)
 	rt.SetDeadlineMode(DeadlineShed)
 	if err := rt.Submit(Task{Name: "running", Gops: 100, Cores: 1, Deadline: 2 * time.Second}); err != nil {
 		t.Fatal(err)
@@ -270,7 +269,7 @@ func TestDeadlineShedBestEffortsStartedTask(t *testing.T) {
 // Submit rejects malformed task specs with the typed sentinel.
 func TestSubmitValidatesTaskSpec(t *testing.T) {
 	eng := sim.NewEngine()
-	rt := New(eng, tailDevices(eng), MinTime)
+	rt := standalone(eng, tailDevices(eng), MinTime)
 	for _, tc := range []struct {
 		name string
 		task Task

@@ -112,7 +112,7 @@ const (
 // Shape fills, per device, the current total cores (zero for a lost or
 // unknown device) and the governor's current DVFS prescription, and
 // returns the epoch they belong to; Epoch moves whenever either changes.
-// Capacity lets runtimes tell transient contention (park and wait) from
+// Shape's cores let runtimes tell transient contention (park and wait) from
 // permanent loss (re-place or fail with ErrDeviceLost); the prescription
 // is applied before scoring. Changed and Epoch are read on every dispatch
 // round, so they should be cheap. Capped reports
@@ -288,8 +288,7 @@ func (r *Runtime) taskDrawW(t *Task, di, width int) energy.Watts {
 type exec struct {
 	dev      int // index into Runtime.devices
 	cores    int
-	watts    energy.Watts // watt-ledger grant held (0 without a power ledger)
-	draw     energy.Watts // modelled dynamic draw (waste accounting)
+	watts    energy.Watts // dynamic draw granted by the ledger and held
 	energy   energy.Joules
 	start    sim.Time
 	expected sim.Time // clean cost-model span, before any silent slowdown
@@ -401,7 +400,7 @@ type Runtime struct {
 	aside    []*node         // dispatch call: popped, not placed, retried after each placement
 
 	state   []devState      // per-device run state, indexed like devices
-	adm     Admission       // nil: sole owner of its devices, no watt budget
+	adm     Admission       // the fleet ledger every placement claims from
 	capped  bool            // adm has a finite watt budget
 	sink    func(obs.Event) // lifecycle observer (nil: none)
 	blocked bool            // a ready task lost admission this dispatch round
@@ -430,19 +429,24 @@ type Runtime struct {
 	counts obs.Counts // lifecycle tally, folded from every emitted event
 }
 
-// New creates a runtime over the given devices, each at its nominal DVFS
-// point and alive. It only reads them, so concurrent runtimes may share
-// them; MarkLost starts a run with a device already lost.
-func New(eng *sim.Engine, devices []*hw.Device, policy Policy) *Runtime {
+// New creates a runtime over the given devices, each alive and at the
+// operating point adm prescribes. Every placement claims its cores and
+// draw from adm: the fleet ledger shared by concurrent runtimes, or for a
+// runtime alone an uncapped power.Ledger over its own devices. The runtime
+// only reads the devices, so concurrent runtimes may share them; MarkLost
+// starts a run with a device already lost.
+func New(eng *sim.Engine, devices []*hw.Device, policy Policy, adm Admission) *Runtime {
 	r := &Runtime{
 		eng: eng, devices: devices, policy: policy,
+		adm: adm, capped: adm.Capped(),
 		capacity:     make([]int, len(devices)),
+		points:       make([]int, len(devices)),
 		state:        make([]devState, len(devices)),
 		running:      make(map[*node]struct{}),
 		retryBackoff: time.Millisecond,
 	}
-	for i, d := range devices {
-		r.capacity[i] = d.Spec.Cores
+	r.epoch = adm.Shape(devices, r.capacity, r.points)
+	for i := range r.state {
 		r.state[i] = devState{slowdown: 1}
 	}
 	return r
@@ -455,19 +459,6 @@ func New(eng *sim.Engine, devices []*hw.Device, policy Policy) *Runtime {
 func (r *Runtime) MarkLost(id string) {
 	if i := r.deviceIndex(id); i >= 0 && !r.state[i].lost {
 		r.state[i].lost, r.state[i].lostAt = true, r.eng.Now()
-	}
-}
-
-// SetAdmission installs the shared fleet ledger. Must be called before the
-// first Submit. With no admission the runtime assumes exclusive ownership
-// of its devices and places under no watt budget, which is the historical
-// single-tenant behaviour.
-func (r *Runtime) SetAdmission(a Admission) {
-	r.adm = a
-	r.capped = a != nil && a.Capped()
-	if a != nil {
-		r.points = make([]int, len(r.devices))
-		r.epoch = a.Shape(r.devices, r.capacity, r.points)
 	}
 }
 
@@ -796,9 +787,6 @@ func (r *Runtime) readyGops(n *node) float64 {
 // were scheduled with; only new placements are reshaped — the DVFS
 // transition model.
 func (r *Runtime) applyOperatingPoints() {
-	if r.adm == nil {
-		return
-	}
 	r.refreshShape()
 	for i, dev := range r.devices {
 		st, p := &r.state[i], r.points[i]
@@ -815,8 +803,9 @@ func (r *Runtime) applyOperatingPoints() {
 }
 
 // place tries to start n on its best-scoring device now. Capacity comes
-// from the call's readCapacity snapshot; Claim stays the authority, so a
-// capacity change racing with the snapshot is caught at admission.
+// from the dispatch call's refreshShape snapshot; Claim stays the
+// authority, so a capacity change racing with the snapshot is caught at
+// admission.
 func (r *Runtime) place(n *node) outcome {
 	t := &n.task
 	ready := 0.0
@@ -839,33 +828,30 @@ func (r *Runtime) place(n *node) outcome {
 	if best == -1 {
 		return skipped // no device free for this task right now
 	}
-	watts := energy.Watts(0)
-	if r.adm != nil {
-		watts = r.taskDrawW(t, best, width)
-		switch r.claim(best, width, watts) {
-		case power.NoCores:
-			if r.state[best].cores+width <= r.capacity[best] {
-				// Only sibling jobs' grants stand in the way. End the
-				// round here so RunContext suspends the job at this
-				// instant instead of stepping on (see suspend).
-				r.stalled = grant{best, width}
-				return stalled
-			}
-			// The device shrank under this job's own grants: leave the
-			// task queued until they come back.
-			r.blocked = true
-			return skipped
-		case power.NoWatts:
-			// The placement fits the core budget but not the watt budget:
-			// park. A PackAndThrottle governor may have stepped the device
-			// down, so the next attempt re-scores at the cheaper point.
-			r.emitPower(obs.PowerRefused, n, best, watts)
-			r.blocked = true
-			r.applyOperatingPoints()
-			return skipped
+	watts := r.taskDrawW(t, best, width)
+	switch r.claim(best, width, watts) {
+	case power.NoCores:
+		if r.state[best].cores+width <= r.capacity[best] {
+			// Only sibling jobs' grants stand in the way. End the round
+			// here so RunContext suspends the job at this instant instead
+			// of stepping on (see suspend).
+			r.stalled = grant{best, width}
+			return stalled
 		}
-		r.emitPower(obs.PowerAdmitted, n, best, watts)
+		// The device shrank under this job's own grants: leave the task
+		// queued until they come back.
+		r.blocked = true
+		return skipped
+	case power.NoWatts:
+		// The placement fits the core budget but not the watt budget:
+		// park. A PackAndThrottle governor may have stepped the device
+		// down, so the next attempt re-scores at the cheaper point.
+		r.emitPower(obs.PowerRefused, n, best, watts)
+		r.blocked = true
+		r.applyOperatingPoints()
+		return skipped
 	}
+	r.emitPower(obs.PowerAdmitted, n, best, watts)
 	n.queued = false
 	r.nready--
 	r.start(n, best, width, watts)
@@ -919,7 +905,7 @@ func (r *Runtime) suspend(ctx context.Context) error {
 		changed := r.adm.Changed()
 		copy(claim, want)
 		if st.cores > 0 {
-			r.readCapacity()
+			r.refreshShape()
 			if want[st.dev]+st.cores > r.capacity[st.dev] {
 				// A sibling applied a fault meanwhile; the next round
 				// re-places the task.
@@ -957,8 +943,9 @@ func (r *Runtime) emitPower(k obs.Kind, n *node, di int, watts energy.Watts) {
 // launch builds one execution of n on device di at the given width: the
 // cores and watts are held, the completion event is scheduled (stretched
 // by any silent slowdown), and the straggler watchdog is armed. The caller
-// has already won global admission for the cores and watts, and scored the
-// device alive with the cores free; launch panics if it is not.
+// has already won admission for the cores and the watts (the task's draw
+// at this width), and scored the device alive with the cores free; launch
+// panics if it is not.
 func (r *Runtime) launch(n *node, di, width int, watts energy.Watts, hedge bool) *exec {
 	t := &n.task
 	st := &r.state[di]
@@ -974,7 +961,6 @@ func (r *Runtime) launch(n *node, di, width int, watts energy.Watts, hedge bool)
 	actual := sim.Time(float64(expected) * factor)
 	ex := &exec{
 		dev: di, cores: width, watts: watts,
-		draw:     r.taskDrawW(t, di, width),
 		energy:   energy.Joules(float64(r.energyFor(t, di, width)) * float64(power.UndervoltPowerScale(t.Undervolt)) * factor),
 		start:    now,
 		expected: expected,
@@ -990,8 +976,8 @@ func (r *Runtime) launch(n *node, di, width int, watts energy.Watts, hedge bool)
 }
 
 // start runs n on device di at the given width as the primary execution.
-// The caller has already won global admission for those cores and the
-// watts of draw when a shared ledger is installed.
+// The caller has already won admission for those cores and the watts of
+// draw.
 func (r *Runtime) start(n *node, di, width int, watts energy.Watts) {
 	t := &n.task
 	dev := r.devices[di]
@@ -1003,7 +989,7 @@ func (r *Runtime) start(n *node, di, width int, watts energy.Watts) {
 	n.record.Class = dev.Spec.Class
 	n.record.Start = n.primary.start
 	n.record.EnergyJ = n.primary.energy
-	n.record.DrawW = n.primary.draw
+	n.record.DrawW = n.primary.watts
 	n.record.Hedged = false
 	n.record.Attempts++
 	r.running[n] = struct{}{}
@@ -1015,14 +1001,12 @@ func (r *Runtime) releaseExec(ex *exec) {
 	st := &r.state[ex.dev]
 	st.cores -= ex.cores
 	st.watts -= ex.watts
-	if r.adm != nil {
-		r.adm.Release(r.devices[ex.dev].ID, ex.cores, ex.watts)
-	}
+	r.adm.Release(r.devices[ex.dev].ID, ex.cores, ex.watts)
 }
 
 // wastedJoules is the energy a cancelled execution burned up to now.
 func (r *Runtime) wastedJoules(ex *exec) energy.Joules {
-	return energy.Joules(float64(ex.draw) * sim.ToSeconds(r.eng.Now()-ex.start))
+	return energy.Joules(float64(ex.watts) * sim.ToSeconds(r.eng.Now()-ex.start))
 }
 
 // straggler is the watchdog event: ex has been running for Multiplier ×
@@ -1063,7 +1047,7 @@ func (r *Runtime) straggler(n *node, ex *exec) {
 	if n.task.Mold != nil {
 		ready = r.readyGops(n)
 	}
-	r.readCapacity()
+	r.refreshShape()
 	for di, dev := range r.devices {
 		if di == ex.dev {
 			continue
@@ -1092,22 +1076,19 @@ func (r *Runtime) straggler(n *node, ex *exec) {
 		return
 	}
 	id := r.devices[best].ID
-	watts := energy.Watts(0)
-	if r.adm != nil {
-		watts = r.taskDrawW(&n.task, best, width)
-		switch r.adm.Claim(id, width, watts) {
-		case power.NoCores:
-			rearm(id, "cores")
-			return
-		case power.NoWatts:
-			// Hedges pay their way under the power cap: a replica that does
-			// not fit the watt budget is denied, never force-admitted.
-			r.emitPower(obs.PowerRefused, n, best, watts)
-			rearm(id, "watts")
-			return
-		}
-		r.emitPower(obs.PowerAdmitted, n, best, watts)
+	watts := r.taskDrawW(&n.task, best, width)
+	switch r.adm.Claim(id, width, watts) {
+	case power.NoCores:
+		rearm(id, "cores")
+		return
+	case power.NoWatts:
+		// Hedges pay their way under the power cap: a replica that does
+		// not fit the watt budget is denied, never force-admitted.
+		r.emitPower(obs.PowerRefused, n, best, watts)
+		rearm(id, "watts")
+		return
 	}
+	r.emitPower(obs.PowerAdmitted, n, best, watts)
 	n.hedges++
 	n.hedge = r.launch(n, best, width, watts, true)
 	r.emit(obs.Event{At: now, Kind: obs.HedgeLaunched, Task: n.task.Name, Device: id, Detail: "from " + from.ID})
@@ -1158,7 +1139,7 @@ func (r *Runtime) complete(n *node, ex *exec) {
 	n.record.Class = dev.Spec.Class
 	n.record.End = now
 	n.record.EnergyJ = ex.energy
-	n.record.DrawW = ex.draw
+	n.record.DrawW = ex.watts
 	n.record.Hedged = ex.hedge
 	if r.corrupt != nil && r.corrupt(n.record) {
 		if t.Critical {
@@ -1467,12 +1448,11 @@ func (r *Runtime) Run() (*Result, error) { return r.RunContext(context.Backgroun
 // RunContext executes the submitted graph to completion, honouring ctx:
 // cancellation or deadline expiry is checked between every simulated event,
 // aborts the run with the context's error, and returns any admission grants
-// held by in-flight tasks so sibling runtimes can make progress. When the
-// runtime shares devices through an Admission ledger and a placement is
-// stalled by sibling runtimes' grants, the job suspends until capacity is
-// released elsewhere (or ctx fires) — the job's virtual clock does not
-// advance while parked (see suspend). A runtime that returned an error
-// must not be run again.
+// held by in-flight tasks so sibling runtimes can make progress. When a
+// placement is stalled by sibling runtimes' grants on the shared ledger,
+// the job suspends until capacity is released elsewhere (or ctx fires) —
+// the job's virtual clock does not advance while parked (see suspend). A
+// runtime that returned an error must not be run again.
 //
 // Failure semantics: a task that exhausts its retry budget aborts the run
 // with ErrRetriesExhausted; a task left unplaceable by device loss aborts
@@ -1493,10 +1473,7 @@ func (r *Runtime) RunContext(ctx context.Context) (*Result, error) {
 		// Grab the change channel before dispatching: a release that races
 		// with a refused Claim below closes this very channel, so the park
 		// cannot miss the wakeup.
-		var changed <-chan struct{}
-		if r.adm != nil {
-			changed = r.adm.Changed()
-		}
+		changed := r.adm.Changed()
 		r.blocked = false
 		r.stalled = grant{}
 		r.dispatch()
@@ -1518,7 +1495,7 @@ func (r *Runtime) RunContext(ctx context.Context) (*Result, error) {
 		if r.inDAG == 0 {
 			break
 		}
-		if r.blocked && r.adm != nil {
+		if r.blocked {
 			select {
 			case <-changed:
 			case <-ctx.Done():
@@ -1559,7 +1536,7 @@ func (r *Runtime) stuckErr(n *node) error {
 		cores = 1
 	}
 	lost := false
-	r.readCapacity()
+	r.refreshShape()
 	for di, d := range r.devices {
 		if d.Spec.Cores < cores || !classMatch(&n.task, d.Spec.Class) {
 			continue
@@ -1578,9 +1555,6 @@ func (r *Runtime) stuckErr(n *node) error {
 // by in-flight tasks or reserved by suspend, so a cancelled job cannot
 // strand fleet capacity or watt budget.
 func (r *Runtime) releaseHeld() {
-	if r.adm == nil {
-		return
-	}
 	r.dropReserve()
 	for i := range r.state {
 		if h := &r.state[i]; h.cores > 0 || h.watts > 0 {

@@ -6,8 +6,15 @@ import (
 	"testing/quick"
 
 	"legato/internal/hw"
+	"legato/internal/power"
 	"legato/internal/sim"
 )
+
+// standalone builds a runtime that owns its devices alone: it claims from
+// an uncapped ledger over them, which no sibling shares.
+func standalone(eng *sim.Engine, devs []*hw.Device, policy Policy) *Runtime {
+	return New(eng, devs, policy, power.NewLedger(0, devs, power.RaceToIdle))
+}
 
 func devices(eng *sim.Engine) []*hw.Device {
 	return []*hw.Device{
@@ -19,7 +26,7 @@ func devices(eng *sim.Engine) []*hw.Device {
 
 func TestSimpleChainOrder(t *testing.T) {
 	eng := sim.NewEngine()
-	rt := New(eng, devices(eng), MinTime)
+	rt := standalone(eng, devices(eng), MinTime)
 	a := rt.Data("A", 1024)
 	var order []string
 	mk := func(name string, in, out []*Data) Task {
@@ -50,7 +57,7 @@ func TestSimpleChainOrder(t *testing.T) {
 func TestIndependentTasksRunInParallel(t *testing.T) {
 	eng := sim.NewEngine()
 	devs := devices(eng)
-	rt := New(eng, devs, MinTime)
+	rt := standalone(eng, devs, MinTime)
 	for i := 0; i < 3; i++ {
 		if err := rt.Submit(Task{Name: "t", Gops: 100}); err != nil {
 			t.Fatal(err)
@@ -84,7 +91,7 @@ func TestIndependentTasksRunInParallel(t *testing.T) {
 
 func TestReadersShareThenWriterWaits(t *testing.T) {
 	eng := sim.NewEngine()
-	rt := New(eng, devices(eng), MinTime)
+	rt := standalone(eng, devices(eng), MinTime)
 	a := rt.Data("A", 8)
 	var writerStart sim.Time
 	readerEnds := []sim.Time{}
@@ -108,7 +115,7 @@ func TestReadersShareThenWriterWaits(t *testing.T) {
 func TestTargetRestriction(t *testing.T) {
 	eng := sim.NewEngine()
 	devs := devices(eng)
-	rt := New(eng, devs, MinTime)
+	rt := standalone(eng, devs, MinTime)
 	_ = rt.Submit(Task{Name: "gpu-only", Gops: 10, Targets: []hw.Class{hw.GPU}})
 	res, err := rt.Run()
 	if err != nil {
@@ -121,7 +128,7 @@ func TestTargetRestriction(t *testing.T) {
 
 func TestNoCompatibleDeviceFails(t *testing.T) {
 	eng := sim.NewEngine()
-	rt := New(eng, devices(eng), MinTime)
+	rt := standalone(eng, devices(eng), MinTime)
 	_ = rt.Submit(Task{Name: "fpga-only", Gops: 1, Targets: []hw.Class{hw.FPGA}})
 	if _, err := rt.Run(); err == nil {
 		t.Fatal("task without compatible device should fail the run")
@@ -131,7 +138,7 @@ func TestNoCompatibleDeviceFails(t *testing.T) {
 func TestMinEnergyPrefersEfficientDevice(t *testing.T) {
 	eng := sim.NewEngine()
 	devs := devices(eng)
-	rt := New(eng, devs, MinEnergy)
+	rt := standalone(eng, devs, MinEnergy)
 	// A small task: the ARM part costs least dynamic energy per gop among
 	// CPU classes; energy policy must not pick the Xeon.
 	_ = rt.Submit(Task{Name: "t", Gops: 10, Targets: []hw.Class{hw.CPUx86, hw.CPUARM}})
@@ -144,7 +151,7 @@ func TestMinEnergyPrefersEfficientDevice(t *testing.T) {
 	}
 
 	eng2 := sim.NewEngine()
-	rt2 := New(eng2, devices(eng2), MinTime)
+	rt2 := standalone(eng2, devices(eng2), MinTime)
 	_ = rt2.Submit(Task{Name: "t", Gops: 10, Targets: []hw.Class{hw.CPUx86, hw.CPUARM}})
 	res2, err := rt2.Run()
 	if err != nil {
@@ -158,7 +165,7 @@ func TestMinEnergyPrefersEfficientDevice(t *testing.T) {
 func TestEnergyPolicySavesEnergy(t *testing.T) {
 	build := func(policy Policy) *Result {
 		eng := sim.NewEngine()
-		rt := New(eng, devices(eng), policy)
+		rt := standalone(eng, devices(eng), policy)
 		for i := 0; i < 20; i++ {
 			_ = rt.Submit(Task{Name: "t", Gops: 20})
 		}
@@ -184,7 +191,7 @@ func TestPriorityBreaksTies(t *testing.T) {
 	spec := hw.ApalisARM()
 	spec.Cores = 1
 	dev := &hw.Device{ID: "solo", Spec: spec}
-	rt := New(eng, []*hw.Device{dev}, MinTime)
+	rt := standalone(eng, []*hw.Device{dev}, MinTime)
 	var order []string
 	for _, c := range []struct {
 		name string
@@ -206,7 +213,7 @@ func TestPriorityBreaksTies(t *testing.T) {
 func TestCoresRequestRespected(t *testing.T) {
 	eng := sim.NewEngine()
 	dev := &hw.Device{ID: "cpu", Spec: hw.XeonD()} // 16 cores
-	rt := New(eng, []*hw.Device{dev}, MinTime)
+	rt := standalone(eng, []*hw.Device{dev}, MinTime)
 	_ = rt.Submit(Task{Name: "wide", Gops: 160, Cores: 16})
 	res, err := rt.Run()
 	if err != nil {
@@ -215,7 +222,7 @@ func TestCoresRequestRespected(t *testing.T) {
 	wide := res.Records[0].End - res.Records[0].Start
 	eng2 := sim.NewEngine()
 	dev2 := &hw.Device{ID: "cpu", Spec: hw.XeonD()}
-	rt2 := New(eng2, []*hw.Device{dev2}, MinTime)
+	rt2 := standalone(eng2, []*hw.Device{dev2}, MinTime)
 	_ = rt2.Submit(Task{Name: "narrow", Gops: 160, Cores: 1})
 	res2, err := rt2.Run()
 	if err != nil {
@@ -233,7 +240,7 @@ func TestRandomDAGRespectsDependences(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	f := func() bool {
 		eng := sim.NewEngine()
-		rt := New(eng, devices(eng), Policy(rng.Intn(3)))
+		rt := standalone(eng, devices(eng), Policy(rng.Intn(3)))
 		nData := 1 + rng.Intn(5)
 		data := make([]*Data, nData)
 		for i := range data {
