@@ -14,7 +14,10 @@
 //     of all placements never oversubscribes a device or breaches the cap;
 //   - jobs are context-aware end to end: submission contexts carry
 //     cancellation and per-job deadlines into the scheduler loop, and
-//     Shutdown drains gracefully.
+//     Shutdown drains gracefully;
+//   - the engine holds a job only while it is queued or running: once it
+//     is terminal, its runtime and trace live as long as the caller's
+//     handle does, so a long session does not grow with the jobs it ran.
 //
 // Fleet-time accounting: the engine maintains one virtual "lane" per
 // worker and charges each completed job's makespan to the least-loaded
@@ -141,7 +144,9 @@ func (s State) String() string {
 	}
 }
 
-// Job is one task graph scheduled by the engine.
+// Job is one task graph scheduled by the engine. The engine forgets a job
+// once it is terminal: only the caller's *Job keeps its runtime, graph and
+// trace alive.
 type Job struct {
 	ID   int
 	Name string
@@ -159,6 +164,8 @@ type Job struct {
 	err      error
 	fleetPos sim.Time // fleet-clock position at which the job began
 	done     chan struct{}
+	// inflightIdx indexes Engine.inflight while queued or running (Engine.mu).
+	inflightIdx int
 }
 
 // Runtime exposes the job's private scheduler for task submission. It must
@@ -305,13 +312,13 @@ type Engine struct {
 	queue    chan *Job
 	wg       sync.WaitGroup
 
-	mu     sync.Mutex
-	jobs   []*Job
-	nextID int
-	closed bool
-	lanes  []sim.Time // per-slot fleet clocks (see package doc)
-	losses []loss     // fault-plan crashes, in the order jobs crossed them
-	stats  Stats
+	mu       sync.Mutex
+	inflight []*Job // queued and running jobs, in no order (see Job.inflightIdx)
+	nextID   int
+	closed   bool
+	lanes    []sim.Time // per-slot fleet clocks (see package doc)
+	losses   []loss     // fault-plan crashes, in the order jobs crossed them
+	stats    Stats
 }
 
 // loss is a device crash of the fault plan. It happens at the plan's
@@ -389,7 +396,6 @@ func (e *Engine) NewJob(name string) (*Job, error) {
 		rt: rt, tracer: trace.New(clock), eng: e,
 		done: make(chan struct{}),
 	}
-	e.jobs = append(e.jobs, j)
 	e.mu.Unlock()
 
 	rt.SetSink(e.sink(j))
@@ -618,6 +624,8 @@ func (e *Engine) Submit(ctx context.Context, j *Job) error {
 	e.stats.JobsSubmitted++
 	select {
 	case e.queue <- j:
+		j.inflightIdx = len(e.inflight)
+		e.inflight = append(e.inflight, j)
 		e.mu.Unlock()
 		return nil
 	default:
@@ -682,6 +690,10 @@ func (e *Engine) account(j *Job, res *taskrt.Result, err error) {
 			l.job, l.at = nil, start+l.at
 		}
 	}
+	last := len(e.inflight) - 1
+	e.inflight[j.inflightIdx], e.inflight[last].inflightIdx = e.inflight[last], j.inflightIdx
+	e.inflight[last] = nil
+	e.inflight = e.inflight[:last]
 	e.mu.Unlock()
 
 	j.mu.Lock()
@@ -765,16 +777,9 @@ func (e *Engine) lostAt(id string) (sim.Time, bool) {
 	return 0, false
 }
 
-// Jobs snapshots all jobs ever created on this engine.
-func (e *Engine) Jobs() []*Job {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return append([]*Job(nil), e.jobs...)
-}
-
 // Shutdown stops accepting jobs and drains the pool: already-queued jobs
-// still run. If ctx fires first, every outstanding job is cancelled and
-// Shutdown returns the context error once the workers exit.
+// still run. If ctx fires first, every queued and running job is cancelled
+// and Shutdown returns the context error once the workers exit.
 func (e *Engine) Shutdown(ctx context.Context) error {
 	e.mu.Lock()
 	if !e.closed {
@@ -792,9 +797,12 @@ func (e *Engine) Shutdown(ctx context.Context) error {
 	case <-drained:
 		return nil
 	case <-ctx.Done():
-		for _, j := range e.Jobs() {
+		// Jobs leave the set in account, under e.mu: it holds still here.
+		e.mu.Lock()
+		for _, j := range e.inflight {
 			j.Cancel()
 		}
+		e.mu.Unlock()
 		<-drained
 		return ctx.Err()
 	}

@@ -31,10 +31,13 @@ func (s Span) Duration() sim.Time { return s.End - s.Start }
 // Tracer records spans and counters against an engine's clock. A Tracer is
 // safe for concurrent use, so per-job traces can merge into a session
 // trace while other jobs are still recording.
+// Merge seals each merged tracer's spans as one exact-size chunk, so a
+// merged span is copied once rather than on every regrowth of one slice.
 type Tracer struct {
 	mu       sync.Mutex
 	eng      *sim.Engine
-	spans    []Span
+	chunks   [][]Span // sealed spans, in completion order
+	spans    []Span   // spans closed since the last Merge
 	open     map[int]*Span
 	nextID   int
 	counters map[string]float64
@@ -87,7 +90,24 @@ func (t *Tracer) Counter(name string) float64 {
 func (t *Tracer) Spans() []Span {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return append([]Span(nil), t.spans...)
+	return t.spansLocked()
+}
+
+// spansLocked copies every closed span into one exact-size slice, nil when
+// there is none. Call with t.mu held.
+func (t *Tracer) spansLocked() []Span {
+	n := len(t.spans)
+	for _, c := range t.chunks {
+		n += len(c)
+	}
+	if n == 0 {
+		return nil
+	}
+	out := make([]Span, 0, n)
+	for _, c := range t.chunks {
+		out = append(out, c...)
+	}
+	return append(out, t.spans...)
 }
 
 // Add records an already-closed span with explicit timestamps — the path
@@ -119,7 +139,7 @@ func (t *Tracer) Merge(other *Tracer) {
 		return
 	}
 	other.mu.Lock()
-	spans := append([]Span(nil), other.spans...)
+	spans := other.spansLocked()
 	counters := make(map[string]float64, len(other.counters))
 	for k, v := range other.counters {
 		counters[k] = v
@@ -128,7 +148,14 @@ func (t *Tracer) Merge(other *Tracer) {
 
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.spans = append(t.spans, spans...)
+	// Seal t's own spans first: they closed before the merged ones.
+	if len(t.spans) > 0 {
+		t.chunks = append(t.chunks, t.spans)
+		t.spans = nil
+	}
+	if len(spans) > 0 {
+		t.chunks = append(t.chunks, spans)
+	}
 	for k, v := range counters {
 		t.counters[k] += v
 	}
@@ -139,7 +166,7 @@ func (t *Tracer) Merge(other *Tracer) {
 // e.g. the fleet draw-vs-time curve from "power" spans.
 func (t *Tracer) Series(category string) (xs, ys []float64) {
 	t.mu.Lock()
-	spans := append([]Span(nil), t.spans...)
+	spans := t.spansLocked()
 	t.mu.Unlock()
 	sort.SliceStable(spans, func(i, j int) bool { return spans[i].Start < spans[j].Start })
 	for _, s := range spans {
@@ -157,6 +184,11 @@ func (t *Tracer) ByCategory() map[string]sim.Time {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	out := make(map[string]sim.Time)
+	for _, c := range t.chunks {
+		for _, s := range c {
+			out[s.Category] += s.Duration()
+		}
+	}
 	for _, s := range t.spans {
 		out[s.Category] += s.Duration()
 	}

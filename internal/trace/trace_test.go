@@ -109,12 +109,24 @@ func TestConcurrentTracerUse(t *testing.T) {
 }
 
 func TestMergeSelfAndNilAreNoOps(t *testing.T) {
+	session, flat := mergeFixture()
+	session.Merge(nil)
+	session.Merge(session)
+	if got, want := fmt.Sprint(session.Spans()), fmt.Sprint(flat.Spans()); got != want {
+		t.Fatalf("self/nil merge changed a chunked trace:\n%s\nwant\n%s", got, want)
+	}
+	if got, want := session.Counter("jobs"), flat.Counter("jobs"); got != want {
+		t.Fatalf("self/nil merge changed counters: %v, want %v", got, want)
+	}
 	tr := New(sim.NewEngine())
 	tr.Add(Span{Name: "x", Category: "task", Resource: "d"})
 	tr.Merge(nil)
 	tr.Merge(tr)
 	if len(tr.Spans()) != 1 {
 		t.Fatalf("self/nil merge changed spans: %d", len(tr.Spans()))
+	}
+	if New(sim.NewEngine()).Spans() != nil {
+		t.Fatal("an empty tracer's Spans is not nil")
 	}
 }
 
@@ -171,5 +183,120 @@ func TestSummary(t *testing.T) {
 	eng.Run()
 	if !strings.Contains(tr.Summary(), "ckpt") {
 		t.Fatal("summary missing category")
+	}
+}
+
+// mergeFixture builds a session trace from interleaved own spans and
+// merged jobs, and a flat tracer that records the same spans with Add in
+// the order the session saw them: what one growing slice would hold.
+func mergeFixture() (session, flat *Tracer) {
+	eng := sim.NewEngine()
+	session, flat = New(eng), New(sim.NewEngine())
+	own := func(s Span) {
+		session.Add(s)
+		flat.Add(s)
+	}
+	job := func(j, n int) {
+		tr := New(sim.NewEngine())
+		for i := 0; i < n; i++ {
+			s := Span{Name: fmt.Sprintf("j%d/t%d", j, i), Category: []string{"task", "power"}[i%2],
+				Resource: fmt.Sprintf("dev%d", i%3), Start: sim.Time(10*j + n - i), End: sim.Time(10*j + n + i), Value: float64(i)}
+			tr.Add(s)
+			flat.Add(s)
+		}
+		tr.Count("jobs", 1)
+		flat.Count("jobs", 1)
+		session.Merge(tr)
+	}
+	own(Span{Name: "own0", Category: "task", Resource: "dev0", Start: 3, End: 9})
+	job(1, 4)
+	id := session.Begin("own1", "ckpt", "node0")
+	eng.Schedule(7, func() { session.End(id) })
+	eng.Run()
+	flat.Add(Span{Name: "own1", Category: "ckpt", Resource: "node0", Start: 0, End: 7})
+	job(2, 3)
+	job(3, 0)
+	job(4, 5)
+	own(Span{Name: "own2", Category: "power", Resource: "fleet", Start: 1, End: 1, Value: 42})
+	return session, flat
+}
+
+func TestMergeKeepsCompletionOrder(t *testing.T) {
+	session, flat := mergeFixture()
+	got, want := session.Spans(), flat.Spans()
+	if len(got) != len(want) {
+		t.Fatalf("session holds %d spans, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("span %d = %+v, want %+v", i, got[i], want[i])
+		}
+	}
+	// A session merged into another keeps its order too.
+	outer := New(sim.NewEngine())
+	outer.Merge(session)
+	if again := outer.Spans(); fmt.Sprint(again) != fmt.Sprint(want) {
+		t.Fatalf("re-merged session reordered its spans:\n%v\nwant\n%v", again, want)
+	}
+}
+
+func TestMergeCopiesJobSpans(t *testing.T) {
+	session := New(sim.NewEngine())
+	job := New(sim.NewEngine())
+	job.Add(Span{Name: "a", Category: "task", Resource: "d"})
+	session.Merge(job)
+	job.Add(Span{Name: "late", Category: "task", Resource: "d"})
+	id := job.Begin("open", "task", "d")
+	job.End(id)
+	if s := session.Spans(); len(s) != 1 || s[0].Name != "a" {
+		t.Fatalf("job writes after the merge leaked into the session: %+v", s)
+	}
+	session.Spans()[0].Name = "mutated"
+	if session.Spans()[0].Name != "a" {
+		t.Fatal("Spans returned a live reference to a merged chunk")
+	}
+}
+
+func TestChunkedViewsMatchFlat(t *testing.T) {
+	session, flat := mergeFixture()
+	for _, cat := range []string{"task", "power", "ckpt"} {
+		gx, gy := session.Series(cat)
+		wx, wy := flat.Series(cat)
+		if fmt.Sprint(gx, gy) != fmt.Sprint(wx, wy) {
+			t.Fatalf("Series(%q) = %v %v, want %v %v", cat, gx, gy, wx, wy)
+		}
+	}
+	if got, want := fmt.Sprint(session.ByCategory()), fmt.Sprint(flat.ByCategory()); got != want {
+		t.Fatalf("ByCategory = %s, want %s", got, want)
+	}
+	if got, want := session.ExportParaver(), flat.ExportParaver(); got != want {
+		t.Fatalf("ExportParaver diverges:\n%s\nwant\n%s", got, want)
+	}
+	if got, want := session.Summary(), flat.Summary(); got != want {
+		t.Fatalf("Summary diverges:\n%s\nwant\n%s", got, want)
+	}
+}
+
+// BenchmarkTracerMerge merges 500 job traces of 100 spans each into a
+// fresh session trace per iteration: the completion path of a 500-job
+// session.
+func BenchmarkTracerMerge(b *testing.B) {
+	const jobs, spans = 500, 100
+	traces := make([]*Tracer, jobs)
+	for j := range traces {
+		tr := New(sim.NewEngine())
+		for i := 0; i < spans; i++ {
+			tr.Add(Span{Name: "t", Category: "task", Resource: "dev", Start: sim.Time(i), End: sim.Time(i + 1)})
+		}
+		tr.Count("jobs", 1)
+		traces[j] = tr
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for n := 0; n < b.N; n++ {
+		session := New(sim.NewEngine())
+		for _, tr := range traces {
+			session.Merge(tr)
+		}
 	}
 }

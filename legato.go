@@ -678,7 +678,10 @@ func (h DataHandle) Size() int64 {
 
 // Job is one task graph scheduled by the system's engine. Build it (Data,
 // Task, Submit), then Run it under a context; a Job runs once.
-// A Job is safe for concurrent use while building.
+// A Job is safe for concurrent use while building. The system holds a job
+// only while it is queued or running: a handle the caller keeps keeps its
+// graph, data regions, task closures and enclave alive, so drop it once the
+// report is read.
 type Job struct {
 	sys     *System
 	ej      *engine.Job
