@@ -9,18 +9,18 @@ import (
 	"testing"
 	"weak"
 
+	"legato/internal/obs"
 	"legato/internal/taskrt"
-	"legato/internal/trace"
 )
 
 // TestFinishedJobsAreCollectable: once a job is terminal and its caller
-// drops the handle, nothing in the engine keeps its runtime or its trace
-// reachable, so a long session does not grow with the jobs it ran.
+// drops the handle, nothing in the engine keeps its runtime or its span
+// fold reachable, so a long session does not grow with the jobs it ran.
 func TestFinishedJobsAreCollectable(t *testing.T) {
 	e := newTestEngine(t, 2)
 	ctx := context.Background()
 	var rts []weak.Pointer[taskrt.Runtime]
-	var trs []weak.Pointer[trace.Tracer]
+	var folds []weak.Pointer[obs.SpanFold]
 	func() {
 		for i := 0; i < 4; i++ {
 			j := chainJob(t, e, fmt.Sprintf("gone%d", i), 5, 1, func() {})
@@ -31,7 +31,7 @@ func TestFinishedJobsAreCollectable(t *testing.T) {
 				t.Fatal(err)
 			}
 			rts = append(rts, weak.Make(j.Runtime()))
-			trs = append(trs, weak.Make(j.Tracer()))
+			folds = append(folds, weak.Make(j.fold))
 		}
 	}()
 	if n := inflightLen(e); n != 0 {
@@ -39,8 +39,8 @@ func TestFinishedJobsAreCollectable(t *testing.T) {
 	}
 	runtime.GC()
 	for i := range rts {
-		if rts[i].Value() != nil || trs[i].Value() != nil {
-			t.Fatalf("job gone%d: runtime or tracer still reachable after completion", i)
+		if rts[i].Value() != nil || folds[i].Value() != nil {
+			t.Fatalf("job gone%d: runtime or span fold still reachable after completion", i)
 		}
 	}
 }

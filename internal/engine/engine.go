@@ -146,24 +146,23 @@ func (s State) String() string {
 
 // Job is one task graph scheduled by the engine. The engine forgets a job
 // once it is terminal: only the caller's *Job keeps its runtime, graph and
-// trace alive.
+// spans alive.
 type Job struct {
 	ID   int
 	Name string
 
-	rt     *taskrt.Runtime
-	tracer *trace.Tracer
-	eng    *Engine
+	rt   *taskrt.Runtime
+	fold *obs.SpanFold // the job's spans, built on the goroutine driving it
+	eng  *Engine
 
-	mu       sync.Mutex
-	state    State
-	timeout  time.Duration
-	ctx      context.Context
-	cancel   context.CancelFunc
-	result   *taskrt.Result
-	err      error
-	fleetPos sim.Time // fleet-clock position at which the job began
-	done     chan struct{}
+	mu      sync.Mutex
+	state   State
+	timeout time.Duration
+	ctx     context.Context
+	cancel  context.CancelFunc
+	result  *taskrt.Result
+	err     error
+	done    chan struct{}
 	// inflightIdx indexes Engine.inflight while queued or running (Engine.mu).
 	inflightIdx int
 }
@@ -172,9 +171,18 @@ type Job struct {
 // not be touched after Submit.
 func (j *Job) Runtime() *taskrt.Runtime { return j.rt }
 
-// Tracer exposes the job's trace: the spans its lifecycle events fold
-// into, on the job's virtual clock.
-func (j *Job) Tracer() *trace.Tracer { return j.tracer }
+// Spans returns the spans the job's lifecycle events folded into, on the
+// job's virtual clock, or nil until Done is closed: the fold is complete
+// then, so reading it never races the goroutine that drove the job. The
+// slice is the fold's own; do not modify it.
+func (j *Job) Spans() []trace.Span {
+	select {
+	case <-j.done:
+		return j.fold.Spans()
+	default:
+		return nil
+	}
+}
 
 // SetTimeout sets a per-job wall-clock budget applied from the moment the
 // job is submitted; zero means no deadline. Must be called before Submit.
@@ -228,14 +236,6 @@ func (j *Job) Wait(ctx context.Context) (*taskrt.Result, error) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	return j.result, j.err
-}
-
-// FleetStart returns the fleet-clock position at which the job began
-// occupying the fleet (valid once the job is terminal).
-func (j *Job) FleetStart() sim.Time {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.fleetPos
 }
 
 func (j *Job) finish(res *taskrt.Result, err error) {
@@ -393,7 +393,7 @@ func (e *Engine) NewJob(name string) (*Job, error) {
 	e.nextID++
 	j := &Job{
 		ID: e.nextID, Name: name,
-		rt: rt, tracer: trace.New(clock), eng: e,
+		rt: rt, fold: obs.NewSpanFold(e.fleetDrawW), eng: e,
 		done: make(chan struct{}),
 	}
 	e.mu.Unlock()
@@ -404,7 +404,7 @@ func (e *Engine) NewJob(name string) (*Job, error) {
 
 // sink returns the job's lifecycle sink: every event the runtime emits is
 // stamped with the job's name, folded into the registry counters and the
-// job trace, and published on the session bus. It runs on the goroutine
+// job's spans, and published on the session bus. It runs on the goroutine
 // driving the job; the bus serializes publication, and with no listener
 // publishing is one atomic load.
 func (e *Engine) sink(j *Job) func(obs.Event) {
@@ -412,14 +412,13 @@ func (e *Engine) sink(j *Job) func(obs.Event) {
 	if e.cfg.Registry != nil {
 		counters = NewRegistryFold(e.cfg.Registry, j.Name)
 	}
-	spans := obs.NewSpanFold(j.tracer, e.fleetDrawW)
 	bus := e.cfg.Bus
 	return func(ev obs.Event) {
 		ev.Job = j.Name
 		if counters != nil {
 			counters.Apply(ev)
 		}
-		spans.Apply(ev)
+		j.fold.Apply(ev)
 		bus.Publish(ev)
 	}
 }
@@ -695,10 +694,6 @@ func (e *Engine) account(j *Job, res *taskrt.Result, err error) {
 	e.inflight[last] = nil
 	e.inflight = e.inflight[:last]
 	e.mu.Unlock()
-
-	j.mu.Lock()
-	j.fleetPos = start
-	j.mu.Unlock()
 
 	if reg := e.cfg.Registry; reg != nil {
 		scope := "job/" + j.Name

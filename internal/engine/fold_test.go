@@ -56,8 +56,8 @@ func TestTaskFailedFolds(t *testing.T) {
 	if got := reg.Get("faults", "tasks-failed"); got != 1 {
 		t.Fatalf("faults tasks-failed = %v, want 1", got)
 	}
-	if !hasSpan(j.Tracer().Spans(), "failure", "doomed/t0#failed(deadline)") {
-		t.Fatalf("job trace has no failure span: %+v", j.Tracer().Spans())
+	if !hasSpan(j.Spans(), "failure", "doomed/t0#failed(deadline)") {
+		t.Fatalf("job trace has no failure span: %+v", j.Spans())
 	}
 }
 
@@ -102,7 +102,7 @@ func TestHedgePromotedFolds(t *testing.T) {
 	if got := reg.Get("tail", "hedges-promoted"); got != 1 {
 		t.Fatalf("tail hedges-promoted = %v, want 1", got)
 	}
-	spans := j.Tracer().Spans()
+	spans := j.Spans()
 	if !hasSpan(spans, "hedge", "promote/t0 hedge promoted on dev/backup") {
 		t.Fatalf("job trace has no promotion span: %+v", spans)
 	}
@@ -223,6 +223,74 @@ func BenchmarkRegistryFoldApply(b *testing.B) {
 // samples included.
 func BenchmarkSpanFoldApply(b *testing.B) {
 	benchFold(b, func() func(obs.Event) {
-		return obs.NewSpanFold(trace.New(sim.NewEngine()), func() float64 { return 0 }).Apply
+		return obs.NewSpanFold(func() float64 { return 0 }).Apply
 	})
+}
+
+// TestJobSpansHandoff: Spans is nil while a job is queued behind a busy
+// worker, and once the job is terminal it holds what the fold built — the
+// task spans of a done job, and the task and failure spans of a job whose
+// second task misses a strict deadline.
+func TestJobSpansHandoff(t *testing.T) {
+	e := newTestEngine(t, 1)
+	ctx := context.Background()
+	gate := make(chan struct{})
+	t.Cleanup(func() { // a failed check must not leave Shutdown waiting on held
+		select {
+		case <-gate:
+		default:
+			close(gate)
+		}
+	})
+	held := chainJob(t, e, "held", 3, 1, func() { <-gate })
+	if err := e.Submit(ctx, held); err != nil {
+		t.Fatal(err)
+	}
+	ok := chainJob(t, e, "ok", 3, 1, func() {})
+	failing, err := e.NewJob("failing")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt := failing.Runtime()
+	d := rt.Data("failing/d", 64)
+	if err := rt.Submit(taskrt.Task{Name: "failing/t0", Gops: 20, Out: []*taskrt.Data{d}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := rt.Submit(taskrt.Task{Name: "failing/t1", Gops: 800, Deadline: 5 * time.Second, In: []*taskrt.Data{d}}); err != nil {
+		t.Fatal(err)
+	}
+	for _, j := range []*Job{ok, failing} {
+		if err := e.Submit(ctx, j); err != nil {
+			t.Fatal(err)
+		}
+		if s := j.State(); s != Queued {
+			t.Fatalf("job %s is %v behind the held worker, want queued", j.Name, s)
+		}
+		if s := j.Spans(); s != nil {
+			t.Fatalf("queued job %s exposes spans: %+v", j.Name, s)
+		}
+	}
+	close(gate)
+	if _, err := ok.Wait(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := failing.Wait(ctx); !errors.Is(err, taskrt.ErrDeadlineExceeded) {
+		t.Fatalf("err = %v, want ErrDeadlineExceeded", err)
+	}
+	for _, c := range []struct {
+		j              *Job
+		state          State
+		category, name string
+	}{
+		{ok, Done, "task", "ok/t2"},
+		{failing, Failed, "task", "failing/t0"},
+		{failing, Failed, "failure", "failing/t1#failed(deadline)"},
+	} {
+		if s := c.j.State(); s != c.state {
+			t.Fatalf("job %s ended %v, want %v", c.j.Name, s, c.state)
+		}
+		if !hasSpan(c.j.Spans(), c.category, c.name) {
+			t.Fatalf("job %s has no %s span %q: %+v", c.j.Name, c.category, c.name, c.j.Spans())
+		}
+	}
 }

@@ -273,7 +273,7 @@ func TestHedgeRacesHedgeDeviceLoss(t *testing.T) {
 		t.Fatalf("registry tail/hedge-wasted-J = %v, Stats.HedgeWastedJ = %v", got, st.HedgeWastedJ)
 	}
 	lost := false
-	for _, sp := range j.Tracer().Spans() {
+	for _, sp := range j.Spans() {
 		lost = lost || sp.Name == "race/t0 hedge lost on dev/backup"
 	}
 	if !lost {

@@ -5,9 +5,7 @@
 package monitor
 
 import (
-	"fmt"
 	"sort"
-	"strings"
 	"sync"
 )
 
@@ -96,28 +94,4 @@ func (r *Registry) Snapshot() map[string]map[string]float64 {
 		out[scope] = m
 	}
 	return out
-}
-
-// Report renders every scope's metrics as an aligned table.
-func (r *Registry) Report() string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	scopes := make([]string, 0, len(r.scopes))
-	for s := range r.scopes {
-		scopes = append(scopes, s)
-	}
-	sort.Strings(scopes)
-	var sb strings.Builder
-	for _, s := range scopes {
-		fmt.Fprintf(&sb, "%s\n", s)
-		metrics := make([]string, 0, len(r.scopes[s]))
-		for m := range r.scopes[s] {
-			metrics = append(metrics, m)
-		}
-		sort.Strings(metrics)
-		for _, m := range metrics {
-			fmt.Fprintf(&sb, "  %-20s %14.4f\n", m, r.scopes[s][m])
-		}
-	}
-	return sb.String()
 }

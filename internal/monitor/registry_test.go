@@ -1,7 +1,6 @@
 package monitor
 
 import (
-	"strings"
 	"sync"
 	"testing"
 )
@@ -54,36 +53,4 @@ func TestRegistrySnapshotUnderConcurrentWriters(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
-}
-
-func TestRegistryReportSortedDeterministic(t *testing.T) {
-	build := func(order []string) *Registry {
-		r := NewRegistry()
-		for _, scope := range order {
-			r.Add(scope, "zeta", 1)
-			r.Add(scope, "alpha", 2)
-			r.Add(scope, "mid-metric", 3)
-		}
-		return r
-	}
-	a := build([]string{"job/b", "device/d1", "job/a", "power"})
-	b := build([]string{"power", "job/a", "job/b", "device/d1"})
-	ra, rb := a.Report(), b.Report()
-	if ra != rb {
-		t.Fatalf("report depends on insertion order:\n%s\nvs\n%s", ra, rb)
-	}
-	// Scopes and metrics must appear in sorted order.
-	wantOrder := []string{"device/d1", "job/a", "job/b", "power"}
-	last := -1
-	for _, scope := range wantOrder {
-		i := strings.Index(ra, scope+"\n")
-		if i <= last {
-			t.Fatalf("scope %q out of order in report:\n%s", scope, ra)
-		}
-		last = i
-	}
-	sec := strings.Split(ra, "device/d1")[1]
-	if za, al := strings.Index(sec, "zeta"), strings.Index(sec, "alpha"); al > za {
-		t.Fatalf("metrics not sorted within scope:\n%s", ra)
-	}
 }

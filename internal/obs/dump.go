@@ -156,7 +156,8 @@ func (e *dumpWriter) room() bool {
 	return e.err == nil
 }
 
-// checkFinite rejects the values JSON cannot represent, naming the first.
+// checkFinite rejects the values JSON cannot represent, naming the first
+// in document order: map keys are walked sorted, as Encode writes them.
 func (d *SessionDump) checkFinite() error {
 	bad := func(v float64) bool { return math.IsNaN(v) || math.IsInf(v, 0) }
 	unsupported := func(v float64, at string) error {
@@ -168,14 +169,15 @@ func (d *SessionDump) checkFinite() error {
 			return unsupported(v, fmt.Sprintf("spans[%d]", i))
 		}
 	}
-	for k, v := range d.Counters {
-		if bad(v) {
+	for _, k := range sortedKeys(d.Counters) {
+		if v := d.Counters[k]; bad(v) {
 			return unsupported(v, fmt.Sprintf("counters[%q]", k))
 		}
 	}
-	for scope, m := range d.Metrics {
-		for k, v := range m {
-			if bad(v) {
+	for _, scope := range sortedKeys(d.Metrics) {
+		m := d.Metrics[scope]
+		for _, k := range sortedKeys(m) {
+			if v := m[k]; bad(v) {
 				return unsupported(v, fmt.Sprintf("metrics[%q][%q]", scope, k))
 			}
 		}

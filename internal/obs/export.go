@@ -182,22 +182,27 @@ func ChromeTrace(spans []trace.Span, counters map[string]float64) ([]byte, error
 // task and hedge boundary. Timelines parses these names back, so the span
 // vocabulary lives in this package alone. Interval starts come from
 // earlier events: a task's last TaskStarted, a replica's HedgeLaunched, a
-// checkpoint's CheckpointBegin.
+// checkpoint's CheckpointBegin. The fold owns the spans it builds and
+// appends them without a lock: one goroutine drives a job.
 type SpanFold struct {
-	tr        *trace.Tracer
-	draw      func() float64      // fleet draw sampler (nil: no power samples)
+	spans     []trace.Span
+	draw      func() float64      // fleet draw sampler
 	started   map[string]sim.Time // launch instant of each running task
 	hedged    map[string]sim.Time // launch instant of each task's racing replica
 	ckptAt    sim.Time            // capture instant of the committing checkpoint
 	ckptBytes float64
 }
 
-// NewSpanFold starts a fold recording into tr; draw, when non-nil, is
-// sampled for the power series.
-func NewSpanFold(tr *trace.Tracer, draw func() float64) *SpanFold {
-	return &SpanFold{tr: tr, draw: draw,
+// NewSpanFold starts an empty fold; draw is sampled for the power series.
+func NewSpanFold(draw func() float64) *SpanFold {
+	return &SpanFold{draw: draw,
 		started: make(map[string]sim.Time), hedged: make(map[string]sim.Time)}
 }
+
+// Spans returns the spans folded so far, in fold order. The slice is the
+// fold's own: read it only once no event is being applied, and do not
+// modify it.
+func (f *SpanFold) Spans() []trace.Span { return f.spans }
 
 // Apply folds one event.
 func (f *SpanFold) Apply(e Event) {
@@ -208,7 +213,7 @@ func (f *SpanFold) Apply(e Event) {
 		f.started[e.Task] = e.At
 		f.sample(e.At)
 	case TaskCompleted:
-		f.tr.Add(trace.Span{Name: e.Task, Category: "task", Resource: e.Device,
+		f.spans = append(f.spans, trace.Span{Name: e.Task, Category: "task", Resource: e.Device,
 			Start: f.started[e.Task], End: e.At})
 		delete(f.started, e.Task)
 		f.sample(e.At)
@@ -223,7 +228,7 @@ func (f *SpanFold) Apply(e Event) {
 	case CheckpointBegin:
 		f.ckptAt, f.ckptBytes = e.At, e.Value
 	case CheckpointCommit:
-		f.tr.Add(trace.Span{
+		f.spans = append(f.spans, trace.Span{
 			Name:     fmt.Sprintf("ckpt tasks=%d bytes=%d", int(e.Value), int64(f.ckptBytes)),
 			Category: "checkpoint", Resource: e.Job, Start: f.ckptAt, End: e.At,
 		})
@@ -241,7 +246,7 @@ func (f *SpanFold) Apply(e Event) {
 		if e.Kind == HedgeWon {
 			outcome = "won"
 		}
-		f.tr.Add(trace.Span{
+		f.spans = append(f.spans, trace.Span{
 			Name:     fmt.Sprintf("%s hedge %s on %s", e.Task, outcome, e.Device),
 			Category: "hedge", Resource: e.Device,
 			Start: f.hedged[e.Task], End: e.At, Value: e.Value,
@@ -258,7 +263,7 @@ func (f *SpanFold) Apply(e Event) {
 
 // mark records a zero-width span.
 func (f *SpanFold) mark(name, category, resource string, at sim.Time) {
-	f.tr.Add(trace.Span{Name: name, Category: category, Resource: resource, Start: at, End: at})
+	f.spans = append(f.spans, trace.Span{Name: name, Category: category, Resource: resource, Start: at, End: at})
 }
 
 // sample records the fleet draw as an instant "power" span. Draw only
@@ -266,10 +271,8 @@ func (f *SpanFold) mark(name, category, resource string, at sim.Time) {
 // the draw-vs-time curve (internal/plot renders it from
 // Tracer.Series("power")).
 func (f *SpanFold) sample(at sim.Time) {
-	if f.draw != nil {
-		f.tr.Add(trace.Span{Name: "fleet-draw", Category: "power", Resource: "fleet",
-			Start: at, End: at, Value: f.draw()})
-	}
+	f.spans = append(f.spans, trace.Span{Name: "fleet-draw", Category: "power", Resource: "fleet",
+		Start: at, End: at, Value: f.draw()})
 }
 
 // ---------------------------------------------------------------------------

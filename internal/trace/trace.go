@@ -1,7 +1,8 @@
-// Package trace provides the execution-tracing facility of the LEGaTO
-// runtime layer: spans over virtual time (task executions, checkpoints,
-// migrations), named counters, and a Paraver-flavoured text export —
-// the trace format of the BSC tool family that accompanies OmpSs.
+// Package trace holds the spans of a session: intervals over virtual time
+// (task executions, checkpoints, hedges, failures, power samples) that the
+// span fold derives from the lifecycle events, named counters, and a
+// Paraver-flavoured text export — the trace format of the BSC tool family
+// that accompanies OmpSs. It keeps no clock: every span arrives closed.
 package trace
 
 import (
@@ -28,48 +29,20 @@ type Span struct {
 // Duration returns the span length.
 func (s Span) Duration() sim.Time { return s.End - s.Start }
 
-// Tracer records spans and counters against an engine's clock. A Tracer is
-// safe for concurrent use, so per-job traces can merge into a session
-// trace while other jobs are still recording.
-// Merge seals each merged tracer's spans as one exact-size chunk, so a
-// merged span is copied once rather than on every regrowth of one slice.
+// Tracer is a session's span store: the spans of every merged job, in
+// merge order, and named counters. It is safe for concurrent use, so jobs
+// can merge while others still run. Merge seals each job's spans as one
+// exact-size chunk, so a merged span is copied once rather than on every
+// regrowth of one slice.
 type Tracer struct {
 	mu       sync.Mutex
-	eng      *sim.Engine
-	chunks   [][]Span // sealed spans, in completion order
-	spans    []Span   // spans closed since the last Merge
-	open     map[int]*Span
-	nextID   int
+	chunks   [][]Span // merged spans, one chunk per Merge
 	counters map[string]float64
 }
 
-// New creates a tracer.
-func New(eng *sim.Engine) *Tracer {
-	return &Tracer{eng: eng, open: make(map[int]*Span), counters: make(map[string]float64)}
-}
-
-// Begin opens a span and returns its handle.
-func (t *Tracer) Begin(name, category, resource string) int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.nextID++
-	t.open[t.nextID] = &Span{
-		Name: name, Category: category, Resource: resource, Start: t.eng.Now(),
-	}
-	return t.nextID
-}
-
-// End closes a span by handle; unknown handles are ignored.
-func (t *Tracer) End(id int) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	s, ok := t.open[id]
-	if !ok {
-		return
-	}
-	delete(t.open, id)
-	s.End = t.eng.Now()
-	t.spans = append(t.spans, *s)
+// New creates an empty tracer.
+func New() *Tracer {
+	return &Tracer{counters: make(map[string]float64)}
 }
 
 // Count adds delta to a named counter.
@@ -86,17 +59,12 @@ func (t *Tracer) Counter(name string) float64 {
 	return t.counters[name]
 }
 
-// Spans returns a copy of the closed spans in completion order.
+// Spans returns a copy of the merged spans in merge order, nil when there
+// is none.
 func (t *Tracer) Spans() []Span {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.spansLocked()
-}
-
-// spansLocked copies every closed span into one exact-size slice, nil when
-// there is none. Call with t.mu held.
-func (t *Tracer) spansLocked() []Span {
-	n := len(t.spans)
+	n := 0
 	for _, c := range t.chunks {
 		n += len(c)
 	}
@@ -107,16 +75,7 @@ func (t *Tracer) spansLocked() []Span {
 	for _, c := range t.chunks {
 		out = append(out, c...)
 	}
-	return append(out, t.spans...)
-}
-
-// Add records an already-closed span with explicit timestamps — the path
-// used when task records are replayed into a trace after the fact (a job
-// worker observing taskrt completion records).
-func (t *Tracer) Add(s Span) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.spans = append(t.spans, s)
+	return out
 }
 
 // Counters returns a copy of every named counter.
@@ -130,44 +89,25 @@ func (t *Tracer) Counters() map[string]float64 {
 	return out
 }
 
-// Merge folds another tracer's closed spans and counters into t. Jobs
-// record against their own virtual clock; merging preserves their
-// job-relative timestamps, so merged spans are comparable per resource,
-// not across jobs.
-func (t *Tracer) Merge(other *Tracer) {
-	if other == nil || other == t {
+// Merge appends a copy of one job's spans. Jobs record against their own
+// virtual clock; merging preserves their job-relative timestamps, so
+// merged spans are comparable per resource, not across jobs.
+func (t *Tracer) Merge(spans []Span) {
+	if len(spans) == 0 {
 		return
 	}
-	other.mu.Lock()
-	spans := other.spansLocked()
-	counters := make(map[string]float64, len(other.counters))
-	for k, v := range other.counters {
-		counters[k] = v
-	}
-	other.mu.Unlock()
-
+	chunk := make([]Span, len(spans))
+	copy(chunk, spans)
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	// Seal t's own spans first: they closed before the merged ones.
-	if len(t.spans) > 0 {
-		t.chunks = append(t.chunks, t.spans)
-		t.spans = nil
-	}
-	if len(spans) > 0 {
-		t.chunks = append(t.chunks, spans)
-	}
-	for k, v := range counters {
-		t.counters[k] += v
-	}
+	t.chunks = append(t.chunks, chunk)
 }
 
 // Series extracts the sampled values of a telemetry category as (seconds,
 // value) points sorted by time — the shape internal/plot charts directly,
 // e.g. the fleet draw-vs-time curve from "power" spans.
 func (t *Tracer) Series(category string) (xs, ys []float64) {
-	t.mu.Lock()
-	spans := t.spansLocked()
-	t.mu.Unlock()
+	spans := t.Spans()
 	sort.SliceStable(spans, func(i, j int) bool { return spans[i].Start < spans[j].Start })
 	for _, s := range spans {
 		if s.Category != category {
@@ -179,32 +119,9 @@ func (t *Tracer) Series(category string) (xs, ys []float64) {
 	return xs, ys
 }
 
-// ByCategory returns total time per category.
-func (t *Tracer) ByCategory() map[string]sim.Time {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	out := make(map[string]sim.Time)
-	for _, c := range t.chunks {
-		for _, s := range c {
-			out[s.Category] += s.Duration()
-		}
-	}
-	for _, s := range t.spans {
-		out[s.Category] += s.Duration()
-	}
-	return out
-}
-
-// ExportParaver renders the spans as Paraver-like state records:
-// kind:resource:applTask:start:end:name.
-func (t *Tracer) ExportParaver() string {
-	return ParaverText(t.Spans(), t.Counters())
-}
-
-// ParaverText renders already-extracted spans and counters in the same
-// Paraver-like text format as Tracer.ExportParaver — the path used when
-// the data comes from an exported session dump rather than a live
-// tracer.
+// ParaverText renders spans as Paraver-like state records
+// (1:resource:applTask:start:end:category:name) followed by the counters
+// as event records (2:name:value), sorted by name.
 func ParaverText(spans []Span, counters map[string]float64) string {
 	var sb strings.Builder
 	sb.WriteString("#Paraver (legato trace)\n")
@@ -212,7 +129,6 @@ func ParaverText(spans []Span, counters map[string]float64) string {
 		fmt.Fprintf(&sb, "1:%s:%d:%d:%d:%s:%s\n",
 			s.Resource, i+1, int64(s.Start), int64(s.End), s.Category, s.Name)
 	}
-	// Counters as event records.
 	names := make([]string, 0, len(counters))
 	for n := range counters {
 		names = append(names, n)
@@ -220,22 +136,6 @@ func ParaverText(spans []Span, counters map[string]float64) string {
 	sort.Strings(names)
 	for _, n := range names {
 		fmt.Fprintf(&sb, "2:%s:%g\n", n, counters[n])
-	}
-	return sb.String()
-}
-
-// Summary renders per-category totals.
-func (t *Tracer) Summary() string {
-	cats := t.ByCategory()
-	names := make([]string, 0, len(cats))
-	for n := range cats {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "%-20s %14s\n", "category", "total time")
-	for _, n := range names {
-		fmt.Fprintf(&sb, "%-20s %14v\n", n, cats[n])
 	}
 	return sb.String()
 }

@@ -3,7 +3,6 @@ package trace
 import (
 	"fmt"
 	"sort"
-	"strings"
 	"sync"
 	"testing"
 
@@ -11,49 +10,19 @@ import (
 )
 
 func TestSpanTiming(t *testing.T) {
-	eng := sim.NewEngine()
-	tr := New(eng)
-	var id int
-	eng.Schedule(10, func() { id = tr.Begin("task-a", "compute", "cpu0") })
-	eng.Schedule(25, func() { tr.End(id) })
-	eng.Run()
-	spans := tr.Spans()
-	if len(spans) != 1 {
-		t.Fatalf("spans: %d", len(spans))
+	s := Span{Name: "task-a", Category: "compute", Resource: "cpu0", Start: 10, End: 25}
+	if s.Duration() != 15 {
+		t.Fatalf("span duration: %v", s.Duration())
 	}
-	if spans[0].Start != 10 || spans[0].End != 25 || spans[0].Duration() != 15 {
-		t.Fatalf("span timing: %+v", spans[0])
-	}
-}
-
-func TestEndUnknownIgnored(t *testing.T) {
-	eng := sim.NewEngine()
-	tr := New(eng)
-	tr.End(42) // must not panic
-	if len(tr.Spans()) != 0 {
-		t.Fatal("phantom span")
-	}
-}
-
-func TestByCategory(t *testing.T) {
-	eng := sim.NewEngine()
-	tr := New(eng)
-	a := tr.Begin("x", "compute", "cpu0")
-	eng.Schedule(5, func() { tr.End(a) })
-	eng.Schedule(5, func() {
-		b := tr.Begin("y", "io", "nvme0")
-		eng.Schedule(7, func() { tr.End(b) })
-	})
-	eng.Run()
-	cats := tr.ByCategory()
-	if cats["compute"] != 5 || cats["io"] != 7 {
-		t.Fatalf("categories: %v", cats)
+	tr := New()
+	tr.Merge([]Span{s})
+	if got := tr.Spans(); len(got) != 1 || got[0] != s {
+		t.Fatalf("merged span: %+v", got)
 	}
 }
 
 func TestCounters(t *testing.T) {
-	eng := sim.NewEngine()
-	tr := New(eng)
+	tr := New()
 	tr.Count("bytes", 100)
 	tr.Count("bytes", 50)
 	if tr.Counter("bytes") != 150 {
@@ -61,86 +30,95 @@ func TestCounters(t *testing.T) {
 	}
 }
 
+// TestExportParaver pins ParaverText's records: one state record per
+// span, numbered in span order, then one event record per counter,
+// sorted by name.
 func TestExportParaver(t *testing.T) {
-	eng := sim.NewEngine()
-	tr := New(eng)
-	id := tr.Begin("task", "compute", "gpu0")
-	eng.Schedule(3, func() { tr.End(id) })
-	eng.Run()
-	tr.Count("faults", 2)
-	out := tr.ExportParaver()
-	for _, frag := range []string{"#Paraver", "gpu0", "compute", "task", "faults"} {
-		if !strings.Contains(out, frag) {
-			t.Fatalf("export missing %q:\n%s", frag, out)
-		}
+	spans := []Span{
+		{Name: "t0", Category: "task", Resource: "gpu0", Start: 1, End: 5},
+		{Name: "fleet-draw", Category: "power", Resource: "fleet", Start: 5, End: 5, Value: 42},
+	}
+	counters := map[string]float64{"jobs": 2, "faults": 0.5}
+	want := "#Paraver (legato trace)\n" +
+		"1:gpu0:1:1:5:task:t0\n" +
+		"1:fleet:2:5:5:power:fleet-draw\n" +
+		"2:faults:0.5\n" +
+		"2:jobs:2\n"
+	if got := ParaverText(spans, counters); got != want {
+		t.Fatalf("ParaverText:\n%s\nwant\n%s", got, want)
+	}
+	if got := ParaverText(nil, nil); got != "#Paraver (legato trace)\n" {
+		t.Fatalf("empty ParaverText: %q", got)
 	}
 }
 
-// TestConcurrentTracerUse hammers Begin/End/Add/Count on one tracer from
-// parallel goroutines while sibling tracers Merge into it — the shape of
-// a session trace receiving completed jobs while others still record.
-// Run under -race; the witness is no race and no lost span.
+// TestConcurrentTracerUse merges job spans and counts on one tracer from
+// parallel goroutines — the shape of a session trace receiving completed
+// jobs while others still run. Run under -race; the witness is no race,
+// no lost span and each job's spans kept together in job order.
 func TestConcurrentTracerUse(t *testing.T) {
-	session := New(sim.NewEngine())
+	session := New()
 	const workers, perWorker = 8, 200
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			local := New(sim.NewEngine())
+			var job []Span
 			for i := 0; i < perWorker; i++ {
-				id := session.Begin(fmt.Sprintf("w%d/t%d", w, i), "task", "dev")
-				session.End(id)
-				local.Add(Span{Name: fmt.Sprintf("w%d/l%d", w, i), Category: "local", Resource: "dev"})
-				local.Count("bytes", 1)
+				job = append(job, Span{Name: fmt.Sprintf("w%d/t%d", w, i), Category: "task", Resource: "dev"})
 				session.Count("ops", 1)
 			}
-			session.Merge(local)
+			session.Merge(job)
+			session.Count("jobs", 1)
 		}(w)
 	}
 	wg.Wait()
-	if got := len(session.Spans()); got != 2*workers*perWorker {
-		t.Fatalf("lost spans under concurrency: %d, want %d", got, 2*workers*perWorker)
+	spans := session.Spans()
+	if len(spans) != workers*perWorker {
+		t.Fatalf("lost spans under concurrency: %d, want %d", len(spans), workers*perWorker)
 	}
-	if session.Counter("ops") != workers*perWorker || session.Counter("bytes") != workers*perWorker {
-		t.Fatalf("lost counts: ops=%v bytes=%v", session.Counter("ops"), session.Counter("bytes"))
+	for j := 0; j < workers; j++ {
+		first := spans[j*perWorker].Name
+		var w int
+		if _, err := fmt.Sscanf(first, "w%d/t0", &w); err != nil {
+			t.Fatalf("job %d starts with %q, want a first span", j, first)
+		}
+		for i := 0; i < perWorker; i++ {
+			if got, want := spans[j*perWorker+i].Name, fmt.Sprintf("w%d/t%d", w, i); got != want {
+				t.Fatalf("span %d = %q, want %q: a job's spans interleaved", j*perWorker+i, got, want)
+			}
+		}
+	}
+	if session.Counter("ops") != workers*perWorker || session.Counter("jobs") != workers {
+		t.Fatalf("lost counts: ops=%v jobs=%v", session.Counter("ops"), session.Counter("jobs"))
 	}
 }
 
-func TestMergeSelfAndNilAreNoOps(t *testing.T) {
+func TestMergeEmptyIsNoOp(t *testing.T) {
 	session, flat := mergeFixture()
 	session.Merge(nil)
-	session.Merge(session)
-	if got, want := fmt.Sprint(session.Spans()), fmt.Sprint(flat.Spans()); got != want {
-		t.Fatalf("self/nil merge changed a chunked trace:\n%s\nwant\n%s", got, want)
+	session.Merge([]Span{})
+	if got, want := fmt.Sprint(session.Spans()), fmt.Sprint(flat); got != want {
+		t.Fatalf("empty merge changed a chunked trace:\n%s\nwant\n%s", got, want)
 	}
-	if got, want := session.Counter("jobs"), flat.Counter("jobs"); got != want {
-		t.Fatalf("self/nil merge changed counters: %v, want %v", got, want)
-	}
-	tr := New(sim.NewEngine())
-	tr.Add(Span{Name: "x", Category: "task", Resource: "d"})
+	tr := New()
 	tr.Merge(nil)
-	tr.Merge(tr)
-	if len(tr.Spans()) != 1 {
-		t.Fatalf("self/nil merge changed spans: %d", len(tr.Spans()))
-	}
-	if New(sim.NewEngine()).Spans() != nil {
+	tr.Merge([]Span{})
+	if tr.Spans() != nil {
 		t.Fatal("an empty tracer's Spans is not nil")
 	}
 }
 
-// TestSeriesVirtualTimeOrder records samples out of submission order and
-// checks Series returns them sorted by virtual time.
+// TestSeriesVirtualTimeOrder merges samples out of time order and checks
+// Series returns them sorted by virtual time.
 func TestSeriesVirtualTimeOrder(t *testing.T) {
-	tr := New(sim.NewEngine())
-	at := func(s sim.Time, v float64) {
-		tr.Add(Span{Name: "draw", Category: "power", Resource: "fleet", Start: s, End: s, Value: v})
+	tr := New()
+	at := func(s sim.Time, v float64) Span {
+		return Span{Name: "draw", Category: "power", Resource: "fleet", Start: s, End: s, Value: v}
 	}
-	at(30, 3)
-	at(10, 1)
-	at(20, 2)
-	at(5, 0.5)
+	tr.Merge([]Span{at(30, 3), at(10, 1)})
+	tr.Merge([]Span{at(20, 2), at(5, 0.5)})
 	xs, ys := tr.Series("power")
 	if len(xs) != 4 {
 		t.Fatalf("series length %d", len(xs))
@@ -157,7 +135,7 @@ func TestSeriesVirtualTimeOrder(t *testing.T) {
 }
 
 func TestCountersCopy(t *testing.T) {
-	tr := New(sim.NewEngine())
+	tr := New()
 	tr.Count("a", 2)
 	c := tr.Counters()
 	c["a"] = 99
@@ -166,88 +144,51 @@ func TestCountersCopy(t *testing.T) {
 	}
 }
 
-func TestParaverTextMatchesExport(t *testing.T) {
-	tr := New(sim.NewEngine())
-	tr.Add(Span{Name: "t0", Category: "task", Resource: "gpu0", Start: 1, End: 5})
-	tr.Count("hedges", 1)
-	if got, want := ParaverText(tr.Spans(), tr.Counters()), tr.ExportParaver(); got != want {
-		t.Fatalf("package-level render diverges:\n%s\nvs\n%s", got, want)
-	}
-}
-
-func TestSummary(t *testing.T) {
-	eng := sim.NewEngine()
-	tr := New(eng)
-	id := tr.Begin("t", "ckpt", "node0")
-	eng.Schedule(4, func() { tr.End(id) })
-	eng.Run()
-	if !strings.Contains(tr.Summary(), "ckpt") {
-		t.Fatal("summary missing category")
-	}
-}
-
-// mergeFixture builds a session trace from interleaved own spans and
-// merged jobs, and a flat tracer that records the same spans with Add in
-// the order the session saw them: what one growing slice would hold.
-func mergeFixture() (session, flat *Tracer) {
-	eng := sim.NewEngine()
-	session, flat = New(eng), New(sim.NewEngine())
-	own := func(s Span) {
-		session.Add(s)
-		flat.Add(s)
-	}
+// mergeFixture merges four jobs' spans (one of them empty) into a session
+// trace, and returns the spans it merged in order: what one growing slice
+// would hold.
+func mergeFixture() (session *Tracer, flat []Span) {
+	session = New()
 	job := func(j, n int) {
-		tr := New(sim.NewEngine())
+		var spans []Span
 		for i := 0; i < n; i++ {
-			s := Span{Name: fmt.Sprintf("j%d/t%d", j, i), Category: []string{"task", "power"}[i%2],
-				Resource: fmt.Sprintf("dev%d", i%3), Start: sim.Time(10*j + n - i), End: sim.Time(10*j + n + i), Value: float64(i)}
-			tr.Add(s)
-			flat.Add(s)
+			spans = append(spans, Span{Name: fmt.Sprintf("j%d/t%d", j, i), Category: []string{"task", "power"}[i%2],
+				Resource: fmt.Sprintf("dev%d", i%3), Start: sim.Time(10*j + n - i), End: sim.Time(10*j + n + i), Value: float64(i)})
 		}
-		tr.Count("jobs", 1)
-		flat.Count("jobs", 1)
-		session.Merge(tr)
+		flat = append(flat, spans...)
+		session.Merge(spans)
 	}
-	own(Span{Name: "own0", Category: "task", Resource: "dev0", Start: 3, End: 9})
 	job(1, 4)
-	id := session.Begin("own1", "ckpt", "node0")
-	eng.Schedule(7, func() { session.End(id) })
-	eng.Run()
-	flat.Add(Span{Name: "own1", Category: "ckpt", Resource: "node0", Start: 0, End: 7})
 	job(2, 3)
 	job(3, 0)
 	job(4, 5)
-	own(Span{Name: "own2", Category: "power", Resource: "fleet", Start: 1, End: 1, Value: 42})
 	return session, flat
 }
 
 func TestMergeKeepsCompletionOrder(t *testing.T) {
 	session, flat := mergeFixture()
-	got, want := session.Spans(), flat.Spans()
-	if len(got) != len(want) {
-		t.Fatalf("session holds %d spans, want %d", len(got), len(want))
+	got := session.Spans()
+	if len(got) != len(flat) {
+		t.Fatalf("session holds %d spans, want %d", len(got), len(flat))
 	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("span %d = %+v, want %+v", i, got[i], want[i])
+	for i := range flat {
+		if got[i] != flat[i] {
+			t.Fatalf("span %d = %+v, want %+v", i, got[i], flat[i])
 		}
 	}
-	// A session merged into another keeps its order too.
-	outer := New(sim.NewEngine())
-	outer.Merge(session)
-	if again := outer.Spans(); fmt.Sprint(again) != fmt.Sprint(want) {
-		t.Fatalf("re-merged session reordered its spans:\n%v\nwant\n%v", again, want)
+	// A session's spans merged into another keep their order too.
+	outer := New()
+	outer.Merge(session.Spans())
+	if again := outer.Spans(); fmt.Sprint(again) != fmt.Sprint(flat) {
+		t.Fatalf("re-merged session reordered its spans:\n%v\nwant\n%v", again, flat)
 	}
 }
 
 func TestMergeCopiesJobSpans(t *testing.T) {
-	session := New(sim.NewEngine())
-	job := New(sim.NewEngine())
-	job.Add(Span{Name: "a", Category: "task", Resource: "d"})
+	session := New()
+	job := []Span{{Name: "a", Category: "task", Resource: "d"}}
 	session.Merge(job)
-	job.Add(Span{Name: "late", Category: "task", Resource: "d"})
-	id := job.Begin("open", "task", "d")
-	job.End(id)
+	job[0].Name = "rewritten"
 	if s := session.Spans(); len(s) != 1 || s[0].Name != "a" {
 		t.Fatalf("job writes after the merge leaked into the session: %+v", s)
 	}
@@ -259,21 +200,17 @@ func TestMergeCopiesJobSpans(t *testing.T) {
 
 func TestChunkedViewsMatchFlat(t *testing.T) {
 	session, flat := mergeFixture()
+	single := New()
+	single.Merge(flat)
 	for _, cat := range []string{"task", "power", "ckpt"} {
 		gx, gy := session.Series(cat)
-		wx, wy := flat.Series(cat)
+		wx, wy := single.Series(cat)
 		if fmt.Sprint(gx, gy) != fmt.Sprint(wx, wy) {
 			t.Fatalf("Series(%q) = %v %v, want %v %v", cat, gx, gy, wx, wy)
 		}
 	}
-	if got, want := fmt.Sprint(session.ByCategory()), fmt.Sprint(flat.ByCategory()); got != want {
-		t.Fatalf("ByCategory = %s, want %s", got, want)
-	}
-	if got, want := session.ExportParaver(), flat.ExportParaver(); got != want {
-		t.Fatalf("ExportParaver diverges:\n%s\nwant\n%s", got, want)
-	}
-	if got, want := session.Summary(), flat.Summary(); got != want {
-		t.Fatalf("Summary diverges:\n%s\nwant\n%s", got, want)
+	if got, want := ParaverText(session.Spans(), nil), ParaverText(flat, nil); got != want {
+		t.Fatalf("ParaverText diverges:\n%s\nwant\n%s", got, want)
 	}
 }
 
@@ -282,21 +219,19 @@ func TestChunkedViewsMatchFlat(t *testing.T) {
 // session.
 func BenchmarkTracerMerge(b *testing.B) {
 	const jobs, spans = 500, 100
-	traces := make([]*Tracer, jobs)
+	traces := make([][]Span, jobs)
 	for j := range traces {
-		tr := New(sim.NewEngine())
 		for i := 0; i < spans; i++ {
-			tr.Add(Span{Name: "t", Category: "task", Resource: "dev", Start: sim.Time(i), End: sim.Time(i + 1)})
+			traces[j] = append(traces[j], Span{Name: "t", Category: "task", Resource: "dev", Start: sim.Time(i), End: sim.Time(i + 1)})
 		}
-		tr.Count("jobs", 1)
-		traces[j] = tr
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for n := 0; n < b.N; n++ {
-		session := New(sim.NewEngine())
+		session := New()
 		for _, tr := range traces {
 			session.Merge(tr)
+			session.Count("jobs", 1)
 		}
 	}
 }

@@ -452,7 +452,7 @@ func NewSystem(opts ...Option) (*System, error) {
 		return nil, err
 	}
 	s.fleet = fleet
-	s.tracer = trace.New(sim.NewEngine())
+	s.tracer = trace.New()
 	if !set.noObs {
 		s.bus = obs.NewBus()
 		for _, fn := range set.observers {
@@ -486,8 +486,9 @@ func NewSystem(opts ...Option) (*System, error) {
 // capacity the admission ledger enforces).
 func (s *System) Devices() []*hw.Device { return s.fleet }
 
-// Tracer exposes the session trace; the spans and counters of every
-// completed or failed job are merged into it once Wait (or Run) returns.
+// Tracer exposes the session trace: the spans of every completed or failed
+// job, merged into it once Wait (or Run) returns, and a "jobs" counter of
+// the completed ones.
 func (s *System) Tracer() *trace.Tracer { return s.tracer }
 
 // Monitor exposes the per-job and per-device counter registry.
@@ -694,7 +695,7 @@ type Job struct {
 	submitted int
 	started   bool
 
-	// waitOnce merges the job's trace into the session (and, on success,
+	// waitOnce merges the job's spans into the session (and, on success,
 	// builds the report) at the first Wait that sees it completed or
 	// failed.
 	waitOnce sync.Once
@@ -988,7 +989,7 @@ func (j *Job) Run(ctx context.Context) (*Report, error) {
 // assembled from a terminal result, and a cancelled job yields a typed
 // error matching both ErrJobCancelled and the underlying context error —
 // never a nil report with a nil error. The first Wait to see the job
-// completed or failed merges its trace into the session tracer.
+// completed or failed merges its spans into the session tracer.
 func (j *Job) Wait(ctx context.Context) (*Report, error) {
 	res, err := j.ej.Wait(ctx)
 	if err != nil {
@@ -997,9 +998,9 @@ func (j *Job) Wait(ctx context.Context) (*Report, error) {
 			// The job itself was cancelled (not just this wait abandoned).
 			return nil, fmt.Errorf("legato: job %q cancelled: %w", j.name, errors.Join(ErrJobCancelled, err))
 		case engine.Failed:
-			// A failed job's trace (its #retry and #failed spans) joins the
+			// A failed job's spans (its #retry and #failed marks) join the
 			// session like a completed job's, but counts no completed job.
-			j.waitOnce.Do(func() { j.sys.tracer.Merge(j.ej.Tracer()) })
+			j.waitOnce.Do(func() { j.sys.tracer.Merge(j.ej.Spans()) })
 		}
 		return nil, err
 	}
@@ -1012,8 +1013,8 @@ func (j *Job) Wait(ctx context.Context) (*Report, error) {
 	return j.report, nil
 }
 
-// buildReport assembles the job report and merges the job's trace and
-// security accounting into the session.
+// buildReport assembles the job report, merges the job's spans into the
+// session trace and counts the job there as completed.
 func (j *Job) buildReport(res *taskrt.Result) {
 	j.mu.Lock()
 	replicas := j.replicas
@@ -1047,9 +1048,8 @@ func (j *Job) buildReport(res *taskrt.Result) {
 		rep.AvgPowerW = rep.PlatformEnergyJ / sec
 	}
 	j.report = rep
-	tr := j.ej.Tracer()
-	tr.Count("jobs", 1)
-	j.sys.tracer.Merge(tr)
+	j.sys.tracer.Merge(j.ej.Spans())
+	j.sys.tracer.Count("jobs", 1)
 }
 
 // TaskBuilder accumulates one task fluently; Submit finalises it. Builder

@@ -263,7 +263,8 @@ func TestFailureSpansAndReportCounters(t *testing.T) {
 
 // A job that fails terminally still leaves its trace in the session: its
 // #failed span reaches Tracer and the export, merged once however often
-// the job is awaited, while the jobs counter keeps counting completions.
+// the job is awaited (as a completed job's spans are), while the jobs
+// counter keeps counting completions.
 func TestFailedJobTraceReachesSession(t *testing.T) {
 	sdc := ft.SDCModel{}
 	for _, c := range []hw.Class{hw.CPUx86, hw.CPUARM, hw.GPU, hw.FPGA} {
@@ -285,6 +286,13 @@ func TestFailedJobTraceReachesSession(t *testing.T) {
 	}
 	if _, err := ok.Run(ctx); err != nil {
 		t.Fatal(err)
+	}
+	merged := len(sys.Tracer().Spans())
+	if _, err := ok.Wait(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if got := len(sys.Tracer().Spans()); got != merged || merged == 0 {
+		t.Fatalf("second wait on a completed job: %d spans, want the %d of the first", got, merged)
 	}
 	doomed, err := sys.NewJob("doomed")
 	if err != nil {
