@@ -52,6 +52,25 @@ func TestExportParaver(t *testing.T) {
 	}
 }
 
+// TestParaverTextMatchesExport checks that a tracer's export — its
+// Spans and Counters views rendered by ParaverText — is the same text
+// as rendering the spans and counters it was fed directly.
+func TestParaverTextMatchesExport(t *testing.T) {
+	span := Span{Name: "t0", Category: "task", Resource: "gpu0", Start: 1, End: 5}
+	tr := New()
+	tr.Merge([]Span{span})
+	tr.Count("hedges", 1)
+	want := "#Paraver (legato trace)\n" +
+		"1:gpu0:1:1:5:task:t0\n" +
+		"2:hedges:1\n"
+	if got := ParaverText([]Span{span}, map[string]float64{"hedges": 1}); got != want {
+		t.Fatalf("direct render:\n%s\nwant\n%s", got, want)
+	}
+	if got := ParaverText(tr.Spans(), tr.Counters()); got != want {
+		t.Fatalf("tracer export diverges:\n%s\nwant\n%s", got, want)
+	}
+}
+
 // TestConcurrentTracerUse merges job spans and counts on one tracer from
 // parallel goroutines — the shape of a session trace receiving completed
 // jobs while others still run. Run under -race; the witness is no race,
