@@ -10,9 +10,12 @@ ci: vet lint build race fuzz examples bench-module bench-short
 vet:
 	$(GO) vet ./...
 
-# Static passes over the runtime packages (see cmd/legato-lint): ignored
-# error returns, wall-clock reads in fleet-time code, and operator output
-# (fmt/log printing) that should flow through the event bus instead.
+# The five static passes of cmd/legato-lint. Over every package under
+# internal/: ignored error returns, wall-clock reads in fleet-time code,
+# operator output (fmt/log printing) that should flow through the event
+# bus instead, and, in the fleet-time packages, ranges over maps. Over the
+# whole repository, bench/ included: exported names under internal/ that
+# only tests refer to.
 lint:
 	$(GO) run ./cmd/legato-lint
 

@@ -1,6 +1,7 @@
 // legato-bench regenerates every table and figure of the paper's
-// evaluation in one run, printing paper-vs-measured tables — the source of
-// the numbers recorded in EXPERIMENTS.md.
+// evaluation in one run, printing paper-vs-measured tables. Its -quick
+// output is pinned in testdata/paper-quick.golden; DESIGN.md §7 indexes the
+// sections.
 //
 // Usage:
 //

@@ -1,5 +1,5 @@
-// legato-lint is a zero-dependency linter for the resilience-critical
-// packages, with four passes:
+// legato-lint is a zero-dependency linter for the repository, with five
+// passes:
 //
 //   - errcheck-style: flags bare expression-statement calls whose callee
 //     is defined in the scanned package and returns an error as its last
@@ -24,6 +24,14 @@
 //     emitted) or a float sum taken that way differs run to run at the
 //     same seed. Iterate a slice instead, or sorted keys. This pass
 //     type-checks the package from source.
+//   - test-only API: flags every exported package-level func, method,
+//     const, var and type declared under internal/ that no non-test file
+//     of the repository refers to (the bench/ module included). A method
+//     also counts as used when its receiver type implements an interface
+//     that has it. Such a name is code that only its tests keep alive:
+//     delete it with those tests, give it a real caller, or add it to
+//     allowlist with the reason it stays. This pass type-checks every
+//     package of the repository from source as one program.
 //
 // The build fails on any finding.
 //
@@ -31,15 +39,13 @@
 //
 //	legato-lint [package-dir ...]
 //
-// With no arguments it scans the runtime paths (internal/faults,
-// internal/engine, internal/taskrt, internal/power, internal/obs,
-// internal/trace, internal/monitor, internal/sim), the hardware and energy
-// model (internal/hw, internal/energy), internal/experiments, where
-// every experiment's engine session is built and shut down, and
-// internal/bio, the one runtime user outside the engine. Test
-// files are skipped; an ignored error in a test is an assertion choice,
-// not a recovery bug, and tests may legitimately time out on the wall
-// clock.
+// With no arguments it runs the first four passes over every package
+// under internal/ (the map-order pass only on the fleet-time packages
+// above) and the test-only-API pass over the whole repository. With
+// arguments it runs the first four passes over the named directories.
+// Test files are skipped; an ignored error in a test is an assertion
+// choice, not a recovery bug, and tests may legitimately time out on the
+// wall clock.
 package main
 
 import (
@@ -53,12 +59,6 @@ import (
 	"path/filepath"
 	"strings"
 )
-
-var defaultDirs = []string{
-	"internal/faults", "internal/engine", "internal/taskrt", "internal/power",
-	"internal/obs", "internal/trace", "internal/monitor", "internal/sim",
-	"internal/hw", "internal/energy", "internal/experiments", "internal/bio",
-}
 
 // fset positions every parsed file; sources imports packages from source
 // for the map-order pass, caching each across directories.
@@ -83,12 +83,25 @@ type finding struct {
 
 func main() {
 	dirs := os.Args[1:]
-	if len(dirs) == 0 {
-		dirs = defaultDirs
+	whole := len(dirs) == 0
+	if whole {
+		var err error
+		if dirs, err = packageDirs("internal"); err != nil {
+			fmt.Fprintf(os.Stderr, "legato-lint: %v\n", err)
+			os.Exit(2)
+		}
 	}
 	var findings []finding
 	for _, dir := range dirs {
 		fs, err := lintDir(dir, fleetTimeDirs[filepath.ToSlash(filepath.Clean(dir))])
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "legato-lint: %v\n", err)
+			os.Exit(2)
+		}
+		findings = append(findings, fs...)
+	}
+	if whole {
+		fs, err := testOnlyAPI(".", "legato", allowlist)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "legato-lint: %v\n", err)
 			os.Exit(2)
@@ -104,24 +117,62 @@ func main() {
 	}
 }
 
-// lintDir parses every non-test file of one package directory and returns
-// its findings; mapOrder adds the map-order pass.
-func lintDir(dir string, mapOrder bool) ([]finding, error) {
+// packageDirs returns every directory under root that holds a non-test Go
+// file, skipping testdata and hidden directories.
+func packageDirs(root string) ([]string, error) {
+	var dirs []string
+	err := filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		name := d.Name()
+		if d.IsDir() {
+			if path != root && (name == "testdata" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if isSource(name) {
+			if dir := filepath.Dir(path); len(dirs) == 0 || dirs[len(dirs)-1] != dir {
+				dirs = append(dirs, dir)
+			}
+		}
+		return nil
+	})
+	return dirs, err
+}
+
+// isSource reports whether a file name is a non-test Go file.
+func isSource(name string) bool {
+	return strings.HasSuffix(name, ".go") && !strings.HasSuffix(name, "_test.go")
+}
+
+// parseDir parses every non-test Go file of one package directory.
+func parseDir(dir string) ([]*ast.File, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, err
 	}
 	var files []*ast.File
 	for _, e := range entries {
-		name := e.Name()
-		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
+		if e.IsDir() || !isSource(e.Name()) {
 			continue
 		}
-		f, err := parser.ParseFile(fset, filepath.Join(dir, name), nil, 0)
+		f, err := parser.ParseFile(fset, filepath.Join(dir, e.Name()), nil, 0)
 		if err != nil {
 			return nil, err
 		}
 		files = append(files, f)
+	}
+	return files, nil
+}
+
+// lintDir parses every non-test file of one package directory and returns
+// its findings; mapOrder adds the map-order pass.
+func lintDir(dir string, mapOrder bool) ([]finding, error) {
+	files, err := parseDir(dir)
+	if err != nil {
+		return nil, err
 	}
 
 	// Pass 1: names of package-local functions and methods whose last

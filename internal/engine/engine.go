@@ -592,9 +592,6 @@ func (e *Engine) publishFault(j *Job, ev faults.Event) {
 	bus.Publish(obs.Event{At: ev.At, Kind: obs.FaultInjected, Job: j.Name, Device: ev.Device, Value: val, Detail: ev.Kind.String()})
 }
 
-// Faults exposes the fault injector (nil without a plan).
-func (e *Engine) Faults() *faults.Injector { return e.injector }
-
 // Submit queues a job for execution under ctx; the job additionally
 // honours any per-job timeout set with SetTimeout.
 func (e *Engine) Submit(ctx context.Context, j *Job) error {

@@ -69,12 +69,12 @@ func TestCancelledSuspendedJobReleasesCores(t *testing.T) {
 	if f.Claim("dev/cpu", 8, 0) != power.Granted || f.Claim("dev/fpga", 4, 0) != power.Granted {
 		t.Fatal("sibling acquire refused")
 	}
-	stalls := f.CoreStalls()
+	stalls := f.Read(nil).CoreStalls
 	j := chainJob(t, e, "j", 4, 1, nil)
 	if err := e.Submit(ctx, j); err != nil {
 		t.Fatal(err)
 	}
-	for f.CoreStalls() == stalls {
+	for f.Read(nil).CoreStalls == stalls {
 		time.Sleep(10 * time.Microsecond)
 	}
 	j.Cancel()

@@ -5,6 +5,7 @@ import (
 	"math"
 	"testing"
 
+	"legato/internal/energy"
 	"legato/internal/faults"
 	"legato/internal/ft"
 	"legato/internal/hw"
@@ -14,8 +15,8 @@ import (
 )
 
 // TestPowerLedgerWiredToFleet checks that the engine's fleet ledger is
-// the one its jobs draw watts from: it carries the configured cap and
-// governor, charges the idle floor, and its Fail removes both the lost
+// the one its jobs draw watts from: it carries the configured cap,
+// charges the idle floor, and its Fail removes both the lost
 // device's cores and its idle and granted watts.
 func TestPowerLedgerWiredToFleet(t *testing.T) {
 	e, err := New(Config{Workers: 1, Policy: taskrt.MinTime, Fleet: testPlatform(),
@@ -26,8 +27,8 @@ func TestPowerLedgerWiredToFleet(t *testing.T) {
 	defer func() { _ = e.Shutdown(context.Background()) }()
 
 	f := e.Fleet()
-	if f.Cap() != 100 || f.Governor() != power.PackAndThrottle {
-		t.Fatalf("fleet cap %v governor %v, want the configured 100 W pack-and-throttle", f.Cap(), f.Governor())
+	if f.Cap() != 100 {
+		t.Fatalf("fleet cap %v, want the configured 100 W", f.Cap())
 	}
 	// testPlatform idles at 10 + 5 = 15 W.
 	if got := f.Draw(); got != 15 {
@@ -98,8 +99,10 @@ func TestCapEnforcedUnderDeviceLoss(t *testing.T) {
 		t.Fatal("mid-session loss never reached the power ledger")
 	}
 	// After the loss the fpga contributes nothing to the draw.
-	if got := e.Fleet().DrawOf("dev/fpga"); got != 0 {
-		t.Fatalf("lost device draw = %v, want 0", got)
+	draws := make([]energy.Watts, 2) // testPlatform: cpu, fpga
+	e.Fleet().Read(draws)
+	if draws[1] != 0 {
+		t.Fatalf("lost device draw = %v, want 0", draws[1])
 	}
 	if st.PowerCapW != capW {
 		t.Fatalf("stats cap = %v, want %v", st.PowerCapW, capW)
@@ -196,7 +199,7 @@ func TestCrashedDeviceIdleStopsAtLoss(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer func() { _ = e.Shutdown(context.Background()) }()
-	at := e.Faults().Events()[0].At
+	at := e.injector.Events()[0].At
 	first := soloJob(t, e, "first", 2)
 	second := soloJob(t, e, "second", 8)
 	if at <= first.Makespan || at >= second.Makespan {

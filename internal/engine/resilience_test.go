@@ -95,7 +95,7 @@ func TestEngineFaultPlanEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer func() { _ = e.Shutdown(context.Background()) }()
-	if evs := e.Faults().Events(); len(evs) != 1 || evs[0].Device != "dev/fpga" {
+	if evs := e.injector.Events(); len(evs) != 1 || evs[0].Device != "dev/fpga" {
 		t.Fatalf("sampled events = %+v, want one dev/fpga crash", evs)
 	}
 
@@ -160,7 +160,7 @@ func TestDegradeStragglerHedgeEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer func() { _ = e.Shutdown(context.Background()) }()
-	evs := e.Faults().Events()
+	evs := e.injector.Events()
 	if len(evs) != 1 || evs[0].Kind != faults.Degrade || evs[0].Device != "dev/fast" || evs[0].Slowdown != 4 {
 		t.Fatalf("sampled events = %+v, want one silent 4x degrade of dev/fast", evs)
 	}

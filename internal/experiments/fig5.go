@@ -2,8 +2,9 @@
 // figure of the paper's evaluation (see DESIGN.md §7 for the experiment
 // index). Each driver returns structured rows plus a rendered table in the
 // shape of the corresponding figure; cmd/legato-bench and the repository
-// benchmarks call into this package so the numbers in EXPERIMENTS.md come
-// from exactly one code path.
+// benchmarks call into this package so the numbers pinned in
+// cmd/legato-bench/testdata/paper-quick.golden come from exactly one code
+// path.
 package experiments
 
 import (

@@ -201,9 +201,6 @@ func NewInjector(plan Plan, fleet FleetControl, devices []*hw.Device, reg *monit
 	}
 }
 
-// Plan returns the plan the injector was built from.
-func (in *Injector) Plan() Plan { return in.plan }
-
 // Events returns the sampled timeline (shared slice; do not mutate).
 func (in *Injector) Events() []Event { return in.events }
 

@@ -4,6 +4,7 @@ import (
 	"sync"
 	"testing"
 
+	"legato/internal/energy"
 	"legato/internal/ft"
 	"legato/internal/hw"
 	"legato/internal/monitor"
@@ -228,8 +229,10 @@ func TestCrashExactlyOnce(t *testing.T) {
 	if got := fleet.IdleWatts(); got != idle-devs[0].Spec.IdleWatts {
 		t.Fatalf("idle draw = %v, want %v", got, idle-devs[0].Spec.IdleWatts)
 	}
-	if fleet.DrawOf("cpu0") != 0 || fleet.Capacity("cpu0") != 0 {
-		t.Fatalf("lost cpu0 still charged %v W with %d cores", fleet.DrawOf("cpu0"), fleet.Capacity("cpu0"))
+	draws := make([]energy.Watts, len(devs))
+	fleet.Read(draws)
+	if draws[0] != 0 || fleet.Capacity("cpu0") != 0 {
+		t.Fatalf("lost cpu0 still charged %v W with %d cores", draws[0], fleet.Capacity("cpu0"))
 	}
 	fleet.Release("cpu1", 2, 20)
 	if got := fleet.Draw(); got != fleet.IdleWatts() {

@@ -217,12 +217,6 @@ func (b *Board) generateWeakCells(seed int64) {
 	sort.Slice(b.weak, func(i, j int) bool { return b.weak[i].vFail > b.weak[j].vFail })
 }
 
-// Voltage returns the current VCCBRAM level.
-func (b *Board) Voltage() float64 { return b.voltage }
-
-// Temperature returns the die temperature in °C.
-func (b *Board) Temperature() float64 { return b.tempC }
-
 // tempShift is the threshold shift induced by the current temperature:
 // positive when hotter than the reference (thresholds move up).
 func (b *Board) tempShift() float64 {

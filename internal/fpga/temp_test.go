@@ -5,8 +5,8 @@ import "testing"
 func TestTemperatureShiftsThresholds(t *testing.T) {
 	p := ZC702()
 	b := NewBoard(p, 20)
-	if b.Temperature() != ReferenceTempC {
-		t.Fatalf("default temperature: %v", b.Temperature())
+	if b.tempC != ReferenceTempC {
+		t.Fatalf("default temperature: %v", b.tempC)
 	}
 	if b.EffectiveVMin() != p.VMin || b.EffectiveVCrash() != p.VCrash {
 		t.Fatal("thresholds shifted at reference temperature")

@@ -21,18 +21,6 @@ import (
 // device class (FPGAs running undervolted are the motivating case).
 type SDCModel map[hw.Class]float64
 
-// DefaultSDCModel is a representative model: CPUs are the most robust;
-// GPUs slightly worse; FPGAs (potentially undervolted) worst.
-func DefaultSDCModel() SDCModel {
-	return SDCModel{
-		hw.CPUx86: 1e-4,
-		hw.CPUARM: 1e-4,
-		hw.GPU:    5e-4,
-		hw.FPGA:   5e-3,
-		hw.DFE:    1e-3,
-	}
-}
-
 // MTBFModel gives per-class mean time between failures in seconds — the
 // hard-failure analogue of SDCModel. A class absent from the model never
 // crashes. Paper Sec. IV motivates the spread: undervolted FPGAs and
@@ -99,15 +87,8 @@ type Job struct {
 	id int
 	// outcome after the campaign:
 	corrupted bool // this job's own execution produced an SDC
-	detected  bool // replication caught it
 	tainted   bool // output wrong (own corruption or inherited)
 }
-
-// Tainted reports whether the job's output was wrong after the campaign.
-func (j *Job) Tainted() bool { return j.tainted }
-
-// Detected reports whether replication caught this job's own corruption.
-func (j *Job) Detected() bool { return j.detected }
 
 // Campaign runs a task graph under a fault model and replication mode.
 type Campaign struct {
@@ -203,7 +184,6 @@ func (c *Campaign) Run() {
 				if c1 || c2 {
 					c.SDCsInjected++
 					c.SDCsDetected++
-					j.detected = true
 					// Third execution repairs the output.
 					c.execute(j, c.pickDiverse(3)[2])
 				}
@@ -265,11 +245,6 @@ func RootCause(j *Job) []*Job {
 type DalyModel struct {
 	CkptSeconds    float64
 	RestartSeconds float64
-}
-
-// OptimalInterval returns τ* for the given MTBF.
-func (d DalyModel) OptimalInterval(mtbf float64) float64 {
-	return math.Sqrt(2 * d.CkptSeconds * mtbf)
 }
 
 // Waste returns the waste fraction at the optimal interval.

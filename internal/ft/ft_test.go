@@ -25,7 +25,7 @@ func chainCampaign(mode Mode, model SDCModel, n int, criticalEvery int, seed int
 }
 
 func TestAddValidatesDeps(t *testing.T) {
-	c := NewCampaign(NoReplication, DefaultSDCModel(), nil, 1)
+	c := NewCampaign(NoReplication, SDCModel{}, nil, 1)
 	orphan := &Job{Name: "dep"}
 	j := &Job{Name: "x", Deps: []*Job{orphan}}
 	if err := c.Add(j); err == nil {
@@ -41,7 +41,7 @@ func TestNoFaultsNoTaint(t *testing.T) {
 		t.Fatalf("faults with zero-probability model: %d/%d", c.SDCsInjected, c.TaintedOutputs)
 	}
 	for _, j := range jobs {
-		if j.Tainted() {
+		if j.tainted {
 			t.Fatal("job tainted without faults")
 		}
 	}
@@ -65,8 +65,8 @@ func TestTaintPropagatesDownstream(t *testing.T) {
 	}
 	for i, j := range jobs {
 		want := i >= 3
-		if j.Tainted() != want {
-			t.Fatalf("job %d tainted=%v want %v", i, j.Tainted(), want)
+		if j.tainted != want {
+			t.Fatalf("job %d tainted=%v want %v", i, j.tainted, want)
 		}
 	}
 }
@@ -119,7 +119,7 @@ func TestReplicationDetectsAndMasks(t *testing.T) {
 		t.Fatalf("replication missed SDCs: %d of %d", c.SDCsDetected, c.SDCsInjected)
 	}
 	for i, j := range jobs {
-		if j.Tainted() {
+		if j.tainted {
 			t.Fatalf("job %d tainted despite full replication", i)
 		}
 	}
@@ -159,8 +159,11 @@ func TestSelectiveReplicationTradeoff(t *testing.T) {
 func TestDalyOptimalInterval(t *testing.T) {
 	d := DalyModel{CkptSeconds: 50, RestartSeconds: 20}
 	m := 3600.0
-	if got, want := d.OptimalInterval(m), math.Sqrt(2*50*3600); math.Abs(got-want) > 1e-9 {
-		t.Fatalf("tau*: got %v want %v", got, want)
+	// At the optimal interval τ* = √(2CM) the first-order waste
+	// C/τ* + τ*/2M + R/M is what Waste reports.
+	tau := math.Sqrt(2 * 50 * m)
+	if got, want := d.Waste(m), 50/tau+tau/(2*m)+20/m; math.Abs(got-want) > 1e-12 {
+		t.Fatalf("waste at tau*=%v: got %v want %v", tau, got, want)
 	}
 	// Waste decreases with MTBF.
 	if d.Waste(3600) <= d.Waste(36000) {

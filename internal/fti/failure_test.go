@@ -88,7 +88,11 @@ func TestCheckpointBytesAccounting(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sizes[level] = st.TotalCheckpointBytes()
+		// Checkpoint traffic: what the NVMe and PFS write pipes carried.
+		sizes[level] = st.pfsWrite.Transferred
+		for _, n := range st.nodes {
+			sizes[level] += n.write.Transferred
+		}
 	}
 	if !(sizes[L1] < sizes[L2] && sizes[L1] < sizes[L3] && sizes[L2] < sizes[L4]) {
 		t.Fatalf("level traffic ordering wrong: %v", sizes)

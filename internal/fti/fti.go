@@ -150,10 +150,6 @@ func Init(cfg Config, rank *mpi.Rank, dev *gpu.Device, store *Store) (*FTI, erro
 	return f, nil
 }
 
-// Restart reports whether the context was initialised from an existing
-// checkpoint.
-func (f *FTI) Restart() bool { return f.restart }
-
 // Protect registers a buffer for checkpointing under the given id. As in
 // the paper's extension, the same call covers host, device and UVM
 // buffers — the library dispatches on the address class internally.
@@ -308,9 +304,6 @@ func (f *FTI) captureVar(pr *protected) (*file, error) {
 	switch {
 	case b.Kind == gpu.HostMem:
 		// Host data: snapshot directly (memcpy cost folded into NVMe write).
-		if b.Phantom() {
-			return &file{size: b.Len(), phantom: true}, nil
-		}
 		return &file{data: cloneBytes(b.Data()), size: b.Len()}, nil
 
 	case f.cfg.Method == Initial:

@@ -105,7 +105,7 @@ func TestHostCheckpointRecoverL1(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		if !f.Restart() {
+		if !f.restart {
 			t.Error("restart not detected")
 			return
 		}
@@ -209,8 +209,8 @@ func TestL3ReconstructsFromParity(t *testing.T) {
 	// Parity lives on node of member[1] = node 1 — also gone. So instead:
 	// fail only node 2: rank 2 loses L1; its L2 copy is on node 3 (alive).
 	// For a pure L3 test, delete rank 2's L1 and L2 copies directly.
-	st.DropFile(2, "l1/ck1/r2/v1")
-	st.DropFile(3, "l2/ck1/r2/v1")
+	delete(st.nodes[2].files, "l1/ck1/r2/v1")
+	delete(st.nodes[3].files, "l2/ck1/r2/v1")
 	eng2 := sim.NewEngine()
 	st.Rebind(eng2)
 	w2, _ := mpi.NewWorld(eng2, mpi.Config{Size: 4, RanksPerNode: 1})

@@ -162,9 +162,7 @@ func (f *FTI) restoreVar(pr *protected, fl *file) error {
 	}
 	switch {
 	case b.Kind == gpu.HostMem:
-		if !b.Phantom() {
-			copy(b.Data(), fl.data[:b.Len()])
-		}
+		copy(b.Data(), fl.data[:b.Len()])
 		return nil
 
 	case f.cfg.Method == Initial:

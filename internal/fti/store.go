@@ -83,12 +83,10 @@ type Store struct {
 	cfg   StoreConfig
 	nodes []*nodeFS
 
-	global         map[string]*file
-	pfsWrite       *sim.Pipe
-	pfsRead        *sim.Pipe
-	meta           map[int]*rankMeta // rank → last committed checkpoint
-	failedNodes    map[int]bool
-	totalCkptBytes int64
+	global   map[string]*file
+	pfsWrite *sim.Pipe
+	pfsRead  *sim.Pipe
+	meta     map[int]*rankMeta // rank → last committed checkpoint
 }
 
 // rankMeta records the last committed checkpoint of one rank.
@@ -106,13 +104,12 @@ func NewStore(eng *sim.Engine, cfg StoreConfig) (*Store, error) {
 	}
 	cfg = cfg.withDefaults()
 	s := &Store{
-		eng:         eng,
-		cfg:         cfg,
-		global:      make(map[string]*file),
-		pfsWrite:    sim.NewPipe(eng, cfg.PFSGBps*1e9, 100*sim.Microsecond),
-		pfsRead:     sim.NewPipe(eng, cfg.PFSGBps*1e9, 100*sim.Microsecond),
-		meta:        make(map[int]*rankMeta),
-		failedNodes: make(map[int]bool),
+		eng:      eng,
+		cfg:      cfg,
+		global:   make(map[string]*file),
+		pfsWrite: sim.NewPipe(eng, cfg.PFSGBps*1e9, 100*sim.Microsecond),
+		pfsRead:  sim.NewPipe(eng, cfg.PFSGBps*1e9, 100*sim.Microsecond),
+		meta:     make(map[int]*rankMeta),
 	}
 	for i := 0; i < cfg.Nodes; i++ {
 		s.nodes = append(s.nodes, &nodeFS{
@@ -128,9 +125,6 @@ func NewStore(eng *sim.Engine, cfg StoreConfig) (*Store, error) {
 // Nodes returns the node count.
 func (s *Store) Nodes() int { return len(s.nodes) }
 
-// TotalCheckpointBytes reports cumulative checkpoint traffic (modelled).
-func (s *Store) TotalCheckpointBytes() int64 { return s.totalCkptBytes }
-
 // Rebind attaches the store's I/O pipes to a new engine. Checkpoint data
 // persists across application runs (that is the point of a checkpoint
 // store), but simulated time restarts with each run's engine.
@@ -145,12 +139,6 @@ func (s *Store) Rebind(eng *sim.Engine) {
 	}
 }
 
-// DropFile removes a single file from node n's store (targeted fault
-// injection).
-func (s *Store) DropFile(n int, name string) {
-	delete(s.nodes[n].files, name)
-}
-
 // FailNode wipes node n's local storage, modelling a node loss. Level-1
 // checkpoints of the node's ranks are gone; higher levels survive.
 func (s *Store) FailNode(n int) {
@@ -158,11 +146,7 @@ func (s *Store) FailNode(n int) {
 		panic(fmt.Sprintf("fti: FailNode(%d) with %d nodes", n, len(s.nodes)))
 	}
 	s.nodes[n].files = make(map[string]*file)
-	s.failedNodes[n] = true
 }
-
-// RepairNode marks a failed node as replaced (empty local storage).
-func (s *Store) RepairNode(n int) { delete(s.failedNodes, n) }
 
 // localPut writes a file to node n's local store, charging NVMe write time
 // to the calling process. remote=true additionally charges both NICs.
@@ -174,7 +158,6 @@ func (s *Store) localPut(p *sim.Proc, n int, name string, f *file, remote bool, 
 		p.TransferP(s.nodes[n].write, f.size)
 	}
 	s.nodes[n].files[name] = f
-	s.totalCkptBytes += f.size
 }
 
 // localGet reads a file from node n, charging NVMe read time (plus network
@@ -191,17 +174,10 @@ func (s *Store) localGet(p *sim.Proc, n int, name string, remote bool, toNode in
 	return f, true
 }
 
-// localExists checks for a file without charging I/O time (metadata op).
-func (s *Store) localExists(n int, name string) bool {
-	_, ok := s.nodes[n].files[name]
-	return ok
-}
-
 // globalPut writes to the PFS, charging the shared PFS write pipe.
 func (s *Store) globalPut(p *sim.Proc, name string, f *file) {
 	p.TransferP(s.pfsWrite, f.size)
 	s.global[name] = f
-	s.totalCkptBytes += f.size
 }
 
 // globalGet reads from the PFS.

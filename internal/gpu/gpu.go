@@ -129,9 +129,6 @@ func New(eng *sim.Engine, cfg Config) *Device {
 // Name returns the device name.
 func (d *Device) Name() string { return d.cfg.Name }
 
-// Allocated returns the bytes currently allocated on the device.
-func (d *Device) Allocated() int64 { return d.allocated }
-
 // Buffer is one allocation. Host code may touch Data directly only for
 // HostMem and ManagedMem buffers (UVM host access costs fault-migration
 // time, which the FTI paths account for); DeviceMem data must move through
@@ -182,11 +179,6 @@ func HostAlloc(n int64) *Buffer {
 	return &Buffer{Kind: HostMem, data: make([]byte, n), size: n}
 }
 
-// HostAllocPhantom allocates a size-only host buffer (no backing bytes).
-func HostAllocPhantom(n int64) *Buffer {
-	return &Buffer{Kind: HostMem, size: n, phantom: true}
-}
-
 // Malloc allocates device memory (cudaMalloc).
 func (d *Device) Malloc(n int64) (*Buffer, error) {
 	if d.allocated+n > d.cfg.MemBytes {
@@ -195,17 +187,6 @@ func (d *Device) Malloc(n int64) (*Buffer, error) {
 	d.allocated += n
 	d.nextID++
 	return &Buffer{Kind: DeviceMem, Dev: d, ID: d.nextID, data: make([]byte, n), size: n}, nil
-}
-
-// MallocPhantom allocates size-only device memory: copies cost modelled
-// time but move no bytes. Device capacity is still accounted.
-func (d *Device) MallocPhantom(n int64) (*Buffer, error) {
-	if d.allocated+n > d.cfg.MemBytes {
-		return nil, fmt.Errorf("gpu: %s out of memory (%d + %d > %d)", d.cfg.Name, d.allocated, n, d.cfg.MemBytes)
-	}
-	d.allocated += n
-	d.nextID++
-	return &Buffer{Kind: DeviceMem, Dev: d, ID: d.nextID, size: n, phantom: true}, nil
 }
 
 // MallocManaged allocates unified memory (cudaMallocManaged).

@@ -30,13 +30,13 @@ func TestAllocationAccounting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d.Allocated() != 1000 {
-		t.Fatalf("allocated: %d", d.Allocated())
+	if d.allocated != 1000 {
+		t.Fatalf("allocated: %d", d.allocated)
 	}
 	d.Free(b1)
 	d.Free(b2)
-	if d.Allocated() != 0 {
-		t.Fatalf("allocated after free: %d", d.Allocated())
+	if d.allocated != 0 {
+		t.Fatalf("allocated after free: %d", d.allocated)
 	}
 }
 
@@ -101,7 +101,7 @@ func TestDMATimingMatchesBandwidth(t *testing.T) {
 	d := New(eng, Config{GBPerSecDMA: 10})
 	// Timing tests use size-only buffers: the copy is priced in full but
 	// moves no bytes (TestMemcpyRoundTrip covers byte movement).
-	buf, _ := d.MallocPhantom(1 << 30)
+	buf, _ := d.MallocManagedPhantom(1 << 30)
 	var elapsed sim.Time
 	eng.Go("p", func(p *sim.Proc) {
 		start := p.Now()
@@ -165,7 +165,7 @@ func TestStreamOverlapBeatsSequential(t *testing.T) {
 	disk := sim.NewPipe(eng, 5e9, 0) // 5 GB/s "NVMe"
 	const total = 1 << 30
 	const chunk = 64 << 20
-	buf, _ := d.MallocPhantom(total)
+	buf, _ := d.MallocManagedPhantom(total)
 
 	var overlapped sim.Time
 	eng.Go("async", func(p *sim.Proc) {
@@ -207,7 +207,7 @@ func TestStreamOverlapBeatsSequential(t *testing.T) {
 	eng2 := sim.NewEngine()
 	d2 := New(eng2, Config{GBPerSecDMA: 10})
 	disk2 := sim.NewPipe(eng2, 5e9, 0)
-	buf2, _ := d2.MallocPhantom(total)
+	buf2, _ := d2.MallocManagedPhantom(total)
 	var sequential sim.Time
 	eng2.Go("sync", func(p *sim.Proc) {
 		start := p.Now()

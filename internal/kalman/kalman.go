@@ -110,9 +110,3 @@ func ConstantVelocity2D(dt, q, r float64, x0, y0 float64) *Filter {
 func (k *Filter) Position() (float64, float64) {
 	return k.X.At(0, 0), k.X.At(1, 0)
 }
-
-// Velocity returns the current (vx, vy) estimate of a ConstantVelocity2D
-// filter.
-func (k *Filter) Velocity() (float64, float64) {
-	return k.X.At(2, 0), k.X.At(3, 0)
-}

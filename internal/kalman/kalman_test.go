@@ -70,7 +70,7 @@ func TestConstantVelocityTracking(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	vx, vy := k.Velocity()
+	vx, vy := k.X.At(2, 0), k.X.At(3, 0)
 	if math.Abs(vx-1) > 0.05 || math.Abs(vy-0.5) > 0.05 {
 		t.Fatalf("velocity estimate (%.3f, %.3f), want (1, 0.5)", vx, vy)
 	}

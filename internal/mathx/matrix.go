@@ -167,15 +167,6 @@ func (m *Matrix) Inverse() (*Matrix, error) {
 	return inv, nil
 }
 
-// Solve solves m x = b for x where b is a column vector (or multi-column RHS).
-func (m *Matrix) Solve(b *Matrix) (*Matrix, error) {
-	inv, err := m.Inverse()
-	if err != nil {
-		return nil, err
-	}
-	return inv.Mul(b), nil
-}
-
 func (m *Matrix) swapRows(i, j int) {
 	ri := m.Data[i*m.Cols : (i+1)*m.Cols]
 	rj := m.Data[j*m.Cols : (j+1)*m.Cols]

@@ -80,8 +80,8 @@ func TestTrackerRetiresStaleTracks(t *testing.T) {
 	for i := 0; i < tr.MaxMissed+2; i++ {
 		tr.Step(nil)
 	}
-	if len(tr.Tracks()) != 0 {
-		t.Fatalf("stale track survived: %d", len(tr.Tracks()))
+	if len(tr.tracks) != 0 {
+		t.Fatalf("stale track survived: %d", len(tr.tracks))
 	}
 }
 
@@ -89,7 +89,7 @@ func TestTrackerHandlesEmptyFrames(t *testing.T) {
 	tr := NewTracker(0.1)
 	tr.Step(nil)
 	tr.Step([]Detection{})
-	if len(tr.Tracks()) != 0 {
+	if len(tr.tracks) != 0 {
 		t.Fatal("tracks from empty frames")
 	}
 }

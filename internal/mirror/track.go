@@ -53,9 +53,6 @@ func NewTracker(dt float64) *Tracker {
 	return &Tracker{GateDistance: 8, MaxMissed: 10, MinHits: 3, DT: dt}
 }
 
-// Tracks returns the live (confirmed or tentative) tracks.
-func (tr *Tracker) Tracks() []*Track { return tr.tracks }
-
 // ConfirmedTracks returns tracks with at least MinHits associations.
 func (tr *Tracker) ConfirmedTracks() []*Track {
 	var out []*Track

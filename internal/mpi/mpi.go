@@ -100,14 +100,6 @@ func (w *World) Size() int { return w.size }
 // NodeOf returns the node index hosting rank r.
 func (w *World) NodeOf(r int) int { return w.nodeOf[r] }
 
-// Nodes returns the number of distinct nodes.
-func (w *World) Nodes() int {
-	if w.size == 0 {
-		return 0
-	}
-	return w.nodeOf[w.size-1] + 1
-}
-
 // ErrDeadlock reports ranks still blocked after the event queue drained.
 var ErrDeadlock = fmt.Errorf("mpi: ranks deadlocked (blocked with no pending events)")
 
@@ -298,9 +290,3 @@ func (r *Rank) Bcast(root int, payload any, size int64) any {
 	}
 	return r.Recv(root, tag)
 }
-
-// SizeOfFloat64s returns the modelled wire size of a float64 slice.
-func SizeOfFloat64s(xs []float64) int64 { return int64(8 * len(xs)) }
-
-// SizeOfBytes returns the modelled wire size of a byte slice.
-func SizeOfBytes(bs []byte) int64 { return int64(len(bs)) }

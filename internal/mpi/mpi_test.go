@@ -25,9 +25,6 @@ func TestWorldValidation(t *testing.T) {
 
 func TestNodeMapping(t *testing.T) {
 	_, w := newWorld(t, 8, 4)
-	if w.Nodes() != 2 {
-		t.Fatalf("nodes: got %d want 2", w.Nodes())
-	}
 	if w.NodeOf(0) != 0 || w.NodeOf(3) != 0 || w.NodeOf(4) != 1 || w.NodeOf(7) != 1 {
 		t.Fatal("rank→node mapping wrong")
 	}
@@ -143,7 +140,8 @@ func TestBarrierSynchronises(t *testing.T) {
 	eng, w := newWorld(t, n, 1)
 	var after []sim.Time
 	err := w.Run(func(r *Rank) {
-		r.Proc().Sleep(sim.Time(10 * (r.Rank() + 1)))
+		d := sim.Time(10 * (r.Rank() + 1))
+		r.Proc().Await(func(done func()) { eng.Schedule(d, done) })
 		r.Barrier()
 		after = append(after, r.Proc().Now())
 	})
@@ -155,7 +153,6 @@ func TestBarrierSynchronises(t *testing.T) {
 			t.Fatalf("barrier release time %v, want 30", a)
 		}
 	}
-	_ = eng
 }
 
 func TestAllreduce(t *testing.T) {

@@ -156,14 +156,14 @@ func softmax(logits []float64) []float64 {
 	return out
 }
 
-// Accuracy scores the network on a labelled set.
-func (m *MLP) Accuracy(X [][]float64, y []int) float64 {
+// accuracy scores a classifier on a labelled set.
+func accuracy(predict func([]float64) int, X [][]float64, y []int) float64 {
 	if len(X) == 0 {
 		return 0
 	}
 	ok := 0
 	for i, x := range X {
-		if m.Predict(x) == y[i] {
+		if predict(x) == y[i] {
 			ok++
 		}
 	}
@@ -268,16 +268,7 @@ func (q *Quantised) Predict(x []float64) int {
 
 // Accuracy scores the quantised network.
 func (q *Quantised) Accuracy(X [][]float64, y []int) float64 {
-	if len(X) == 0 {
-		return 0
-	}
-	ok := 0
-	for i, x := range X {
-		if q.Predict(x) == y[i] {
-			ok++
-		}
-	}
-	return float64(ok) / float64(len(X))
+	return accuracy(q.Predict, X, y)
 }
 
 // weightBytes returns the serialised int8 weight arrays (the BRAM image).

@@ -16,7 +16,7 @@ func trainedModel(t *testing.T) (*MLP, [][]float64, []int) {
 
 func TestTrainingLearnsBlobs(t *testing.T) {
 	m, Xtest, ytest := trainedModel(t)
-	acc := m.Accuracy(Xtest, ytest)
+	acc := accuracy(m.Predict, Xtest, ytest)
 	if acc < 0.9 {
 		t.Fatalf("float accuracy %.2f below 0.9", acc)
 	}
@@ -25,7 +25,7 @@ func TestTrainingLearnsBlobs(t *testing.T) {
 func TestQuantisationPreservesAccuracy(t *testing.T) {
 	m, Xtest, ytest := trainedModel(t)
 	q := m.Quantise()
-	fa := m.Accuracy(Xtest, ytest)
+	fa := accuracy(m.Predict, Xtest, ytest)
 	qa := q.Accuracy(Xtest, ytest)
 	if fa-qa > 0.05 {
 		t.Fatalf("quantisation lost too much: float %.3f vs int8 %.3f", fa, qa)

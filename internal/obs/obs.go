@@ -329,13 +329,3 @@ func (c *Collector) Events() []Event {
 	defer c.mu.Unlock()
 	return append([]Event(nil), c.events...)
 }
-
-// Len reports how many events have been collected.
-func (c *Collector) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.events)
-}
-
-// Log renders the collected stream via FormatLog.
-func (c *Collector) Log() string { return FormatLog(c.Events()) }

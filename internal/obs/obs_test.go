@@ -132,8 +132,8 @@ func TestBusConcurrentPublishRace(t *testing.T) {
 	wg.Wait()
 	sub.Close()
 	<-done
-	if c.Len() != 800 {
-		t.Fatalf("observer saw %d events, want 800", c.Len())
+	if n := len(c.Events()); n != 800 {
+		t.Fatalf("observer saw %d events, want 800", n)
 	}
 	// Sequence numbers are the global publication order: dense 1..800.
 	seen := make(map[uint64]bool)

@@ -482,21 +482,11 @@ func (l *Ledger) Peak(deviceID string) int {
 	return 0
 }
 
-// CoreStalls counts claims and reacquires refused for cores (the
-// contention signal).
-func (l *Ledger) CoreStalls() uint64 { return l.Read(nil).CoreStalls }
-
-// WattStalls counts claims refused for watts (the cap-pressure signal).
-func (l *Ledger) WattStalls() uint64 { return l.Read(nil).WattStalls }
-
 // Cap returns the watt budget (+Inf when uncapped).
 func (l *Ledger) Cap() energy.Watts { return l.capW }
 
 // Capped reports whether a finite cap is armed.
 func (l *Ledger) Capped() bool { return !math.IsInf(l.capW, 1) }
-
-// Governor returns the governor kind.
-func (l *Ledger) Governor() Kind { return l.gov }
 
 // Draw returns the current modelled fleet draw: static power of healthy
 // devices plus every granted dynamic watt. Lock-free.
@@ -507,54 +497,22 @@ func (l *Ledger) Draw() energy.Watts {
 // IdleWatts returns the static draw of the surviving fleet.
 func (l *Ledger) IdleWatts() energy.Watts { return l.Read(nil).IdleWatts }
 
-// DrawOf returns a device's current draw (static + granted dynamic); zero
-// for a lost or unknown device.
-func (l *Ledger) DrawOf(deviceID string) energy.Watts {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if a := l.byID[deviceID]; a != nil && !a.lost {
-		return a.idleW + a.drawW
-	}
-	return 0
-}
-
-// PeakDraw returns the high-water mark of the fleet draw — the peak-draw
-// witness: it never exceeds Cap.
-func (l *Ledger) PeakDraw() energy.Watts { return l.Read(nil).PeakDraw }
-
-// Rescales counts governor operating-point changes.
-func (l *Ledger) Rescales() uint64 { return l.Read(nil).Rescales }
-
-// OperatingPoint returns the DVFS state index the governor currently
-// prescribes for a device (0 = nominal, also for unknown devices).
-func (l *Ledger) OperatingPoint(deviceID string) int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if a := l.byID[deviceID]; a != nil {
-		return a.point
-	}
-	return 0
-}
-
-// Ladder returns a device's resolved DVFS ladder.
-func (l *Ledger) Ladder(deviceID string) Ladder {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if a := l.byID[deviceID]; a != nil {
-		return a.ladder
-	}
-	return Ladder{}
-}
-
 // Reading is one consistent view of the ledger's fleet-wide meters.
 type Reading struct {
-	Draw, PeakDraw, IdleWatts        energy.Watts
+	// Draw is the fleet draw, PeakDraw its high-water mark (the peak-draw
+	// witness: it never exceeds Cap), IdleWatts the surviving fleet's
+	// static draw.
+	Draw, PeakDraw, IdleWatts energy.Watts
+	// CoreStalls counts claims and reacquires refused for cores (the
+	// contention signal), WattStalls claims refused for watts (the
+	// cap-pressure signal), Rescales governor operating-point changes.
 	CoreStalls, WattStalls, Rescales uint64
 }
 
 // Read returns the fleet-wide meters under one lock acquisition. A non-nil
-// draws receives each device's DrawOf in fleet (construction) order; it
-// must be at least as long as the fleet.
+// draws receives each device's draw (static + granted dynamic; zero for a
+// lost device) in fleet (construction) order; it must be at least as long
+// as the fleet.
 func (l *Ledger) Read(draws []energy.Watts) Reading {
 	l.mu.Lock()
 	defer l.mu.Unlock()

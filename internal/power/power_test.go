@@ -2,12 +2,29 @@ package power
 
 import (
 	"math"
+	"slices"
 	"sync"
 	"testing"
 
 	"legato/internal/energy"
 	"legato/internal/hw"
 )
+
+// pointOf returns the operating point l prescribes for device id, as
+// Shape reports it.
+func pointOf(l *Ledger, id string) int {
+	cores, points := make([]int, 1), make([]int, 1)
+	l.Shape([]*hw.Device{{ID: id}}, cores, points)
+	return points[0]
+}
+
+// drawOf returns device id's draw, as Read reports it.
+func drawOf(l *Ledger, id string) energy.Watts {
+	ids := l.Devices()
+	draws := make([]energy.Watts, len(ids))
+	l.Read(draws)
+	return draws[slices.Index(ids, id)]
+}
 
 func testDevices(t *testing.T) []*hw.Device {
 	t.Helper()
@@ -92,16 +109,16 @@ func TestLedgerCapWitness(t *testing.T) {
 	if l.Claim("fpga0", 0, 10) == Granted {
 		t.Fatal("draw over cap granted")
 	}
-	if l.WattStalls() != 1 {
-		t.Fatalf("stalls = %d, want 1", l.WattStalls())
+	if r := l.Read(nil); r.WattStalls != 1 {
+		t.Fatalf("stalls = %d, want 1", r.WattStalls)
 	}
 	if l.Claim("fpga0", 0, 5) != Granted {
 		t.Fatal("draw exactly at cap refused")
 	}
-	if got := l.PeakDraw(); got != 40 {
+	if got := l.Read(nil).PeakDraw; got != 40 {
 		t.Fatalf("peak draw = %v, want 40", got)
 	}
-	if l.PeakDraw() > l.Cap() {
+	if l.Read(nil).PeakDraw > l.Cap() {
 		t.Fatal("peak-draw witness violated")
 	}
 	l.Release("cpu0", 0, 20)
@@ -110,7 +127,7 @@ func TestLedgerCapWitness(t *testing.T) {
 		t.Fatalf("draw after release = %v, want 15", got)
 	}
 	// RaceToIdle never reshapes operating points.
-	if l.Rescales() != 0 || l.OperatingPoint("cpu0") != 0 {
+	if l.Read(nil).Rescales != 0 || pointOf(l, "cpu0") != 0 {
 		t.Fatal("race-to-idle governor rescaled a device")
 	}
 }
@@ -163,7 +180,7 @@ func TestLedgerDeviceLost(t *testing.T) {
 	if got := l.Draw(); got != 5 {
 		t.Fatalf("draw after loss = %v, want 5", got)
 	}
-	if !l.Lost("cpu0") || l.DrawOf("cpu0") != 0 {
+	if !l.Lost("cpu0") || drawOf(l, "cpu0") != 0 {
 		t.Fatal("lost device still charged")
 	}
 	// Late revocations (jobs crossing the crash on private clocks) must not
@@ -194,11 +211,11 @@ func TestPackAndThrottleGovernor(t *testing.T) {
 	if l.Claim("cpu0", 0, 10) == Granted {
 		t.Fatal("draw over cap granted")
 	}
-	if l.OperatingPoint("cpu0") != 1 {
-		t.Fatalf("cpu0 operating point = %d after refusal, want 1 (eco)", l.OperatingPoint("cpu0"))
+	if pointOf(l, "cpu0") != 1 {
+		t.Fatalf("cpu0 operating point = %d after refusal, want 1 (eco)", pointOf(l, "cpu0"))
 	}
-	if l.Rescales() != 1 {
-		t.Fatalf("rescales = %d, want 1", l.Rescales())
+	if r := l.Read(nil); r.Rescales != 1 {
+		t.Fatalf("rescales = %d, want 1", r.Rescales)
 	}
 	// The fpga has no lower rung, so a refusal on it throttles the
 	// hungriest throttleable sibling — but cpu0 is already at its floor,
@@ -206,13 +223,13 @@ func TestPackAndThrottleGovernor(t *testing.T) {
 	if l.Claim("fpga0", 0, 10) == Granted {
 		t.Fatal("draw over cap granted")
 	}
-	if l.OperatingPoint("fpga0") != 0 {
+	if pointOf(l, "fpga0") != 0 {
 		t.Fatal("stateless device was stepped below its only point")
 	}
 	// Releasing far below the 70% hysteresis threshold steps cpu0 back up.
 	l.Release("cpu0", 0, 24)
-	if l.OperatingPoint("cpu0") != 0 {
-		t.Fatalf("cpu0 operating point = %d after relaxation, want 0 (nominal)", l.OperatingPoint("cpu0"))
+	if pointOf(l, "cpu0") != 0 {
+		t.Fatalf("cpu0 operating point = %d after relaxation, want 0 (nominal)", pointOf(l, "cpu0"))
 	}
 }
 
@@ -226,8 +243,8 @@ func TestFleetLedger(t *testing.T) {
 	if f.Claim("cpu0", 1, 0) == Granted {
 		t.Fatal("oversubscription allowed")
 	}
-	if f.CoreStalls() != 1 {
-		t.Fatalf("stalls = %d, want 1", f.CoreStalls())
+	if r := f.Read(nil); r.CoreStalls != 1 {
+		t.Fatalf("stalls = %d, want 1", r.CoreStalls)
 	}
 	ch := f.Changed()
 	select {
@@ -260,8 +277,8 @@ func TestFleetReacquire(t *testing.T) {
 	if f.Reacquire(devs, []int{8, 2}) {
 		t.Fatal("reacquire succeeded past a busy device")
 	}
-	if f.InUse("cpu0") != 0 || f.CoreStalls() != 1 {
-		t.Fatalf("failed reacquire left cpu in use %d, stalls %d", f.InUse("cpu0"), f.CoreStalls())
+	if r := f.Read(nil); f.InUse("cpu0") != 0 || r.CoreStalls != 1 {
+		t.Fatalf("failed reacquire left cpu in use %d, stalls %d", f.InUse("cpu0"), r.CoreStalls)
 	}
 	if !f.Reacquire(devs, []int{8, 1}) {
 		t.Fatal("reacquire refused with room on both devices")
@@ -394,8 +411,8 @@ func TestClaimRefusalTouchesOneBudget(t *testing.T) {
 		t.Fatalf("watt refusal moved cores: in use %d → %d, peak %d → %d",
 			inUse, l.InUse("cpu0"), peak, l.Peak("cpu0"))
 	}
-	if l.WattStalls() != 1 || l.CoreStalls() != 0 {
-		t.Fatalf("watt refusal counted %d watt and %d core stalls, want 1 and 0", l.WattStalls(), l.CoreStalls())
+	if r := l.Read(nil); r.WattStalls != 1 || r.CoreStalls != 0 {
+		t.Fatalf("watt refusal counted %d watt and %d core stalls, want 1 and 0", r.WattStalls, r.CoreStalls)
 	}
 	if l.Draw() != draw {
 		t.Fatalf("watt refusal changed the draw: %v → %v", draw, l.Draw())
@@ -403,22 +420,22 @@ func TestClaimRefusalTouchesOneBudget(t *testing.T) {
 
 	points := map[string]int{}
 	for _, id := range l.Devices() {
-		points[id] = l.OperatingPoint(id)
+		points[id] = pointOf(l, id)
 	}
-	rescales := l.Rescales()
+	rescales := l.Read(nil).Rescales
 	if v := l.Claim("cpu0", 7, 1); v != NoCores { // 2 of 8 cores in use
 		t.Fatalf("oversubscribing claim = %v, want NoCores", v)
 	}
-	if l.WattStalls() != 1 || l.CoreStalls() != 1 {
-		t.Fatalf("core refusal counted %d watt and %d core stalls, want 1 and 1", l.WattStalls(), l.CoreStalls())
+	if r := l.Read(nil); r.WattStalls != 1 || r.CoreStalls != 1 {
+		t.Fatalf("core refusal counted %d watt and %d core stalls, want 1 and 1", r.WattStalls, r.CoreStalls)
 	}
-	if l.Draw() != draw || l.Rescales() != rescales {
+	if l.Draw() != draw || l.Read(nil).Rescales != rescales {
 		t.Fatalf("core refusal reached the watt budget: draw %v → %v, rescales %d → %d",
-			draw, l.Draw(), rescales, l.Rescales())
+			draw, l.Draw(), rescales, l.Read(nil).Rescales)
 	}
 	for id, p := range points {
-		if l.OperatingPoint(id) != p {
-			t.Fatalf("core refusal stepped %s from point %d to %d", id, p, l.OperatingPoint(id))
+		if pointOf(l, id) != p {
+			t.Fatalf("core refusal stepped %s from point %d to %d", id, p, pointOf(l, id))
 		}
 	}
 	if l.InUse("cpu0") != inUse || l.Peak("cpu0") != peak {
@@ -473,8 +490,8 @@ func TestLedgerEpochTracksShape(t *testing.T) {
 				t.Fatalf("%s: %s shape (%d cores, point %d), want (%d, %d)",
 					what, d.ID, gotCores[i], gotPoints[i], cores[i], points[i])
 			}
-			if gotCores[i] != l.Capacity(d.ID) || gotPoints[i] != l.OperatingPoint(d.ID) {
-				t.Fatalf("%s: %s Shape disagrees with Capacity/OperatingPoint", what, d.ID)
+			if gotCores[i] != l.Capacity(d.ID) {
+				t.Fatalf("%s: %s Shape disagrees with Capacity", what, d.ID)
 			}
 		}
 	}

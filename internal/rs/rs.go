@@ -99,12 +99,6 @@ func New(k, m int) (*Code, error) {
 	return &Code{k: k, m: m, gen: gen}, nil
 }
 
-// DataShards returns k.
-func (c *Code) DataShards() int { return c.k }
-
-// ParityShards returns m.
-func (c *Code) ParityShards() int { return c.m }
-
 // ErrShardSize reports inconsistent shard lengths.
 var ErrShardSize = errors.New("rs: shards must be non-empty and equal-sized")
 

@@ -53,7 +53,7 @@ func TestNewValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.DataShards() != 10 || c.ParityShards() != 4 {
+	if c.k != 10 || c.m != 4 {
 		t.Fatal("geometry accessors wrong")
 	}
 }

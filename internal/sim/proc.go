@@ -1,13 +1,13 @@
 package sim
 
 // Process-interaction layer: model processes written as ordinary sequential
-// Go functions that block in virtual time (Sleep, Await, mailbox Get). The
+// Go functions that block in virtual time (Await, mailbox Get). The
 // engine runs processes cooperatively — exactly one goroutine (the engine's
 // caller or one process) executes at any instant, so process code needs no
 // locking and the simulation stays deterministic.
 //
 // The handshake: when the engine wakes a process it blocks until the
-// process parks again (in Sleep/Await/Get) or returns. While a process
+// process parks again (in Await/Get) or returns. While a process
 // runs, the engine is parked, so processes may safely call Schedule,
 // Put, Transfer, etc.
 
@@ -57,15 +57,6 @@ func (p *Proc) park() {
 // Now returns the current virtual time.
 func (p *Proc) Now() Time { return p.eng.Now() }
 
-// Engine returns the owning engine.
-func (p *Proc) Engine() *Engine { return p.eng }
-
-// Sleep blocks the process for d of virtual time.
-func (p *Proc) Sleep(d Time) {
-	p.eng.Schedule(d, p.wake)
-	p.park()
-}
-
 // Await parks the process until the completion callback passed to register
 // is invoked. register runs immediately in the process's context; the
 // callback may fire from any later engine event.
@@ -90,11 +81,6 @@ func (p *Proc) TransferP(pipe *Pipe, size int64) {
 	p.Await(func(done func()) { pipe.Transfer(size, done) })
 }
 
-// UseP blocks the process while it holds one unit of r for span.
-func (p *Proc) UseP(r *Resource, span Time) {
-	p.Await(func(done func()) { r.Use(span, done) })
-}
-
 // Mailbox is an unbounded FIFO of items exchanged between processes in
 // virtual time. Put never blocks; Get blocks the calling process until an
 // item is available. Multiple concurrent getters are served FIFO.
@@ -106,9 +92,6 @@ type Mailbox struct {
 
 // NewMailbox creates an empty mailbox.
 func NewMailbox(eng *Engine) *Mailbox { return &Mailbox{eng: eng} }
-
-// Len returns the number of queued items.
-func (m *Mailbox) Len() int { return len(m.items) }
 
 // Put deposits an item; if a process is blocked in Get, it is woken and
 // receives the item directly.
@@ -137,16 +120,6 @@ func (m *Mailbox) Get(p *Proc) any {
 		})
 	})
 	return got
-}
-
-// TryGet returns an item without blocking; ok is false if none is queued.
-func (m *Mailbox) TryGet() (any, bool) {
-	if len(m.items) == 0 {
-		return nil, false
-	}
-	it := m.items[0]
-	m.items = m.items[1:]
-	return it, true
 }
 
 // Barrier synchronises n processes: each calls Wait and blocks until all n

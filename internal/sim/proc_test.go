@@ -4,13 +4,18 @@ import (
 	"testing"
 )
 
+// sleep blocks p for d of virtual time.
+func sleep(p *Proc, d Time) {
+	p.Await(func(done func()) { p.eng.Schedule(d, done) })
+}
+
 func TestProcSleep(t *testing.T) {
 	e := NewEngine()
 	var times []Time
 	e.Go("p", func(p *Proc) {
-		p.Sleep(10)
+		sleep(p, 10)
 		times = append(times, p.Now())
-		p.Sleep(5)
+		sleep(p, 5)
 		times = append(times, p.Now())
 	})
 	e.Run()
@@ -26,13 +31,13 @@ func TestProcInterleaving(t *testing.T) {
 	e := NewEngine()
 	var order []string
 	e.Go("a", func(p *Proc) {
-		p.Sleep(10)
+		sleep(p, 10)
 		order = append(order, "a10")
-		p.Sleep(20) // wakes at 30
+		sleep(p, 20) // wakes at 30
 		order = append(order, "a30")
 	})
 	e.Go("b", func(p *Proc) {
-		p.Sleep(20)
+		sleep(p, 20)
 		order = append(order, "b20")
 	})
 	e.Run()
@@ -64,7 +69,7 @@ func TestProcUseResource(t *testing.T) {
 	var ends []Time
 	for i := 0; i < 2; i++ {
 		e.Go("u", func(p *Proc) {
-			p.UseP(r, 10)
+			p.Await(func(done func()) { r.Use(10, done) })
 			ends = append(ends, p.Now())
 		})
 	}
@@ -84,7 +89,7 @@ func TestMailboxRendezvous(t *testing.T) {
 		gotAt = p.Now()
 	})
 	e.Go("send", func(p *Proc) {
-		p.Sleep(30)
+		sleep(p, 30)
 		mb.Put("hello")
 	})
 	e.Run()
@@ -98,8 +103,8 @@ func TestMailboxBuffered(t *testing.T) {
 	mb := NewMailbox(e)
 	mb.Put(1)
 	mb.Put(2)
-	if mb.Len() != 2 {
-		t.Fatalf("len: %d", mb.Len())
+	if len(mb.items) != 2 {
+		t.Fatalf("len: %d", len(mb.items))
 	}
 	var got []int
 	e.Go("r", func(p *Proc) {
@@ -109,8 +114,8 @@ func TestMailboxBuffered(t *testing.T) {
 	if len(got) != 2 || got[0] != 1 || got[1] != 2 {
 		t.Fatalf("fifo order: %v", got)
 	}
-	if _, ok := mb.TryGet(); ok {
-		t.Fatal("TryGet on empty mailbox returned an item")
+	if len(mb.items) != 0 {
+		t.Fatalf("%d items left after both were taken", len(mb.items))
 	}
 }
 
@@ -126,7 +131,7 @@ func TestMailboxMultipleWaitersFIFO(t *testing.T) {
 		})
 	}
 	e.Go("s", func(p *Proc) {
-		p.Sleep(5)
+		sleep(p, 5)
 		for i := 0; i < 3; i++ {
 			mb.Put(i)
 		}
@@ -145,7 +150,7 @@ func TestBarrier(t *testing.T) {
 	for i := 0; i < n; i++ {
 		i := i
 		e.Go("p", func(p *Proc) {
-			p.Sleep(Time(10 * (i + 1))) // arrive at 10, 20, 30, 40
+			sleep(p, Time(10*(i+1))) // arrive at 10, 20, 30, 40
 			b.Wait(p)
 			released = append(released, p.Now())
 		})
@@ -168,7 +173,7 @@ func TestBarrierReusable(t *testing.T) {
 	for i := 0; i < 2; i++ {
 		e.Go("p", func(p *Proc) {
 			for round := 0; round < 3; round++ {
-				p.Sleep(1)
+				sleep(p, 1)
 				b.Wait(p)
 				count++
 			}

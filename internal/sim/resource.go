@@ -21,15 +21,6 @@ func NewResource(eng *Engine, capacity int) *Resource {
 	return &Resource{eng: eng, capacity: capacity}
 }
 
-// Capacity returns the total number of units.
-func (r *Resource) Capacity() int { return r.capacity }
-
-// InUse returns the number of units currently held.
-func (r *Resource) InUse() int { return r.inUse }
-
-// QueueLen returns the number of waiting acquisitions.
-func (r *Resource) QueueLen() int { return len(r.waiters) }
-
 // Acquire requests one unit; acquired runs (possibly immediately) once a
 // unit is available. The holder must call Release exactly once.
 func (r *Resource) Acquire(acquired func()) {

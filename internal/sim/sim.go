@@ -64,8 +64,6 @@ type Engine struct {
 	now    Time
 	seq    uint64
 	events eventHeap
-	steps  uint64
-	live   int // scheduled events not yet fired or cancelled
 	procs  int
 }
 
@@ -75,24 +73,16 @@ func NewEngine() *Engine { return &Engine{} }
 // Now returns the current virtual time.
 func (e *Engine) Now() Time { return e.now }
 
-// Steps reports how many events have been executed so far.
-func (e *Engine) Steps() uint64 { return e.steps }
-
-// Pending reports the number of scheduled (non-cancelled) events.
-func (e *Engine) Pending() int { return e.live }
-
 // Handle identifies a scheduled event so it can be cancelled.
 type Handle struct {
-	ev  *event
-	eng *Engine
+	ev *event
 }
 
 // Cancel removes the event from the schedule; cancelling an already-fired
 // or already-cancelled event is a no-op.
 func (h Handle) Cancel() {
-	if h.ev != nil && !h.ev.dead {
+	if h.ev != nil {
 		h.ev.dead = true
-		h.eng.live--
 	}
 }
 
@@ -105,8 +95,7 @@ func (e *Engine) Schedule(delay Time, fn func()) Handle {
 	e.seq++
 	ev := &event{at: e.now + delay, seq: e.seq, fn: fn}
 	heap.Push(&e.events, ev)
-	e.live++
-	return Handle{ev: ev, eng: e}
+	return Handle{ev: ev}
 }
 
 // ScheduleAt queues fn at an absolute virtual time, which must not be in
@@ -128,10 +117,7 @@ func (e *Engine) Step() bool {
 		if ev.at < e.now {
 			panic("sim: time went backwards")
 		}
-		ev.dead = true // spent: a late Cancel must be a no-op
-		e.live--
 		e.now = ev.at
-		e.steps++
 		ev.fn()
 		return true
 	}
@@ -144,27 +130,3 @@ func (e *Engine) Run() Time {
 	}
 	return e.now
 }
-
-// RunUntil executes events with firing time ≤ deadline, then advances the
-// clock to the deadline. Events scheduled beyond the deadline stay queued.
-func (e *Engine) RunUntil(deadline Time) Time {
-	for len(e.events) > 0 {
-		// Peek at the head, skipping dead events.
-		head := e.events[0]
-		if head.dead {
-			heap.Pop(&e.events)
-			continue
-		}
-		if head.at > deadline {
-			break
-		}
-		e.Step()
-	}
-	if e.now < deadline {
-		e.now = deadline
-	}
-	return e.now
-}
-
-// RunFor runs for a span of virtual time from the current clock.
-func (e *Engine) RunFor(span Time) Time { return e.RunUntil(e.now + span) }

@@ -65,26 +65,6 @@ func TestEngineCancel(t *testing.T) {
 	}
 }
 
-func TestRunUntil(t *testing.T) {
-	e := NewEngine()
-	var fired []Time
-	for _, d := range []Time{5, 15, 25} {
-		d := d
-		e.Schedule(d, func() { fired = append(fired, d) })
-	}
-	e.RunUntil(20)
-	if e.Now() != 20 {
-		t.Fatalf("clock: got %v want 20", e.Now())
-	}
-	if len(fired) != 2 {
-		t.Fatalf("fired: %v", fired)
-	}
-	e.Run()
-	if len(fired) != 3 || e.Now() != 25 {
-		t.Fatalf("after full run: fired=%v now=%v", fired, e.Now())
-	}
-}
-
 func TestNegativeDelayPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
@@ -217,12 +197,12 @@ func TestResourceInvariantProperty(t *testing.T) {
 		ok := true
 		for i := 0; i < n; i++ {
 			r.Use(Time(1+rng.Intn(100)), func() { completed++ })
-			if r.InUse() > c {
+			if r.inUse > c {
 				ok = false
 			}
 		}
 		e.Run()
-		return ok && completed == n && r.InUse() == 0
+		return ok && completed == n && r.inUse == 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)

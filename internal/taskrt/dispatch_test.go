@@ -333,10 +333,12 @@ func TestShapeReadsByDeviceID(t *testing.T) {
 	check := func(what string) {
 		t.Helper()
 		rt.refreshShape()
+		cores, points := make([]int, len(mirror)), make([]int, len(mirror))
+		led.Shape(mirror, cores, points)
 		for i, d := range mirror {
-			if rt.capacity[i] != led.Capacity(d.ID) || rt.points[i] != led.OperatingPoint(d.ID) {
+			if rt.capacity[i] != led.Capacity(d.ID) || rt.points[i] != points[i] {
 				t.Fatalf("%s: %s reads (%d cores, point %d), ledger has (%d, %d)", what, d.ID,
-					rt.capacity[i], rt.points[i], led.Capacity(d.ID), led.OperatingPoint(d.ID))
+					rt.capacity[i], rt.points[i], led.Capacity(d.ID), points[i])
 			}
 		}
 		if rt.capacity[1] != 0 {
@@ -353,8 +355,10 @@ func TestShapeReadsByDeviceID(t *testing.T) {
 	}
 	check("throttle")
 	rt.applyOperatingPoints()
-	if p := rt.state[5].point; p != 1 || p != led.OperatingPoint("cpu0") {
-		t.Fatalf("runtime applies point %d to cpu0, ledger prescribes %d", p, led.OperatingPoint("cpu0"))
+	points := make([]int, len(mirror))
+	led.Shape(mirror, make([]int, len(mirror)), points)
+	if p := rt.state[5].point; p != 1 || p != points[5] {
+		t.Fatalf("runtime applies point %d to cpu0, ledger prescribes %d", p, points[5])
 	}
 	if err := wideDAG(rt, rand.New(rand.NewSource(3)), 2, 12); err != nil {
 		t.Fatal(err)

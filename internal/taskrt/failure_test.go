@@ -131,13 +131,13 @@ func TestCancelOnResumeReleasesCores(t *testing.T) {
 			t.Fatalf("sibling claim on %s refused", d.ID)
 		}
 	}
-	stalls := led.CoreStalls()
+	stalls := led.Read(nil).CoreStalls
 	errc := make(chan error, 1)
 	go func() {
 		_, err := rt.RunContext(ctx)
 		errc <- err
 	}()
-	for led.CoreStalls() == stalls {
+	for led.Read(nil).CoreStalls == stalls {
 		time.Sleep(10 * time.Microsecond)
 	}
 	for _, d := range devs {

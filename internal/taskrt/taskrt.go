@@ -161,18 +161,6 @@ type Data struct {
 	version    int
 }
 
-// Dep is a dependence declaration.
-type Dep int
-
-const (
-	// In: the task reads the region.
-	In Dep = iota
-	// Out: the task overwrites the region.
-	Out
-	// InOut: the task reads and writes the region.
-	InOut
-)
-
 // Task is one unit of work.
 type Task struct {
 	Name string

@@ -26,9 +26,6 @@ type Span struct {
 	Value float64
 }
 
-// Duration returns the span length.
-func (s Span) Duration() sim.Time { return s.End - s.Start }
-
 // Tracer is a session's span store: the spans of every merged job, in
 // merge order, and named counters. It is safe for concurrent use, so jobs
 // can merge while others still run. Merge seals each job's spans as one
@@ -50,13 +47,6 @@ func (t *Tracer) Count(name string, delta float64) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.counters[name] += delta
-}
-
-// Counter returns a counter's value.
-func (t *Tracer) Counter(name string) float64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.counters[name]
 }
 
 // Spans returns a copy of the merged spans in merge order, nil when there

@@ -11,9 +11,6 @@ import (
 
 func TestSpanTiming(t *testing.T) {
 	s := Span{Name: "task-a", Category: "compute", Resource: "cpu0", Start: 10, End: 25}
-	if s.Duration() != 15 {
-		t.Fatalf("span duration: %v", s.Duration())
-	}
 	tr := New()
 	tr.Merge([]Span{s})
 	if got := tr.Spans(); len(got) != 1 || got[0] != s {
@@ -25,8 +22,8 @@ func TestCounters(t *testing.T) {
 	tr := New()
 	tr.Count("bytes", 100)
 	tr.Count("bytes", 50)
-	if tr.Counter("bytes") != 150 {
-		t.Fatalf("counter: %v", tr.Counter("bytes"))
+	if tr.Counters()["bytes"] != 150 {
+		t.Fatalf("counter: %v", tr.Counters()["bytes"])
 	}
 }
 
@@ -109,8 +106,8 @@ func TestConcurrentTracerUse(t *testing.T) {
 			}
 		}
 	}
-	if session.Counter("ops") != workers*perWorker || session.Counter("jobs") != workers {
-		t.Fatalf("lost counts: ops=%v jobs=%v", session.Counter("ops"), session.Counter("jobs"))
+	if session.Counters()["ops"] != workers*perWorker || session.Counters()["jobs"] != workers {
+		t.Fatalf("lost counts: ops=%v jobs=%v", session.Counters()["ops"], session.Counters()["jobs"])
 	}
 }
 
@@ -158,7 +155,7 @@ func TestCountersCopy(t *testing.T) {
 	tr.Count("a", 2)
 	c := tr.Counters()
 	c["a"] = 99
-	if tr.Counter("a") != 2 {
+	if tr.Counters()["a"] != 2 {
 		t.Fatal("Counters returned a live reference")
 	}
 }

@@ -8,7 +8,6 @@ package undervolt
 import (
 	"fmt"
 	"math/bits"
-	"strings"
 
 	"legato/internal/fpga"
 )
@@ -172,25 +171,6 @@ func (s *Sweep) FaultsAtCrash() float64 {
 		last = p.FaultsPerMbit
 	}
 	return last
-}
-
-// Table renders the sweep in the shape of Fig. 5: voltage, region, rail
-// power, saving and fault density per step.
-func (s *Sweep) Table() string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "Board %s — VCCBRAM undervolting sweep (Fig. 5)\n", s.Board)
-	fmt.Fprintf(&sb, "%8s %-10s %12s %10s %14s\n", "V", "region", "rail (mW)", "saving %", "faults/Mbit")
-	for _, p := range s.Points {
-		if p.Crashed {
-			fmt.Fprintf(&sb, "%8.3f %-10s %12s %10s %14s\n", p.Voltage, "crash", "-", "-", "DONE unset")
-			continue
-		}
-		fmt.Fprintf(&sb, "%8.3f %-10s %12.2f %10.1f %14.2f\n",
-			p.Voltage, p.Region, p.RailWatts*1000, p.SavingPercent, p.FaultsPerMbit)
-	}
-	fmt.Fprintf(&sb, "observed Vmin=%.3f V, Vcrash=%.3f V, max saving %.1f%%, faults at crash %.1f/Mbit\n",
-		s.VMinObserved, s.VCrashObserved, s.MaxSaving(), s.FaultsAtCrash())
-	return sb.String()
 }
 
 // RunAll sweeps every published board profile with the given seed base and

@@ -270,8 +270,8 @@ func TestMonitorAndTraceSurface(t *testing.T) {
 	if xs, ys := sys.Tracer().Series("power"); len(xs) != 4 || len(ys) != 4 {
 		t.Fatalf("Series(power) = %d/%d points, want 4", len(xs), len(ys))
 	}
-	if sys.Tracer().Counter("jobs") != 1 {
-		t.Fatalf("jobs counter = %v", sys.Tracer().Counter("jobs"))
+	if sys.Tracer().Counters()["jobs"] != 1 {
+		t.Fatalf("jobs counter = %v", sys.Tracer().Counters()["jobs"])
 	}
 }
 
